@@ -102,11 +102,6 @@ class ArtinianModel:
         out[0, 0] = 1
         return out
 
-    def monomial_vec(self, exps) -> np.ndarray:
-        out = self.ctx.zeros((self.dim,))
-        out[self.xidx.rank[tuple(exps)], 0] = 1
-        return out
-
     def vec_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Product in A of two coordinate vectors."""
         cube = self.dense.mul(self.cube_from_vec(u), self.cube_from_vec(v))

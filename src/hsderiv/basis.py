@@ -28,7 +28,8 @@ from .errors import (
 )
 from .gf import lambda_coeffs
 from .grouplaw import FormalGroupLaw, make_additive
-from .linalg import Subspace, image_space, kernel_space, preimage_solve, solve
+from .lattice import divisible_restriction, joint_kernel, restrict_matrix
+from .linalg import Subspace, kernel_space, preimage_solve, solve
 from .poly import term_key
 from .truncated import TruncatedPoly, convert
 
@@ -199,29 +200,20 @@ class _View:
             self._mats[local] = self.D.component(self.embed(local)).mat
         return self._mats[local]
 
-    def clip(self, space: Subspace) -> Subspace:
-        if self.within.dim == self.model.dim:
-            return space
-        return space.intersect(self.within)
-
-    def joint_kernel(self, locals_) -> Subspace:
-        mats = [self.mat(i) for i in locals_]
-        return self.clip(kernel_space(self.ctx, np.concatenate(mats, axis=0)))
-
     def box_constants(self) -> Subspace:
         """Joint kernel over the nonzero indices below p, inside within."""
         if "box" not in self._spaces:
             p, k = self.ctx.p, len(self.coords)
-            idxs = [i for i in np.ndindex(*(p,) * k) if any(i)]
-            self._spaces["box"] = self.joint_kernel(idxs)
+            idxs = [self.embed(i) for i in np.ndindex(*(p,) * k) if any(i)]
+            self._spaces["box"] = joint_kernel(self.D, idxs, self.within)
         return self._spaces["box"]
 
     def abs_constants(self) -> Subspace:
         """Joint kernel over every nonzero index of the block, inside within."""
         if "abs" not in self._spaces:
             n, k = self.model.n, len(self.coords)
-            idxs = [i for i in np.ndindex(*(n,) * k) if any(i)]
-            self._spaces["abs"] = self.joint_kernel(idxs)
+            idxs = [self.embed(i) for i in np.ndindex(*(n,) * k) if any(i)]
+            self._spaces["abs"] = joint_kernel(self.D, idxs, self.within)
         return self._spaces["abs"]
 
     def level(self, l) -> Subspace:
@@ -229,8 +221,9 @@ class _View:
         key = ("level", l)
         if key not in self._spaces:
             p, k = self.ctx.p, len(self.coords)
-            idxs = [self.unit(s, p**u) for u in range(l + 1) for s in range(k)]
-            self._spaces[key] = self.joint_kernel(idxs)
+            idxs = [self.embed(self.unit(s, p**u))
+                    for u in range(l + 1) for s in range(k)]
+            self._spaces[key] = joint_kernel(self.D, idxs, self.within)
         return self._spaces[key]
 
     def wspace(self, l) -> Subspace:
@@ -239,7 +232,7 @@ class _View:
         idxs = [self.unit(1, 1), self.unit(0, p**l)]
         for u in range(1, l):
             idxs += [self.unit(0, p**u), self.unit(1, p**u)]
-        return self.joint_kernel(idxs)
+        return joint_kernel(self.D, [self.embed(i) for i in idxs], self.within)
 
 
 def _ratio_guard(view: _View, expect: int) -> None:
@@ -251,41 +244,6 @@ def _ratio_guard(view: _View, expect: int) -> None:
         )
 
 
-def _restricted(view: _View, mat: np.ndarray, space: Subspace, name: str) -> np.ndarray:
-    """Matrix of the operator on the subspace's echelon coordinates."""
-    ctx = view.ctx
-    if space.dim == 0:
-        return ctx.zeros((0, 0))
-    rows = ctx.mat_mul(space.basis, mat.swapaxes(0, 1))
-    cols = []
-    for r in range(space.dim):
-        try:
-            cols.append(space.coords_of(rows[r]))
-        except NoSolution:
-            raise HypothesisFailure(
-                f"component {name} does not preserve its correction space"
-            ) from None
-    return np.stack(cols, axis=1)
-
-
-def _zm_assert(ctx, rmat: np.ndarray, name: str) -> None:
-    """Certificate for dividing through an operator: T^p = 0, ker T^(p-1) = im T."""
-    if rmat.shape[0] == 0:
-        return
-    p = ctx.p
-    pm1 = rmat
-    for _ in range(p - 2):
-        pm1 = ctx.mat_mul(pm1, rmat)
-    if ctx.mat_mul(pm1, rmat).any():
-        raise HypothesisFailure(
-            f"component {name} is not p-nilpotent on its correction space"
-        )
-    if kernel_space(ctx, pm1) != image_space(ctx, rmat):
-        raise HypothesisFailure(
-            f"kernel/image balance fails for component {name} on its correction space"
-        )
-
-
 def _kernel_correction(view: _View, local, cur: np.ndarray, space: Subspace) -> np.ndarray:
     """Remove the component's value at cur by subtracting an element of space."""
     ctx = view.ctx
@@ -293,9 +251,8 @@ def _kernel_correction(view: _View, local, cur: np.ndarray, space: Subspace) -> 
     defect = ctx.mat_vec(T, cur)
     if not defect.any():
         return cur
-    name = str(view.embed(local))
-    rmat = _restricted(view, T, space, name)
-    _zm_assert(ctx, rmat, name)
+    name = view.embed(local)
+    rmat = divisible_restriction(view.D, name, space)
     try:
         dc = space.coords_of(defect)
     except NoSolution:
@@ -324,9 +281,7 @@ def _corrected_solve(view: _View, t10: np.ndarray, t01: np.ndarray) -> np.ndarra
     for l in range(1, model.m):
         pl = p**l
         z = _kernel_correction(view, view.unit(0, pl), z, view.level(l - 1))
-        space = view.level(l - 1).intersect(
-            kernel_space(ctx, view.mat(view.unit(0, pl)))
-        )
+        space = joint_kernel(view.D, [view.embed(view.unit(0, pl))], view.level(l - 1))
         z = _kernel_correction(view, view.unit(1, pl), z, space)
     return z
 
@@ -364,10 +319,7 @@ def _reduce_coset(view: _View, vec: np.ndarray) -> np.ndarray:
 def _find_y(view: _View) -> TruncatedPoly:
     ctx, model, p = view.ctx, view.model, view.ctx.p
     _ratio_guard(view, p * p)
-    name10 = str(view.embed(view.unit(0, 1)))
-    _zm_assert(
-        ctx, _restricted(view, view.mat(view.unit(0, 1)), view.within, name10), name10
-    )
+    divisible_restriction(view.D, view.embed(view.unit(0, 1)), view.within)
     zero = ctx.zeros((model.dim,))
     y = _corrected_solve(view, zero, model.one_vec())
     y = _reduce_coset(view, y)
@@ -400,8 +352,8 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
     alphas = view.law.alphas
     m10 = view.mat(view.unit(0, 1))
     m01 = view.mat(view.unit(1, 1))
-    name10 = str(view.embed(view.unit(0, 1)))
-    _zm_assert(ctx, _restricted(view, m10, view.within, name10), name10)
+    name10 = view.embed(view.unit(0, 1))
+    divisible_restriction(view.D, name10, view.within)
     one = model.one_vec()
     zero = ctx.zeros((model.dim,))
     yvec = model.vec_from_poly(ypoly)
@@ -449,9 +401,9 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
         tl = ctx.arr_scale(alphas[l].digits, model.vec_pow(yvec, (p - 1) * pl))
         delta = (tl - ctx.mat_vec(Tl, x)) % p
         if delta.any():
-            name = str(view.embed(view.unit(1, pl)))
-            space = view.level(l - 1).intersect(
-                kernel_space(ctx, view.mat(view.unit(0, pl)))
+            name = view.embed(view.unit(1, pl))
+            space = joint_kernel(
+                view.D, [view.embed(view.unit(0, pl))], view.level(l - 1)
             )
             if not space.contains(delta):
                 raise CorrectionUnsolvable(
@@ -459,8 +411,8 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
                 )
             if alphas[l]:
                 wsp = view.wspace(l)
-                rt = _restricted(view, Tl, wsp, name)
-                rm = _restricted(view, m10, wsp, name10)
+                rt = restrict_matrix(view.D, name, wsp)
+                rm = restrict_matrix(view.D, name10, wsp)
                 rtp = rt
                 for _ in range(p - 1):
                     rtp = ctx.mat_mul(rtp, rt)
@@ -489,8 +441,7 @@ def _one_dim_additive(view: _View) -> TruncatedPoly:
     ctx, model, p = view.ctx, view.model, view.ctx.p
     _ratio_guard(view, p)
     m1 = view.mat((1,))
-    name = str(view.embed((1,)))
-    _zm_assert(ctx, _restricted(view, m1, view.within, name), name)
+    divisible_restriction(view.D, view.embed((1,)), view.within)
     try:
         z = preimage_solve(ctx, [(m1, model.one_vec())], within=view.within)
     except NoSolution:
@@ -514,7 +465,7 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
     mats = [(view.mat((1,)) - eye) % ctx.p]
     for j in range(2, model.n):
         mats.append(view.mat((j,)))
-    ker = view.clip(kernel_space(ctx, np.concatenate(mats, axis=0)))
+    ker = kernel_space(ctx, np.concatenate(mats, axis=0)).intersect(view.within)
     if ker.dim != 1:
         raise HypothesisFailure(
             f"the unit-eigenvector space has dimension {ker.dim}, expected 1"
@@ -533,18 +484,10 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
     return zpoly
 
 
-def _block_abs_constants(view: _View, block) -> Subspace:
-    """Absolute constants of the components supported on the given coordinates."""
-    model, ctx = view.model, view.ctx
-    mats = []
-    for i in np.ndindex(*(model.n,) * len(block)):
-        if not any(i):
-            continue
-        full = [0] * model.e
-        for c, t in zip(block, i):
-            full[c] = int(t)
-        mats.append(view.D.component(tuple(full)).mat)
-    return view.clip(kernel_space(ctx, np.concatenate(mats, axis=0)))
+def _inside_constants(view: _View, coords, law, others) -> _View:
+    """Sub-view on coords, searched inside the absolute constants of others."""
+    con = _View(view.D, others, None, within=view.within).abs_constants()
+    return _View(view.D, coords, law, within=con)
 
 
 def _assemble(view: _View):
@@ -552,8 +495,8 @@ def _assemble(view: _View):
     if law.kind == "product":
         f, g = law.factors
         left, right = view.coords[: f.e], view.coords[f.e :]
-        sub1 = _View(view.D, left, f, within=_block_abs_constants(view, right))
-        sub2 = _View(view.D, right, g, within=_block_abs_constants(view, left))
+        sub1 = _inside_constants(view, left, f, right)
+        sub2 = _inside_constants(view, right, g, left)
         return _assemble(sub1) + _assemble(sub2)
     if law.kind == "witt2":
         y = _find_y(view)
@@ -567,10 +510,7 @@ def _assemble(view: _View):
         sub_law = make_additive(view.ctx, 1, law.m)
         for s, c in enumerate(view.coords):
             others = view.coords[:s] + view.coords[s + 1 :]
-            sub = _View(
-                view.D, (c,), sub_law, within=_block_abs_constants(view, others)
-            )
-            out.append(_one_dim_additive(sub))
+            out.append(_one_dim_additive(_inside_constants(view, (c,), sub_law, others)))
         return out
     raise FactorUnsupported(f"no finder for factor kind {law.kind!r}")
 

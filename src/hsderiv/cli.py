@@ -13,7 +13,6 @@ host-dependent is recorded.
 
 import argparse
 import json
-import os
 import sys
 from functools import reduce
 
@@ -27,7 +26,7 @@ from .derivation import HSDerivation, canonical_derivation, p_fold_evP, \
 from .errors import HsderivError, MalformedConfig, ResourceGuard
 from .fieldmodel import FieldDerivationContext, dependence_test, \
     p_independence_test
-from .gf import FqContext
+from .gf import FqContext, is_prime
 from .grouplaw import check_axioms, h_n, make_additive, make_multiplicative, \
     make_witt2, n_series, product_law, structure_constants, truncate_law
 from .lattice import tower
@@ -38,7 +37,6 @@ from .truncated import TruncatedPoly
 
 SCHEMA_VERSION = 1
 MAX_DIM = 2**16
-THREADS_ENV = "HSDERIV_THREADS"
 
 COMMANDS = (
     "law-check", "pseries", "hn", "iterativity", "evp-check",
@@ -62,22 +60,11 @@ def _get_int(obj, key, default=None, minimum=None):
     return v
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
-            return False
-        k += 1
-    return True
-
-
 def _context_of(config) -> FqContext:
     c = config.get("context")
     _require(isinstance(c, dict), "config needs a context object")
     p = _get_int(c, "p")
-    _require(_is_prime(p), f"context.p must be prime, got {p}")
+    _require(is_prime(p), f"context.p must be prime, got {p}")
     d = _get_int(c, "d", default=1, minimum=1)
     modulus = c.get("modulus")
     if modulus is not None:
@@ -252,7 +239,7 @@ def _cmd_hn(config):
     c = config.get("context")
     _require(isinstance(c, dict), "config needs a context object")
     p = _get_int(c, "p")
-    _require(_is_prime(p), f"context.p must be prime, got {p}")
+    _require(is_prime(p), f"context.p must be prime, got {p}")
     n = _get_int(config, "n", minimum=0)
     f = h_n(p, n)
     s = format_poly(f)
@@ -579,20 +566,6 @@ def _summarize(report: dict, code: int, out):
     print(f"result: {verdict} (exit {code})", file=out)
 
 
-def _validate_threads_env() -> str | None:
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        v = int(raw)
-    except ValueError:
-        return f"{THREADS_ENV} must be a positive integer, got {raw!r}"
-    if v < 1:
-        return f"{THREADS_ENV} must be >= 1, got {v}"
-    # accepted and deliberately unused: sweeps are vectorized, not threaded
-    return None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hsderiv",
@@ -604,11 +577,6 @@ def main(argv=None) -> int:
     runp.add_argument("--quiet", action="store_true",
                       help="suppress the human-readable summary")
     args = parser.parse_args(argv)
-
-    envdiag = _validate_threads_env()
-    if envdiag is not None:
-        print(f"hsderiv: {envdiag}", file=sys.stderr)
-        return 2
 
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

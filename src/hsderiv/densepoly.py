@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gf import FqContext
-from .truncated import TruncatedPoly, TruncatedRing
+from .truncated import TruncatedPoly
 
 
 class DenseRing:
@@ -32,12 +32,6 @@ class DenseRing:
         out[(0,) * len(self.bounds) + (0,)] = 1
         return out
 
-    def from_terms(self, terms) -> np.ndarray:
-        out = self.zeros()
-        for e, c in terms:
-            out[tuple(e)] = c
-        return out
-
     def from_trunc(self, f: TruncatedPoly) -> np.ndarray:
         if f.ring.bounds != self.bounds:
             raise ValueError("ring bounds mismatch")
@@ -45,17 +39,6 @@ class DenseRing:
         for e, c in f.terms.items():
             out[e] = c.digits
         return out
-
-    def to_trunc(self, arr: np.ndarray, ring: TruncatedRing) -> TruncatedPoly:
-        if ring.bounds != self.bounds:
-            raise ValueError("ring bounds mismatch")
-        ctx = self.ctx
-        terms = {}
-        flat = arr.reshape(self.size, ctx.d)
-        for idx in np.flatnonzero(flat.any(axis=1)):
-            e = np.unravel_index(int(idx), self.bounds)
-            terms[tuple(int(x) for x in e)] = ctx.scalar(tuple(int(v) for v in flat[idx]))
-        return TruncatedPoly(ring, terms)
 
     def terms_of(self, arr: np.ndarray):
         """Nonzero (exponent tuple, digit tuple) pairs of a dense element."""

@@ -34,13 +34,12 @@ from .errors import (
 from .gf import multinomial_mod_p
 from .grouplaw import (
     FormalGroupLaw,
-    _rename,
     iterated_law,
     structure_constants,
     truncate_law,
 )
 from .linalg import inv_matrix
-from .truncated import TruncatedPoly, TruncatedRing, convert, substitute
+from .truncated import TruncatedPoly, TruncatedRing, convert, rename, substitute
 
 _TABLE_BUDGET = 50_000_000
 
@@ -267,7 +266,7 @@ def canonical_derivation(model: ArtinianModel, law: FormalGroupLaw) -> HSDerivat
     for l in range(law.e):
         mapping[f"v{l+1}"] = f"x{l+1}"
         mapping[f"w{l+1}"] = f"v{l+1}"
-    imgs = [_rename(f, model.ring_xv, mapping) for f in law.components]
+    imgs = [rename(f, model.ring_xv, mapping) for f in law.components]
     return HSDerivation(model, law, imgs)
 
 

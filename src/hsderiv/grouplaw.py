@@ -19,7 +19,7 @@ from .errors import (
 )
 from .gf import FqContext, lambda_coeffs
 from .poly import MultiPoly, term_key
-from .truncated import TruncatedPoly, TruncatedRing, substitute
+from .truncated import TruncatedRing, rename, substitute
 
 _SC_ENTRY_BUDGET = 50_000_000
 
@@ -29,21 +29,6 @@ def _law_ring(ctx: FqContext, e: int, m: int) -> TruncatedRing:
     vnames = tuple(f"v{i+1}" for i in range(e))
     wnames = tuple(f"w{i+1}" for i in range(e))
     return TruncatedRing(ctx, [(vnames, n), (wnames, n)])
-
-
-def _rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedPoly:
-    """Move f into target, renaming variables; overflow terms drop."""
-    pos = [target.var_index(mapping.get(v, v)) for v in f.ring.vars]
-    width = len(target.vars)
-    out: dict = {}
-    for e, c in f.terms.items():
-        ne = [0] * width
-        for p_i, x in zip(pos, e):
-            ne[p_i] = x
-        key = tuple(ne)
-        s = out.get(key)
-        out[key] = c if s is None else s + c
-    return TruncatedPoly(target, out)
 
 
 class FormalGroupLaw:
@@ -126,10 +111,10 @@ class FormalGroupLaw:
         )
         # inner laws on (u,v) and (v,w)
         f_uv = [
-            _rename(f, big, dict(zip(self.vnames + self.wnames, unames + self.vnames)))
+            rename(f, big, dict(zip(self.vnames + self.wnames, unames + self.vnames)))
             for f in self.components
         ]
-        f_vw = [_rename(f, big, {}) for f in self.components]
+        f_vw = [rename(f, big, {}) for f in self.components]
         left_imgs = {self.vnames[l]: f_uv[l] for l in range(e)}
         left_imgs.update({w: big.var(w) for w in self.wnames})
         right_imgs = {self.vnames[l]: big.var(unames[l]) for l in range(e)}
@@ -146,7 +131,7 @@ class FormalGroupLaw:
         if self._commutative is None:
             swap = dict(zip(self.vnames + self.wnames, self.wnames + self.vnames))
             self._commutative = all(
-                _rename(f, self.ring, swap) == f for f in self.components
+                rename(f, self.ring, swap) == f for f in self.components
             )
         return self._commutative
 
@@ -230,12 +215,12 @@ def product_law(f: FormalGroupLaw, g: FormalGroupLaw) -> FormalGroupLaw:
         raise ContextMismatch("product factors at different truncation orders")
     e = f.e + g.e
     ring = _law_ring(f.ctx, e, f.m)
-    comps = [_rename(c, ring, {}) for c in f.components]
+    comps = [rename(c, ring, {}) for c in f.components]
     shift = {}
     for l in range(g.e):
         shift[f"v{l+1}"] = f"v{f.e+l+1}"
         shift[f"w{l+1}"] = f"w{f.e+l+1}"
-    comps += [_rename(c, ring, shift) for c in g.components]
+    comps += [rename(c, ring, shift) for c in g.components]
     return FormalGroupLaw(
         f.ctx, e, f.m, comps, kind="product", factors=(f, g), check=False
     )
@@ -247,7 +232,7 @@ def truncate_law(law: FormalGroupLaw, m2: int) -> FormalGroupLaw:
     if m2 == law.m:
         return law
     ring2 = _law_ring(law.ctx, law.e, m2)
-    comps = [_rename(f, ring2, {}) for f in law.components]
+    comps = [rename(f, ring2, {}) for f in law.components]
     factors = None
     if law.factors is not None:
         factors = tuple(truncate_law(f, m2) for f in law.factors)
@@ -305,7 +290,7 @@ def iterated_law(law: FormalGroupLaw, n: int):
         big = make_ring(k)
         # law applied to the last two slots
         tail_map = dict(zip(law.vnames + law.wnames, slot_names(k - 1) + slot_names(k)))
-        tail = [_rename(f, big, tail_map) for f in law.components]
+        tail = [rename(f, big, tail_map) for f in law.components]
         imgs = {}
         for t in range(1, k - 1):
             for v in slot_names(t):

@@ -1,6 +1,6 @@
-"""Constants subspaces of a derivation: component kernels, the constants
-ring, the descending tower, and the kernel/image checks behind the basis
-search.
+"""Constants subspaces of a derivation: joint component kernels, the
+constants ring, the descending tower, and the restricted operators and
+kernel/image checks behind the basis search.
 
 All subspaces live on the graded monomial basis of the model and are held in
 reduced echelon form, so equal spaces compare equal as matrices. Field
@@ -14,36 +14,42 @@ import numpy as np
 
 from .artinian import ArtinianModel
 from .derivation import HSDerivation, OperatorMatrix
-from .errors import HypothesisFailure
+from .errors import HypothesisFailure, NoSolution
 from .linalg import Subspace, image_space, kernel_space
 from .linalg import preimage_solve as _vec_preimage_solve
 from .truncated import TruncatedPoly
 
 
+def joint_kernel(D: HSDerivation, idxs, within: Subspace | None = None) -> Subspace:
+    """Joint kernel of the components at idxs, intersected with within.
+
+    Every component kernel in the package is taken here. An empty index
+    list gives the whole model, or within.
+    """
+    model = D.model
+    mats = [D.component(i).mat for i in idxs]
+    if mats:
+        ker = kernel_space(model.ctx, np.concatenate(mats, axis=0))
+    else:
+        ker = Subspace.full(model.ctx, model.dim)
+    return ker if within is None else ker.intersect(within)
+
+
 def kernel_component(D: HSDerivation, i) -> Subspace:
     """Kernel of one component as a subspace of the model."""
-    return kernel_space(D.model.ctx, D.component(i).mat)
-
-
-def _stacked_kernel(D: HSDerivation, idxs) -> Subspace:
-    mats = [D.component(i).mat for i in idxs]
-    if not mats:
-        return Subspace.full(D.model.ctx, D.model.dim)
-    return kernel_space(D.model.ctx, np.concatenate(mats, axis=0))
+    return joint_kernel(D, [i])
 
 
 def constants(D: HSDerivation) -> Subspace:
     """Joint kernel of the components with every exponent below p."""
     p = D.model.ctx.p
-    idxs = [i for i in D.model.xidx.monomials
-            if any(i) and all(x < p for x in i)]
-    return _stacked_kernel(D, idxs)
+    return joint_kernel(D, [i for i in D.model.xidx.monomials
+                            if any(i) and all(x < p for x in i)])
 
 
 def absolute_constants(D: HSDerivation) -> Subspace:
     """Joint kernel of every component of positive weight."""
-    idxs = [i for i in D.model.xidx.monomials if any(i)]
-    return _stacked_kernel(D, idxs)
+    return joint_kernel(D, [i for i in D.model.xidx.monomials if any(i)])
 
 
 def subspace_polys(model: ArtinianModel, V: Subspace) -> list:
@@ -114,38 +120,61 @@ def tower(D: HSDerivation) -> ConstantsTower:
     for s in range(m):
         for l in range(e):
             idxs.append(tuple(p**s if t == l else 0 for t in range(e)))
-        levels.append(_stacked_kernel(D, idxs))
+        levels.append(joint_kernel(D, idxs))
     return ConstantsTower(model, levels)
+
+
+def _zm(ctx, mat: np.ndarray) -> dict:
+    """T^p = 0 and ker T^(p-1) = im T, with T^(p-1) built by p-2 products."""
+    pm1 = mat
+    for _ in range(ctx.p - 2):
+        pm1 = ctx.mat_mul(pm1, mat)
+    return {
+        "nilpotent_p": not ctx.mat_mul(pm1, mat).any(),
+        "ker_im_equal": kernel_space(ctx, pm1) == image_space(ctx, mat),
+    }
 
 
 def zm_check(T: OperatorMatrix) -> dict:
     """Nilpotency of order p, and whether ker T^(p-1) equals im T."""
-    ctx = T.model.ctx
-    p = ctx.p
-    return {
-        "nilpotent_p": T.power(p).is_zero(),
-        "ker_im_equal": kernel_space(ctx, T.power(p - 1).mat)
-        == image_space(ctx, T.mat),
-    }
+    return _zm(T.model.ctx, T.mat)
 
 
-def restrict_matrix(T: OperatorMatrix, V: Subspace) -> np.ndarray:
-    """Matrix of T on V's echelon basis coordinates.
+def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:
+    """Matrix of the component D_i on V's echelon basis coordinates.
 
-    T must map V into itself; a basis image escaping V is a hypothesis
+    D_i must map V into itself; a basis image escaping V is a hypothesis
     failure, not a recoverable condition, since every caller divides
     through the restricted operator.
     """
-    ctx = T.model.ctx
+    ctx = D.model.ctx
+    if V.dim == 0:
+        return ctx.zeros((0, 0))
+    rows = ctx.mat_mul(V.basis, D.component(i).mat.swapaxes(0, 1))
     cols = []
     for r in range(V.dim):
-        w = ctx.mat_vec(T.mat, V.basis[r])
-        if not V.contains(w):
-            raise HypothesisFailure("operator does not preserve the subspace")
-        cols.append(V.coords_of(w))
-    if not cols:
-        return ctx.zeros((0, 0))
+        try:
+            cols.append(V.coords_of(rows[r]))
+        except NoSolution:
+            raise HypothesisFailure(
+                f"component {i} does not preserve its correction space"
+            ) from None
     return np.stack(cols, axis=1)
+
+
+def divisible_restriction(D: HSDerivation, i, V: Subspace) -> np.ndarray:
+    """restrict_matrix, certified for dividing through: T^p = 0, ker T^(p-1) = im T."""
+    rmat = restrict_matrix(D, i, V)
+    cert = _zm(D.model.ctx, rmat)
+    if not cert["nilpotent_p"]:
+        raise HypothesisFailure(
+            f"component {i} is not p-nilpotent on its correction space"
+        )
+    if not cert["ker_im_equal"]:
+        raise HypothesisFailure(
+            f"kernel/image balance fails for component {i} on its correction space"
+        )
+    return rmat
 
 
 def preimage_solve(T: OperatorMatrix, target, within: Subspace | None = None):

@@ -177,6 +177,11 @@ class Subspace:
         ctx = self.ctx
         if self.dim == 0 or other.dim == 0:
             return Subspace.zero_space(ctx, self.ambient)
+        # echelon bases are canonical, so a full side leaves the other as is
+        if other.dim == other.ambient:
+            return self
+        if self.dim == self.ambient:
+            return other
         stacked = np.concatenate(
             [_transpose(self.basis), ctx.arr_neg(_transpose(other.basis))], axis=1
         )

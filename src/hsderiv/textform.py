@@ -11,7 +11,7 @@ import re
 
 from .errors import UnknownVariable
 from .gf import FqContext, FqScalar
-from .poly import FqDomain, MultiPoly, RatFuncDomain, RationalFunc, sorted_terms
+from .poly import FqDomain, MultiPoly, RationalFunc, sorted_terms
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()^*+/-]))")
 
@@ -227,40 +227,3 @@ def parse_ratfunc(ctx: FqContext, vars, text: str) -> RationalFunc:
     if den_t is None:
         return RationalFunc.from_poly(num)
     return RationalFunc(num, parse_poly(ctx, vars, den_t))
-
-
-def parse_field_coeff_trunc(ring, text: str):
-    """Parse into a truncated ring whose coefficients are rational functions.
-
-    The input may use both the coefficient variables and the ring variables;
-    a top-level / separates numerator and denominator, and the denominator must
-    not involve the ring's bound variables.
-    """
-    from .truncated import TruncatedPoly
-
-    dom = ring.dom
-    if not isinstance(dom, RatFuncDomain):
-        raise ValueError("ring does not have rational function coefficients")
-    allvars = dom.vars + ring.vars
-    num_t, den_t = _split_top_slash(text)
-    num = parse_poly(ring.ctx, allvars, num_t)
-    nc = len(dom.vars)
-    den = None
-    if den_t is not None:
-        dpoly = parse_poly(ring.ctx, allvars, den_t)
-        if any(any(e[nc:]) for e in dpoly.terms):
-            raise ValueError("denominator may not involve bound ring variables")
-        den = MultiPoly(
-            ring.ctx, dom.vars, {e[:nc]: c for e, c in dpoly.terms.items()}
-        )
-    out: dict = {}
-    for e, c in num.terms.items():
-        ring_e = e[nc:]
-        coeff_mono = MultiPoly(ring.ctx, dom.vars, {e[:nc]: c})
-        rf = RationalFunc.from_poly(coeff_mono)
-        s = out.get(ring_e)
-        out[ring_e] = rf if s is None else s + rf
-    if den is not None:
-        dinv = RationalFunc(MultiPoly.one(ring.ctx, dom.vars), den)
-        out = {e: c * dinv for e, c in out.items()}
-    return TruncatedPoly(ring, out)

@@ -193,14 +193,12 @@ class TruncatedPoly:
         return format_trunc(self)
 
 
-def convert(f: TruncatedPoly, target: TruncatedRing) -> TruncatedPoly:
-    """Move f into a ring that names all its variables; overflow terms drop.
+def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedPoly:
+    """Move f into target, renaming variables by mapping; overflow terms drop.
 
-    Coefficients pass through unchanged, so the domains must agree.
+    Coefficients pass through unchanged; the domains are not compared.
     """
-    if f.ring.dom != target.dom:
-        raise ContextMismatch("coefficient domains differ")
-    pos = [target.var_index(v) for v in f.ring.vars]
+    pos = [target.var_index(mapping.get(v, v)) for v in f.ring.vars]
     width = len(target.vars)
     out: dict = {}
     for e, c in f.terms.items():
@@ -211,6 +209,16 @@ def convert(f: TruncatedPoly, target: TruncatedRing) -> TruncatedPoly:
         s = out.get(ne)
         out[ne] = c if s is None else s + c
     return TruncatedPoly(target, out)
+
+
+def convert(f: TruncatedPoly, target: TruncatedRing) -> TruncatedPoly:
+    """Move f into a ring that names all its variables; overflow terms drop.
+
+    Coefficients pass through unchanged, so the domains must agree.
+    """
+    if f.ring.dom != target.dom:
+        raise ContextMismatch("coefficient domains differ")
+    return rename(f, target, {})
 
 
 def substitute(

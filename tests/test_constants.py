@@ -14,6 +14,8 @@ from hsderiv.lattice import (
     ConstantsTower,
     absolute_constants,
     constants,
+    divisible_restriction,
+    joint_kernel,
     kernel_component,
     preimage_solve,
     restrict_matrix,
@@ -175,6 +177,7 @@ def test_subspace_toolkit_basics():
     V = constants(D)
     full = Subspace.full(ctx, D.model.dim)
     assert V.intersect(full) == V
+    assert full.intersect(V) == V
     assert V.sum_with(V) == V
     x2 = D.model.vec_from_poly(D.model.ring.monomial((2,)))
     assert V.contains(x2)
@@ -205,10 +208,37 @@ def test_restrict_matrix():
     D = _canon(make_additive(ctx, 1, 2))
     model = D.model
     V = constants(D)
-    R = restrict_matrix(D.component((1,)), V)
+    R = restrict_matrix(D, (1,), V)
     assert R.shape == (2, 2, 1) and not R.any()
     # D_2 maps {1, x^2} to {0, 1}: nonzero restriction
-    R2 = restrict_matrix(D.component((2,)), V)
+    R2 = restrict_matrix(D, (2,), V)
     assert R2.any()
-    with pytest.raises(HypothesisFailure):
-        restrict_matrix(D.component((1,)), _span(model, [model.ring.var("x1")]))
+    with pytest.raises(HypothesisFailure, match=r"component \(1,\) does not preserve"):
+        restrict_matrix(D, (1,), _span(model, [model.ring.var("x1")]))
+
+
+def test_joint_kernel_within():
+    ctx = FqContext(2, 1)
+    D = _canon(make_additive(ctx, 1, 2))
+    model = D.model
+    full = Subspace.full(ctx, model.dim)
+    W = _span(model, [model.ring.one, model.ring.var("x1")])
+    assert joint_kernel(D, []) == full
+    assert joint_kernel(D, [], W) == W
+    assert joint_kernel(D, [(1,)], W) == kernel_component(D, (1,)).intersect(W)
+    assert joint_kernel(D, [(1,), (2,), (3,)]) == absolute_constants(D)
+    assert joint_kernel(D, [(1,)], full) == kernel_component(D, (1,))
+
+
+def test_divisible_restriction_certificate():
+    ctx = FqContext(2, 1)
+    Da = _canon(make_additive(ctx, 1, 2))
+    full = Subspace.full(ctx, Da.model.dim)
+    R = divisible_restriction(Da, (1,), full)
+    assert (R == restrict_matrix(Da, (1,), full)).all()
+    # D_1 vanishes on the constants: nilpotent, but ker = everything != im = 0
+    with pytest.raises(HypothesisFailure, match=r"balance fails for component \(1,\)"):
+        divisible_restriction(Da, (1,), constants(Da))
+    Dm = _canon(make_multiplicative(ctx, 2))
+    with pytest.raises(HypothesisFailure, match=r"component \(1,\) is not p-nilpotent"):
+        divisible_restriction(Dm, (1,), Subspace.full(ctx, Dm.model.dim))
