@@ -4,6 +4,10 @@ Public coordinates (vectors, operator matrices, subspaces) are indexed by the
 monomial basis in the canonical graded order: ascending total degree, first
 variable heaviest within a degree. Internal dense arrays use plain C-order
 axis indexing; the permutation tables here convert at the boundary.
+
+Every dense substitution table in the package (derivation tables, law power
+tables, twist and p-fold matrices) is built, put into graded order and
+checked against the one memory budget in ArtinianModel.power_table.
 """
 
 from __future__ import annotations
@@ -11,9 +15,13 @@ from __future__ import annotations
 import numpy as np
 
 from .densepoly import DenseRing
+from .errors import ResourceGuard
 from .gf import FqContext
 from .poly import term_key
 from .truncated import TruncatedPoly, TruncatedRing
+
+# digits (int64 entries) one dense table may hold
+TABLE_BUDGET = 50_000_000
 
 
 class GradedIndexing:
@@ -96,6 +104,30 @@ class ArtinianModel:
     def vec_from_cube(self, cube: np.ndarray) -> np.ndarray:
         flat = cube.reshape(self.dim, self.ctx.d)
         return flat[self.xidx.flat_of_graded].copy()
+
+    def power_table(self, images) -> np.ndarray:
+        """tab[a, b_1, .., b_k] = coefficient of x^b_1 .. x^b_k in images^a.
+
+        images holds e elements of one ring whose bounds are k copies of the
+        model box; a runs over the model box. Every axis is in graded order.
+        The result is the axis-reversed view of a C-contiguous array, so
+        fixing the last index leaves one contiguous block (for a derivation
+        table, each matrix_stack()[r]). ResourceGuard when the table would
+        hold more than TABLE_BUDGET digits.
+        """
+        bounds = images[0].ring.bounds
+        k = len(bounds) // self.e
+        digits = self.dim ** (k + 1) * self.ctx.d
+        if digits > TABLE_BUDGET:
+            raise ResourceGuard(
+                f"dense table of {digits} digits exceeds the budget of {TABLE_BUDGET}"
+            )
+        dense = DenseRing(self.ctx, bounds)
+        flat = dense.product_table([dense.from_trunc(f) for f in images], self.bounds)
+        rev = tuple(range(k, -1, -1)) + (k + 1,)
+        cube = flat.reshape((self.dim,) * (k + 1) + (self.ctx.d,)).transpose(rev)
+        perm = self.xidx.flat_of_graded
+        return cube[np.ix_(*(perm,) * (k + 1))].transpose(rev)
 
     def one_vec(self) -> np.ndarray:
         out = self.ctx.zeros((self.dim,))

@@ -106,6 +106,12 @@ def verify_canonical_basis(D: HSDerivation, law: FormalGroupLaw, elements) -> Ba
     model = D.model
     if law.ctx != model.ctx or law.e != model.e or law.m != model.m:
         raise ContextMismatch("law shape does not match the model")
+    return _verify(_View(D, tuple(range(model.e)), law), elements)
+
+
+def _verify(view: _View, elements) -> BasisReport:
+    """verify_canonical_basis on a whole-model view, reusing its cached spaces."""
+    D, law, model = view.D, view.law, view.model
     zs = []
     for f in elements:
         zs.append(f if f.ring == model.ring else TruncatedPoly(model.ring, dict(f.terms)))
@@ -127,7 +133,6 @@ def verify_canonical_basis(D: HSDerivation, law: FormalGroupLaw, elements) -> Ba
             vexp = min((ex[model.e :] for ex in diff.terms), key=term_key)
             first_mismatch = (j, tuple(vexp))
 
-    view = _View(D, tuple(range(model.e)), law)
     con = view.box_constants()
     p = model.ctx.p
     independence = {
@@ -185,6 +190,7 @@ class _View:
         self.within = within
         self._mats = {}
         self._spaces = {}
+        self._restricted = {}
 
     def embed(self, local) -> tuple:
         out = [0] * self.model.e
@@ -199,6 +205,13 @@ class _View:
         if local not in self._mats:
             self._mats[local] = self.D.component(self.embed(local)).mat
         return self._mats[local]
+
+    def divisible(self, local) -> np.ndarray:
+        """divisible_restriction of the component at local to within."""
+        if local not in self._restricted:
+            self._restricted[local] = divisible_restriction(
+                self.D, self.embed(local), self.within)
+        return self._restricted[local]
 
     def box_constants(self) -> Subspace:
         """Joint kernel over the nonzero indices below p, inside within."""
@@ -319,7 +332,7 @@ def _reduce_coset(view: _View, vec: np.ndarray) -> np.ndarray:
 def _find_y(view: _View) -> TruncatedPoly:
     ctx, model, p = view.ctx, view.model, view.ctx.p
     _ratio_guard(view, p * p)
-    divisible_restriction(view.D, view.embed(view.unit(0, 1)), view.within)
+    view.divisible(view.unit(0, 1))
     zero = ctx.zeros((model.dim,))
     y = _corrected_solve(view, zero, model.one_vec())
     y = _reduce_coset(view, y)
@@ -353,7 +366,7 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
     m10 = view.mat(view.unit(0, 1))
     m01 = view.mat(view.unit(1, 1))
     name10 = view.embed(view.unit(0, 1))
-    divisible_restriction(view.D, name10, view.within)
+    view.divisible(view.unit(0, 1))
     one = model.one_vec()
     zero = ctx.zeros((model.dim,))
     yvec = model.vec_from_poly(ypoly)
@@ -441,7 +454,7 @@ def _one_dim_additive(view: _View) -> TruncatedPoly:
     ctx, model, p = view.ctx, view.model, view.ctx.p
     _ratio_guard(view, p)
     m1 = view.mat((1,))
-    divisible_restriction(view.D, view.embed((1,)), view.within)
+    view.divisible((1,))
     try:
         z = preimage_solve(ctx, [(m1, model.one_vec())], within=view.within)
     except NoSolution:
@@ -557,7 +570,7 @@ def assemble_product_basis(D: HSDerivation) -> BasisCandidate:
     """
     view = _View(D, tuple(range(D.model.e)), D.law)
     elements = _assemble(view)
-    report = verify_canonical_basis(D, D.law, elements)
+    report = _verify(view, elements)
     if not report.passed:
         raise AssemblyMismatch("assembled coordinates fail verification")
     return BasisCandidate(elements)

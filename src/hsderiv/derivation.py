@@ -20,7 +20,6 @@ import threading
 import numpy as np
 
 from .artinian import ArtinianModel
-from .densepoly import DenseRing
 from .errors import (
     ContextMismatch,
     FractionalExponent,
@@ -29,7 +28,6 @@ from .errors import (
     NotInvertible,
     ReconstructionMismatch,
     RequiresCommutative,
-    ResourceGuard,
 )
 from .gf import multinomial_mod_p
 from .grouplaw import (
@@ -38,10 +36,8 @@ from .grouplaw import (
     structure_constants,
     truncate_law,
 )
-from .linalg import inv_matrix
-from .truncated import TruncatedPoly, TruncatedRing, convert, rename, substitute
-
-_TABLE_BUDGET = 50_000_000
+from .linalg import inv_matrix, rref
+from .truncated import TruncatedPoly, TruncatedRing, convert, rename
 
 
 class OperatorMatrix:
@@ -147,7 +143,7 @@ class HSDerivation:
         return f"HSDerivation(kind={self.law.kind}, {self.model!r})"
 
     # dense table: tab[a, b, i] = coefficient of x^b v^i in D(x^a),
-    # all three axes in graded order
+    # all three axes in graded order (ArtinianModel.power_table)
 
     def table(self) -> np.ndarray:
         if self._tab is None:
@@ -157,30 +153,10 @@ class HSDerivation:
         return self._tab
 
     def _build_table(self) -> np.ndarray:
-        model, ctx = self.model, self.model.ctx
-        dim = model.dim
-        if dim * dim * dim * ctx.d > _TABLE_BUDGET:
-            raise ResourceGuard(
-                "derivation table would exceed the memory budget"
-            )
-        dr = DenseRing(ctx, model.bounds * 2)
-        imgs = [dr.from_trunc(f) for f in self.images]
-        strides = [1] * model.e
-        for t in range(model.e - 2, -1, -1):
-            strides[t] = strides[t + 1] * model.n
-        big = np.zeros((dim,) + dr.shape, dtype=np.int64)
-        big[0] = dr.one()
-        for flat, a in enumerate(np.ndindex(*model.bounds)):
-            if flat == 0:
-                continue
-            t = next(i for i, x in enumerate(a) if x)
-            big[flat] = dr.mul(big[flat - strides[t]], imgs[t])
-        t3 = big.reshape(dim, dim, dim, ctx.d)
-        perm = model.xidx.flat_of_graded
-        return t3[perm][:, perm][:, :, perm]
+        return self.model.power_table(self.images)
 
     def matrix_stack(self) -> np.ndarray:
-        """View stack[i_rank] = matrix of the component at graded rank i."""
+        """C-contiguous stack[i_rank] = matrix of the component at graded rank i."""
         return self.table().transpose(2, 1, 0, 3)
 
     def _check_index(self, i) -> tuple:
@@ -219,18 +195,15 @@ class HSDerivation:
             out[model.vidx.rank[ex[e:]], model.xidx.rank[ex[:e]]] = c.digits
         return out
 
+    def _image_cube(self, vec: np.ndarray) -> np.ndarray:
+        """cube[b, i] = coefficient of x^b v^i in D(r), r given by its vector."""
+        dim, ctx = self.model.dim, self.model.ctx
+        stack = self.matrix_stack().reshape(dim * dim, dim, ctx.d)
+        return ctx.mat_vec(stack, vec).reshape(dim, dim, ctx.d).transpose(1, 0, 2)
+
     def apply(self, f: TruncatedPoly) -> TruncatedPoly:
         """Image of a model element under the packaged map into ring_xv."""
-        model = self.model
-        vec = model.vec_from_poly(f)
-        tab = self.table()
-        flatmat = tab.transpose(1, 2, 0, 3).reshape(
-            model.dim * model.dim, model.dim, model.ctx.d
-        )
-        cube = model.ctx.mat_vec(flatmat, vec).reshape(
-            model.dim, model.dim, model.ctx.d
-        )
-        return self._poly_from_bi(cube)
+        return self._poly_from_bi(self._image_cube(self.model.vec_from_poly(f)))
 
     def check_iterativity(self) -> bool:
         """Test the composition identities against the law, exactly.
@@ -239,23 +212,20 @@ class HSDerivation:
         of the identity is a composite of coefficient-field algebra maps, so
         agreement on the e generator images forces agreement on every x^a.
         """
-        model, law, ctx = self.model, self.law, self.model.ctx
-        dim = model.dim
-        tab = self.table()
-        ftab, dring = law._power_table()
-        perm = model.xidx.flat_of_graded
-        f3 = ftab[perm].reshape(dim, dim, dim, ctx.d)[:, perm][:, :, perm]
-        f3 = f3.reshape(dim, dim * dim, ctx.d)
-        tab2 = tab.reshape(dim, dim * dim, ctx.d)
+        model, ctx = self.model, self.model.ctx
+        shape = (model.dim,) * 3 + (ctx.d,)
+        # both stacks are C-contiguous with the last graded axis first:
+        # stack[j, b, a] from D(x^a), fstack[j, i, k] = coeff of v^i w^j in F^k
+        stack = self.matrix_stack().reshape(model.dim**2, model.dim, ctx.d)
+        fstack = self.law._power_table()[0].transpose(2, 1, 0, 3)
+        fstack = fstack.reshape(model.dim**2, model.dim, ctx.d)
         for t in range(model.e):
             r = self._image_matrix(t)
             # route 1: expand D(x_t) coefficientwise through the table
-            lhs = ctx.mat_mul(r, tab2).reshape(dim, dim, dim, ctx.d)
-            lhs = lhs.transpose(1, 0, 2, 3)
+            lhs = ctx.mat_mul(stack, r.transpose(1, 0, 2)).reshape(shape)
             # route 2: pair each component of D(x_t) with the matching F^k
-            rt = r.transpose(1, 0, 2)
-            rhs = ctx.mat_mul(rt, f3).reshape(dim, dim, dim, ctx.d)
-            if not np.array_equal(lhs, rhs):
+            rhs = ctx.mat_mul(fstack, r).reshape(shape)
+            if not np.array_equal(lhs.transpose(0, 2, 1, 3), rhs):
                 return False
         return True
 
@@ -327,13 +297,9 @@ def p_fold_evP(D: HSDerivation) -> dict:
     if not law.commutative:
         raise RequiresCommutative("p-fold composition needs a commutative law")
     gs = evp_point(law)
-    dr = DenseRing(ctx, model.bounds)
-    gtab = dr.product_table([dr.from_trunc(g) for g in gs], model.bounds)
-    perm = model.xidx.flat_of_graded
-    gg = gtab[perm][:, perm]
     dim = model.dim
     tab2 = D.table().reshape(dim * dim, dim, ctx.d)
-    newtab = ctx.mat_mul(tab2, gg).reshape(dim, dim, dim, ctx.d)
+    newtab = ctx.mat_mul(tab2, model.power_table(gs)).reshape(dim, dim, dim, ctx.d)
     stack = newtab.transpose(2, 1, 0, 3)
     return {
         idx: OperatorMatrix(model, stack[r])
@@ -380,11 +346,14 @@ def witt2_pfold_expansion(law: FormalGroupLaw, j: int) -> dict:
 def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     """Conjugate by the algebra automorphism sending x_t to phi[t].
 
-    phi must fix the origin and have invertible linear part; its inverse is
-    found by fixed-point iteration and certified exactly before use.
+    phi must fix the origin and have invertible linear part. The inverse
+    psi comes from the matrix Phi of r -> r(phi): one exact elimination of
+    [Phi | x_1 .. x_e] must put a pivot on every column of Phi, which proves
+    r -> r(phi) bijective, and leaves psi_t = Phi^-1 x_t beside it;
+    NotInvertible otherwise.
     """
     model, ctx = D.model, D.model.ctx
-    e, n = model.e, model.n
+    e = model.e
     phi = list(phi)
     if len(phi) != e:
         raise ValueError(f"expected {e} images, got {len(phi)}")
@@ -397,45 +366,19 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
         for l in range(e):
             unit = tuple(1 if i == l else 0 for i in range(e))
             lin[t, l] = f.coeff(unit).digits
-    linv = inv_matrix(ctx, lin)
-    xs = [model.ring.var(v) for v in model.xvars]
-    high = []
-    for t, f in enumerate(phi):
-        lp = model.ring.zero
-        for l in range(e):
-            lp = lp + xs[l].scale(ctx.scalar(tuple(int(v) for v in lin[t, l])))
-        high.append(f - lp)
-    psi = list(xs)
-    for _ in range(e * (n - 1) + 1):
-        imgs = dict(zip(model.xvars, psi))
-        res = [xs[l] - substitute(high[l], imgs, model.ring) for l in range(e)]
-        nxt = []
-        for t in range(e):
-            acc = model.ring.zero
-            for l in range(e):
-                c = ctx.scalar(tuple(int(v) for v in linv[t, l]))
-                acc = acc + res[l].scale(c)
-            nxt.append(acc)
-        if nxt == psi:
-            break
-        psi = nxt
-    check = dict(zip(model.xvars, psi))
-    for t in range(e):
-        if substitute(phi[t], check, model.ring) != xs[t]:
-            raise NotInvertible("no exact inverse; the map is not an automorphism")
-    ptab = model.dense.product_table([model.dense.from_trunc(f) for f in phi],
-                                     model.bounds)
-    perm = model.xidx.flat_of_graded
-    phimat = ptab[perm][:, perm].transpose(1, 0, 2)
-    tab = D.table()
-    flatmat = tab.transpose(1, 2, 0, 3).reshape(
-        model.dim * model.dim, model.dim, ctx.d
-    )
-    imgs = []
-    for t in range(e):
-        w = ctx.mat_vec(flatmat, model.vec_from_poly(psi[t]))
-        w = w.reshape(model.dim, model.dim, ctx.d)
-        imgs.append(D._poly_from_bi(ctx.mat_mul(phimat, w)))
+    inv_matrix(ctx, lin)  # NotInvertible for a singular linear part
+    # the guard on D's table comes before any elimination on Phi
+    D.table()
+    # phimat[b, a] = coefficient of x^b in phi^a
+    phimat = model.power_table(phi).transpose(1, 0, 2)
+    xs = [model.vec_from_poly(model.ring.var(x)) for x in model.xvars]
+    red, pivots = rref(ctx, np.concatenate([phimat, np.stack(xs, axis=1)], axis=1))
+    if pivots != list(range(model.dim)):
+        raise NotInvertible("no exact inverse; the map is not an automorphism")
+    imgs = [
+        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(red[:, model.dim + t])))
+        for t in range(e)
+    ]
     return HSDerivation(model, D.law, imgs)
 
 

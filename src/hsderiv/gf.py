@@ -149,6 +149,7 @@ class FqContext:
                 for i in range(d):
                     nxt[i] = (nxt[i] - lead * modulus[i]) % p
             cur = nxt
+        self._gpow = tuple(tuple(row) for row in gpow)
         # red[r, s, t]: digits of g^r * g^s
         red = np.zeros((d, d, d), dtype=np.int64)
         for r in range(d):
@@ -205,27 +206,11 @@ class FqContext:
                     if y:
                         conv[i + j] += x * y
         out = [0] * d
-        red = self._red
-        for k, c in enumerate(conv):
+        for c, row in zip(conv, self._gpow):
             if c:
-                if k < d:
-                    out[k] += c
-                else:
-                    # fold g^k using the row g^(k-d+?) stored in red via gpow
-                    for t in range(d):
-                        out[t] += c * int(self._gpow_digit(k, t))
+                for t in range(d):
+                    out[t] += c * row[t]
         return tuple(v % p for v in out)
-
-    @lru_cache(maxsize=None)
-    def _gpow_row(self, k: int) -> tuple[int, ...]:
-        p, d = self.p, self.d
-        cur = [0] * k + [1]
-        rem = _poly_mod(cur, list(self.modulus), p)
-        rem += [0] * (d - len(rem))
-        return tuple(rem)
-
-    def _gpow_digit(self, k: int, t: int) -> int:
-        return self._gpow_row(k)[t]
 
     def s_pow(self, a, n: int):
         if n < 0:

@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .densepoly import DenseRing
-from .errors import (
-    ContextMismatch,
-    LawAxiomFailure,
-    ResourceGuard,
-    TruncationOrder,
-)
+from .artinian import ArtinianModel
+from .errors import ContextMismatch, LawAxiomFailure, TruncationOrder
 from .gf import FqContext, lambda_coeffs
-from .poly import MultiPoly, term_key
+from .poly import MultiPoly
 from .truncated import TruncatedRing, rename, substitute
-
-_SC_ENTRY_BUDGET = 50_000_000
 
 
 def _law_ring(ctx: FqContext, e: int, m: int) -> TruncatedRing:
@@ -64,7 +57,6 @@ class FormalGroupLaw:
         self.factors = tuple(factors) if factors is not None else None
         self._commutative: bool | None = None
         self._ptable = None
-        self._pindex = None
         if check:
             if not self._unit_ok():
                 raise LawAxiomFailure("unit law fails: F(v,0) != v or F(0,w) != w")
@@ -135,21 +127,13 @@ class FormalGroupLaw:
             )
         return self._commutative
 
-    # dense power table: all products F^k for k in [p^m]^e, flattened C-order
-
     def _power_table(self):
+        """(tab, index): tab[k, i, j] = coefficient of v^i w^j in F^k, every
+        axis in the graded order of index, the law box's GradedIndexing."""
         if self._ptable is None:
-            n = self.ctx.p**self.m
-            dring = DenseRing(self.ctx, (n,) * (2 * self.e))
-            total = (n**self.e) * dring.size * self.ctx.d
-            if total > _SC_ENTRY_BUDGET:
-                raise ResourceGuard(
-                    "structure constant table would exceed the memory budget"
-                )
-            bases = [dring.from_trunc(f) for f in self.components]
-            self._ptable = dring.product_table(bases, (n,) * self.e)
-            self._pindex = dring
-        return self._ptable, self._pindex
+            model = ArtinianModel(self.ctx, self.e, self.m)
+            self._ptable = (model.power_table(self.components), model.xidx)
+        return self._ptable
 
 
 def check_axioms(law: FormalGroupLaw) -> dict:
@@ -315,13 +299,9 @@ def structure_constants(law: FormalGroupLaw, i, j) -> dict:
         raise ValueError("index length must match the law dimension")
     if any(t < 0 or t >= n for t in i + j):
         raise ValueError("index out of range")
-    table, dring = law._power_table()
-    pos = int(np.ravel_multi_index(i + j, dring.bounds))
-    ks = sorted(np.ndindex(*(n,) * law.e), key=term_key)
-    out = {}
-    for k in ks:
-        flat = int(np.ravel_multi_index(k, (n,) * law.e))
-        digits = tuple(int(v) for v in table[flat, pos])
-        if any(digits):
-            out[tuple(int(t) for t in k)] = law.ctx.scalar(digits)
-    return out
+    table, index = law._power_table()
+    col = table[:, index.rank[i], index.rank[j]]
+    return {
+        index.monomials[int(r)]: law.ctx.scalar(tuple(int(v) for v in col[r]))
+        for r in np.flatnonzero(col.any(axis=1))
+    }

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hsderiv.basis as basis_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import (
     BasisCandidate,
@@ -276,6 +277,30 @@ def test_assemble_mixed_and_twisted():
     basis = assemble_product_basis(T)
     assert len(basis) == 3
     assert verify_canonical_basis(T, big, list(basis)).passed
+
+
+def test_assemble_certifies_and_stacks_once(monkeypatch):
+    # the witt2 search certifies D_(1,0) on the whole model once for both
+    # coordinates, and verification reuses the search's box constants
+    restricts, kernels = [], []
+    real_restrict = basis_mod.divisible_restriction
+    real_kernel = basis_mod.joint_kernel
+
+    def count_restrict(D, i, V):
+        restricts.append((i, V.dim))
+        return real_restrict(D, i, V)
+
+    def count_kernel(D, idxs, within=None):
+        kernels.append(tuple(idxs))
+        return real_kernel(D, idxs, within)
+
+    monkeypatch.setattr(basis_mod, "divisible_restriction", count_restrict)
+    monkeypatch.setattr(basis_mod, "joint_kernel", count_kernel)
+    D = _canon(_random_witt2(FqContext(3, 1), 2, np.random.default_rng(5)))
+    assert len(assemble_product_basis(D)) == 2
+    assert restricts.count(((1, 0), D.model.dim)) == 1
+    box = tuple(i for i in np.ndindex(3, 3) if any(i))
+    assert kernels.count(box) == 1
 
 
 def test_assemble_rejects_unknown_factor():

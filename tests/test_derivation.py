@@ -4,7 +4,9 @@ reconstruction from p-power components."""
 import numpy as np
 import pytest
 
+import hsderiv.artinian as artinian_mod
 import hsderiv.derivation as derivation_mod
+import hsderiv.linalg as linalg_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.derivation import (
     HSDerivation,
@@ -149,9 +151,51 @@ def test_table_is_cached_and_guarded(monkeypatch):
     D = _canon(make_additive(ctx, 1, 2))
     assert D.table() is D.table()
     D2 = _canon(make_additive(ctx, 1, 2))
-    monkeypatch.setattr(derivation_mod, "_TABLE_BUDGET", 10)
+    monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 10)
     with pytest.raises(ResourceGuard):
         D2.table()
+
+
+def test_law_table_shares_the_guard(monkeypatch):
+    # the derivation table is built first, so the law's power table is the
+    # one that trips the lowered budget
+    ctx = FqContext(3, 1)
+    law = make_witt2(ctx, 1, [1])
+    D = _canon(law)
+    D.table()
+    monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 10)
+    with pytest.raises(ResourceGuard):
+        structure_constants(law, (1, 0), (0, 1))
+    with pytest.raises(ResourceGuard):
+        D.check_iterativity()
+
+
+def test_twist_guard_precedes_elimination(monkeypatch):
+    ctx = FqContext(3, 1)
+    D = _canon(make_witt2(ctx, 1, [1]))
+    xs = [D.model.ring.var(v) for v in D.model.xvars]
+    rows = []
+    real_rref = linalg_mod.rref
+
+    def counting_rref(ctx, mat):
+        rows.append(mat.shape[0])
+        return real_rref(ctx, mat)
+
+    monkeypatch.setattr(linalg_mod, "rref", counting_rref)
+    monkeypatch.setattr(derivation_mod, "rref", counting_rref)
+    # room for the dim^2 table of phi, not for the dim^3 derivation table
+    monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 100)
+    with pytest.raises(ResourceGuard):
+        twist_by_automorphism(D, [xs[0] + xs[1] ** 2, xs[1]])
+    # only the e x e linear-part check eliminated
+    assert rows == [D.model.e]
+
+
+def test_matrix_stack_blocks_are_contiguous():
+    D = _canon(make_witt2(FqContext(3, 2), 1, [1]))
+    stack = D.matrix_stack()
+    assert stack.shape == (9, 9, 9, 2)
+    assert all(stack[r].flags["C_CONTIGUOUS"] for r in range(9))
 
 
 def test_component_index_range():

@@ -148,7 +148,7 @@ def test_scalar_pow_negative_and_division():
 
 def test_matrix_kernels_match_scalar_arithmetic():
     rng = random.Random(12345)
-    for p, d in ((2, 1), (3, 2), (2, 2)):
+    for p, d in ((2, 1), (3, 2), (2, 2), (2, 3), (2, 4), (3, 3)):
         ctx = FqContext(p, d)
         n, k, m = 4, 3, 5
         A = np.array(
