@@ -239,6 +239,14 @@ class _View:
             self._spaces[key] = joint_kernel(self.D, idxs, self.within)
         return self._spaces[key]
 
+    def correction(self, l) -> Subspace:
+        """Level l-1 cut down to the kernel of the first-direction p^l component."""
+        key = ("correction", l)
+        if key not in self._spaces:
+            idx = self.embed(self.unit(0, self.ctx.p**l))
+            self._spaces[key] = joint_kernel(self.D, [idx], self.level(l - 1))
+        return self._spaces[key]
+
     def wspace(self, l) -> Subspace:
         """Multi-constants space for the level-l second-direction correction."""
         p = self.ctx.p
@@ -294,8 +302,7 @@ def _corrected_solve(view: _View, t10: np.ndarray, t01: np.ndarray) -> np.ndarra
     for l in range(1, model.m):
         pl = p**l
         z = _kernel_correction(view, view.unit(0, pl), z, view.level(l - 1))
-        space = joint_kernel(view.D, [view.embed(view.unit(0, pl))], view.level(l - 1))
-        z = _kernel_correction(view, view.unit(1, pl), z, space)
+        z = _kernel_correction(view, view.unit(1, pl), z, view.correction(l))
     return z
 
 
@@ -415,9 +422,7 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
         delta = (tl - ctx.mat_vec(Tl, x)) % p
         if delta.any():
             name = view.embed(view.unit(1, pl))
-            space = joint_kernel(
-                view.D, [view.embed(view.unit(0, pl))], view.level(l - 1)
-            )
+            space = view.correction(l)
             if not space.contains(delta):
                 raise CorrectionUnsolvable(
                     f"the defect of component {name} leaves its correction space"

@@ -266,21 +266,31 @@ class FqContext:
 
     def arr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise field product of two digit arrays of identical shape."""
-        if self.d == 1:
-            return (a * b) % self.p
-        return np.einsum("...r,...s,rst->...t", a, b, self._red) % self.p
+        return self.mat_mul(a[..., None, None, :], b[..., None, None, :])[..., 0, 0, :]
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field matrix product, a (n,k,d) @ b (k,m,d) -> (n,m,d)."""
-        if self.d == 1:
-            return (a[..., 0] @ b[..., 0])[..., None] % self.p
-        return np.einsum("nkr,kms,rst->nmt", a, b, self._red) % self.p
+        """Field matrix product, a (..., n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
+
+        The one product kernel: every field matrix product in the package
+        goes through it. Digits are int64 in [0, p). For d = 1 it is one
+        plain ``@``. For d > 1 it is d*d plain ``@`` products of digit
+        planes, a[..., r] @ b[..., s], each reduced mod p and then scaled
+        by the digits of g^r * g^s (``_red``) and summed. A partial product
+        adds k terms below (p-1)^2, so it is exact while k*(p-1)^2 < 2^63;
+        after its reduction mod p the d*d scaled terms stay below d*d*p^2.
+        """
+        p, d = self.p, self.d
+        if d == 1:
+            return (a[..., 0] @ b[..., 0])[..., None] % p
+        out = 0
+        for r in range(d):
+            for s in range(d):
+                out = out + ((a[..., r] @ b[..., s]) % p)[..., None] * self._red[r, s]
+        return out % p
 
     def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Field matrix-vector product, m (n,k,d) @ v (k,d) -> (n,d)."""
-        if self.d == 1:
-            return (m[..., 0] @ v[..., 0])[..., None] % self.p
-        return np.einsum("nkr,ks,rst->nt", m, v, self._red) % self.p
+        return self.mat_mul(m, v[..., None, :])[..., 0, :]
 
     def mat_pow(self, m: np.ndarray, n: int) -> np.ndarray:
         out = self.mat_eye(m.shape[0])

@@ -3,6 +3,21 @@
 Vectors are arrays (n, d), matrices (r, c, d), all integer digits mod p.
 Everything is deterministic: pivoting always picks the first usable row, and
 echelon bases are fully reduced, so equal subspaces have equal basis arrays.
+
+``rref`` is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
+2008). It keeps a running reduced echelon basis of the rows seen so far and
+takes the rows in blocks as tall as the matrix is wide. A block x is first
+reduced against the basis with one product, x - x[:, pivots] @ basis, which
+clears the old pivot columns. Gauss-Jordan on the residual (``_eliminate``)
+gives its new pivots. One more product clears those columns from the old
+basis, and the rows are merged in pivot order. Elimination stops once the
+rank equals the column count, so a tall stack costs a few block products
+instead of a rank-1 update of the whole stack per pivot.
+
+The bytes do not depend on the blocking: the merged rows span the row space
+of the rows seen so far and are in reduced echelon form, and that form of a
+row space is unique. So ``rref`` returns the same matrix and pivot list as a
+one-pivot-at-a-time elimination of the whole input.
 """
 
 from __future__ import annotations
@@ -13,43 +28,60 @@ from .errors import NoSolution, NotInvertible
 from .gf import FqContext
 
 
-def _eliminate(ctx: FqContext, m: np.ndarray, row: int, col: int) -> None:
-    """Scale m[row] to unit pivot at col and clear the column elsewhere, in place."""
+def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
+    """Gauss-Jordan on one block in place; returns its pivot columns.
+
+    The pivot is the first nonzero entry, column by column, among the rows
+    not yet used, found with one vectorised ``any`` over those rows. Rows
+    past the rank end up zero.
+    """
     p = ctx.p
-    pivot = tuple(int(v) for v in m[row, col])
-    inv = ctx.s_inv(pivot)
-    m[row] = ctx.arr_scale(inv, m[row])
-    factors = m[:, col].copy()
-    factors[row] = 0
-    if ctx.d == 1:
-        update = factors[:, 0][:, None] * m[row][None, :, 0]
-        m[:, :, 0] = (m[:, :, 0] - update) % p
-    else:
-        update = np.einsum("rs,ct,stu->rcu", factors, m[row], ctx._red)
-        m[...] = (m - update) % p
+    rows, cols = m.shape[0], m.shape[1]
+    pivots: list[int] = []
+    r = c = 0
+    while r < rows and c < cols:
+        live = m[r:, c:].any(axis=2).T
+        k = int(np.argmax(live))
+        if not live.flat[k]:
+            break
+        c += k // live.shape[1]
+        hit = r + k % live.shape[1]
+        if hit != r:
+            m[[r, hit]] = m[[hit, r]]
+        inv = ctx.s_inv(tuple(int(v) for v in m[r, c]))
+        m[r, c:] = ctx.arr_scale(inv, m[r, c:])
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m[:, c:] = (m[:, c:] - ctx.mat_mul(factors[:, None], m[None, r, c:])) % p
+        pivots.append(c)
+        r += 1
+        c += 1
+    return pivots
 
 
 def rref(ctx: FqContext, mat: np.ndarray):
     """Reduced row echelon form; returns (matrix copy, pivot column list)."""
-    m = mat.copy() % ctx.p
-    rows, cols = m.shape[0], m.shape[1]
+    p = ctx.p
+    rows, cols = mat.shape[0], mat.shape[1]
+    basis = mat[:0] % p
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
+    for start in range(0, rows, max(cols, 1)):
+        if len(pivots) == cols:
             break
-        hit = None
-        for i in range(r, rows):
-            if m[i, c].any():
-                hit = i
-                break
-        if hit is None:
+        x = mat[start : start + cols] % p
+        if pivots:
+            x = (x - ctx.mat_mul(x[:, pivots], basis)) % p
+        new = _eliminate(ctx, x)
+        if not new:
             continue
-        if hit != r:
-            m[[r, hit]] = m[[hit, r]]
-        _eliminate(ctx, m, r, c)
-        pivots.append(c)
-        r += 1
+        x = x[: len(new)]
+        if pivots:
+            basis = (basis - ctx.mat_mul(basis[:, new], x)) % p
+        merged = pivots + new
+        basis = np.concatenate([basis, x])[np.argsort(merged)]
+        pivots = sorted(merged)
+    m = np.zeros_like(mat)
+    m[: len(pivots)] = basis
     return m, pivots
 
 
@@ -57,12 +89,10 @@ def nullspace(ctx: FqContext, mat: np.ndarray) -> np.ndarray:
     """Canonical kernel basis as rows (k, c, d)."""
     m, pivots = rref(ctx, mat)
     cols = mat.shape[1]
-    free = [c for c in range(cols) if c not in pivots]
+    free = np.setdiff1d(np.arange(cols), pivots)
     out = ctx.zeros((len(free), cols))
-    for i, f in enumerate(free):
-        out[i, f, 0] = 1
-        for prow, pcol in enumerate(pivots):
-            out[i, pcol] = ctx.arr_neg(m[prow, f])
+    out[np.arange(len(free)), free, 0] = 1
+    out[:, pivots] = ctx.arr_neg(m[: len(pivots), free]).transpose(1, 0, 2)
     return out
 
 
@@ -74,8 +104,7 @@ def solve(ctx: FqContext, mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if pivots and pivots[-1] == cols:
         raise NoSolution("inconsistent linear system")
     x = ctx.zeros((cols,))
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = m[prow, cols]
+    x[pivots] = m[: len(pivots), cols]
     return x
 
 
@@ -137,38 +166,27 @@ class Subspace:
     def reduce_mod(self, vec: np.ndarray) -> np.ndarray:
         """Canonical coset representative: clear the pivot coordinates."""
         ctx = self.ctx
-        v = vec.copy() % ctx.p
-        for i, pc in enumerate(self.pivots):
-            c = tuple(int(t) for t in v[pc])
-            if any(c):
-                v = (v - ctx.arr_scale(c, self.basis[i])) % ctx.p
-        return v
+        v = vec % ctx.p
+        return (v - ctx.mat_mul(v[None, self.pivots], self.basis)[0]) % ctx.p
 
     def contains(self, vec: np.ndarray) -> bool:
         return not self.reduce_mod(vec).any()
 
     def coords_of(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates over the echelon basis; NoSolution if vec lies outside."""
+        """Coordinates over the echelon basis; NoSolution if vec lies outside.
+
+        The basis is reduced, so coordinate i is the entry at pivot i.
+        """
         ctx = self.ctx
-        v = vec.copy() % ctx.p
-        coords = ctx.zeros((self.dim,))
-        for i, pc in enumerate(self.pivots):
-            c = tuple(int(t) for t in v[pc])
-            if any(c):
-                coords[i] = v[pc]
-                v = (v - ctx.arr_scale(c, self.basis[i])) % ctx.p
-        if v.any():
+        v = vec % ctx.p
+        coords = v[self.pivots]
+        if not np.array_equal(v, ctx.mat_mul(coords[None], self.basis)[0]):
             raise NoSolution("vector lies outside the subspace")
         return coords
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
         """Vector with the given basis coordinates."""
-        ctx = self.ctx
-        if self.dim == 0:
-            return ctx.zeros((self.ambient,))
-        if ctx.d == 1:
-            return ((coords[:, 0] @ self.basis[..., 0]) % ctx.p)[..., None]
-        return np.einsum("kr,kns,rst->nt", coords, self.basis, ctx._red) % ctx.p
+        return self.ctx.mat_mul(coords[None], self.basis)[0]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         return all(other.contains(self.basis[i]) for i in range(self.dim))

@@ -303,6 +303,26 @@ def test_assemble_certifies_and_stacks_once(monkeypatch):
     assert kernels.count(box) == 1
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_assemble_takes_each_correction_space_once(monkeypatch, m):
+    # the level-1 correction space (kernel of D_(2,0) inside level 0) serves
+    # both the second- and the first-coordinate search
+    kernels = []
+    real_kernel = basis_mod.joint_kernel
+
+    def count_kernel(D, idxs, within=None):
+        kernels.append(tuple(idxs))
+        return real_kernel(D, idxs, within)
+
+    ctx = FqContext(2, 1)
+    D = _canon(make_witt2(ctx, m, [1] * m))
+    x1, x2 = D.model.ring.var("x1"), D.model.ring.var("x2")
+    T = twist_by_automorphism(D, [x1 + x2 * x2 + x1 * x2, x2 + x1 * x1])
+    monkeypatch.setattr(basis_mod, "joint_kernel", count_kernel)
+    assert len(assemble_product_basis(T)) == 2
+    assert kernels.count(((2, 0),)) == 1
+
+
 def test_assemble_rejects_unknown_factor():
     ctx = FqContext(2, 1)
     ring = TruncatedRing(ctx, [(("v1",), 2), (("w1",), 2)])
