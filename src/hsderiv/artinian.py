@@ -18,7 +18,7 @@ from .densepoly import DenseRing
 from .errors import ResourceGuard
 from .gf import FqContext
 from .poly import term_key
-from .truncated import TruncatedPoly, TruncatedRing
+from .truncated import TruncatedPoly, TruncatedRing, convert
 
 # digits (int64 entries) one dense table may hold
 TABLE_BUDGET = 50_000_000
@@ -81,8 +81,9 @@ class ArtinianModel:
     # vector <-> polynomial <-> dense cube conversions
 
     def vec_from_poly(self, f: TruncatedPoly) -> np.ndarray:
+        """Coordinates of f; an element of another ring converts by name."""
         if f.ring != self.ring:
-            f = TruncatedPoly(self.ring, dict(f.terms))
+            f = convert(f, self.ring)
         out = self.ctx.zeros((self.dim,))
         for e, c in f.terms.items():
             out[self.xidx.rank[e]] = c.digits

@@ -26,12 +26,11 @@ from .errors import (
     HypothesisFailure,
     NoSolution,
 )
-from .gf import lambda_coeffs
 from .grouplaw import FormalGroupLaw, make_additive
 from .lattice import divisible_restriction, joint_kernel, restrict_matrix
 from .linalg import Subspace, kernel_space, preimage_solve, solve
 from .poly import term_key
-from .truncated import TruncatedPoly, convert
+from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
 
 
 class BasisCandidate:
@@ -73,32 +72,21 @@ class BasisReport:
         return f"BasisReport(passed={self.passed})"
 
 
-def _eval_law_component(model, law, j, zimgs):
-    """law's j-th component at (z_1..z_e, v_1..v_e), inside ring_xv.
+def _law_at(view: _View, zs, j) -> TruncatedPoly:
+    """The block law's j-th component at (z_block, v_block), inside ring_xv.
 
-    Plain polynomial evaluation, so images with nonzero constant terms are
-    allowed; overflowing exponents truncate exactly as in the law ring.
+    zs holds the block's coordinates in order; None marks one not found yet,
+    and a term that needs it raises UnknownVariable. Plain evaluation, so
+    images with nonzero constant terms are allowed; overflowing exponents
+    truncate exactly as in the law ring.
     """
+    model, law = view.model, view.law
     ring = model.ring_xv
-    e = law.e
-    pows = {}
-
-    def zpow(t, k):
-        if k == 0:
-            return ring.one
-        key = (t, k)
-        if key not in pows:
-            pows[key] = zpow(t, k - 1) * zimgs[t]
-        return pows[key]
-
-    out = ring.zero
-    for ex, c in law.components[j].terms.items():
-        part = TruncatedPoly(ring, {(0,) * e + tuple(ex[e:]): c})
-        for t in range(e):
-            if ex[t]:
-                part = part * zpow(t, ex[t])
-        out = out + part
-    return out
+    zl = [PowerLadder(v, None if z is None else convert(z, ring))
+          for v, z in zip(law.vnames, zs)]
+    vl = [PowerLadder(w, ring.var(model.vvars[c]))
+          for w, c in zip(law.wnames, view.coords)]
+    return evaluate(law.components[j].terms, zl + vl, ring)
 
 
 def verify_canonical_basis(D: HSDerivation, law: FormalGroupLaw, elements) -> BasisReport:
@@ -111,18 +99,15 @@ def verify_canonical_basis(D: HSDerivation, law: FormalGroupLaw, elements) -> Ba
 
 def _verify(view: _View, elements) -> BasisReport:
     """verify_canonical_basis on a whole-model view, reusing its cached spaces."""
-    D, law, model = view.D, view.law, view.model
-    zs = []
-    for f in elements:
-        zs.append(f if f.ring == model.ring else TruncatedPoly(model.ring, dict(f.terms)))
+    D, model = view.D, view.model
+    zs = list(elements)
     if len(zs) != model.e:
         raise ValueError(f"expected {model.e} elements, got {len(zs)}")
-    zimgs = [convert(z, model.ring_xv) for z in zs]
 
     embeddings = []
     first_mismatch = None
     for j in range(model.e):
-        expected = _eval_law_component(model, law, j, zimgs)
+        expected = _law_at(view, zs, j)
         actual = D.apply(zs[j])
         ok = expected == actual
         embeddings.append(
@@ -321,13 +306,9 @@ def _check_achieved(view: _View, vec: np.ndarray, wanted) -> None:
             )
 
 
-def _linear_target(view: _View, zpoly: TruncatedPoly, slot: int) -> TruncatedPoly:
-    ring = view.model.ring_xv
-    return convert(zpoly, ring) + ring.var(view.model.vvars[view.coords[slot]])
-
-
-def _assert_embedding(view: _View, zpoly, expected, what: str) -> None:
-    if view.D.apply(zpoly) != expected:
+def _assert_embedding(view: _View, zs, j, what: str) -> None:
+    """D(z_j) must equal the block law's j-th component at (z, v)."""
+    if view.D.apply(zs[j]) != _law_at(view, zs, j):
         raise HypothesisFailure(f"the found {what} fails its defining pattern")
 
 
@@ -344,26 +325,8 @@ def _find_y(view: _View) -> TruncatedPoly:
     y = _corrected_solve(view, zero, model.one_vec())
     y = _reduce_coset(view, y)
     ypoly = model.poly_from_vec(y)
-    _assert_embedding(view, ypoly, _linear_target(view, ypoly, 1), "second coordinate")
+    _assert_embedding(view, [None, ypoly], 1, "second coordinate")
     return ypoly
-
-
-def _x_target(view: _View, xpoly: TruncatedPoly, ypoly: TruncatedPoly) -> TruncatedPoly:
-    """The full defining pattern for the first coordinate, given the second."""
-    model, p = view.model, view.ctx.p
-    ring = model.ring_xv
-    lam = lambda_coeffs(p)
-    out = convert(xpoly, ring) + ring.var(model.vvars[view.coords[0]])
-    yim = convert(ypoly, ring)
-    vname = model.vvars[view.coords[1]]
-    for l in range(model.m):
-        al = view.law.alphas[l]
-        if not al:
-            continue
-        for i in range(1, p):
-            mono = ring.var(vname, (p - i) * p**l)
-            out = out + ((yim ** (i * p**l)) * mono).scale(al * lam[i - 1])
-    return out
 
 
 def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
@@ -451,7 +414,7 @@ def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
 
     x = _reduce_coset(view, x)
     xpoly = model.poly_from_vec(x)
-    _assert_embedding(view, xpoly, _x_target(view, xpoly, ypoly), "first coordinate")
+    _assert_embedding(view, [xpoly, ypoly], 0, "first coordinate")
     return xpoly
 
 
@@ -470,7 +433,7 @@ def _one_dim_additive(view: _View) -> TruncatedPoly:
         z = _kernel_correction(view, (p**l,), z, view.level(l - 1))
     z = _reduce_coset(view, z)
     zpoly = model.poly_from_vec(z)
-    _assert_embedding(view, zpoly, _linear_target(view, zpoly, 0), "coordinate")
+    _assert_embedding(view, [zpoly], 0, "coordinate")
     return zpoly
 
 
@@ -495,10 +458,7 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
     u = ctx.arr_scale(ctx.scalar(c).inverse().digits, u)
     z = (u - model.one_vec()) % ctx.p
     zpoly = model.poly_from_vec(z)
-    ring = model.ring_xv
-    zim = convert(zpoly, ring)
-    vv = ring.var(model.vvars[view.coords[0]])
-    _assert_embedding(view, zpoly, zim + vv + zim * vv, "coordinate")
+    _assert_embedding(view, [zpoly], 0, "coordinate")
     return zpoly
 
 
@@ -546,11 +506,7 @@ def find_y(D: HSDerivation) -> TruncatedPoly:
 
 def find_x(D: HSDerivation, y: TruncatedPoly) -> TruncatedPoly:
     """First canonical coordinate, given a verified second coordinate."""
-    view = _witt2_view(D)
-    model = D.model
-    if y.ring != model.ring:
-        y = TruncatedPoly(model.ring, dict(y.terms))
-    return _find_x(view, y)
+    return _find_x(_witt2_view(D), y)
 
 
 def one_dim_basis(D: HSDerivation) -> TruncatedPoly:

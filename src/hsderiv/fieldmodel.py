@@ -16,16 +16,16 @@ from .artinian import GradedIndexing
 from .errors import IndexRange, TooManyElements
 from .grouplaw import FormalGroupLaw, make_additive
 from .poly import MultiPoly, RatFuncDomain, RationalFunc
-from .truncated import TruncatedPoly, TruncatedRing, invert_unit
+from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, evaluate, invert_unit
 
 
 class FieldDerivationContext:
     """A formal group law acting as a derivation on F_q(x_1..x_e).
 
-    Generator images are read off the law components directly: the term
-    c * v^a * w^b of component t contributes c * x^a * v^b to the image of
-    x_t.  Powers of the images are cached, so repeated applications over the
-    same context stay cheap.
+    The image of x_t is law component t evaluated at (x, v): the term
+    c * v^a * w^b contributes c * x^a * v^b.  Elements evaluate at the images
+    through truncated.evaluate, and the context keeps one power ladder per
+    image, so repeated applications over the same context stay cheap.
     """
 
     def __init__(self, law: FormalGroupLaw):
@@ -39,58 +39,31 @@ class FieldDerivationContext:
         self.dom = RatFuncDomain(self.ctx, self.xvars)
         self.ring = TruncatedRing(self.ctx, [(self.vvars, self.n)], dom=self.dom)
         self._images: tuple[TruncatedPoly, ...] | None = None
-        self._powers: dict[tuple[int, int], TruncatedPoly] = {}
+        self._ladders: list[PowerLadder] | None = None
 
     def __repr__(self):
         return f"FieldDerivationContext({self.law!r})"
 
     def generator_images(self) -> tuple[TruncatedPoly, ...]:
-        """Images of x_1..x_e under the packaged map, cached."""
+        """Images of x_1..x_e: law component t evaluated at (x, v), cached."""
         if self._images is None:
-            imgs = []
-            for comp in self.law.components:
-                terms: dict[tuple[int, ...], dict] = {}
-                for exps, c in comp.terms.items():
-                    xexp, vexp = exps[: self.e], exps[self.e :]
-                    terms.setdefault(vexp, {})[xexp] = c
-                poly_terms = {
-                    vexp: RationalFunc.from_poly(
-                        MultiPoly(self.ctx, self.xvars, coeffs)
-                    )
-                    for vexp, coeffs in terms.items()
-                }
-                imgs.append(TruncatedPoly(self.ring, poly_terms))
-            self._images = tuple(imgs)
+            ring, law = self.ring, self.law
+            xs = [ring.const(MultiPoly.var(self.ctx, self.xvars, x)) for x in self.xvars]
+            vs = [ring.var(v) for v in self.vvars]
+            lads = [PowerLadder(n, g) for n, g in zip(law.ring.vars, xs + vs)]
+            self._images = tuple(evaluate(c.terms, lads, ring) for c in law.components)
         return self._images
-
-    def _power(self, t: int, k: int) -> TruncatedPoly:
-        key = (t, k)
-        got = self._powers.get(key)
-        if got is None:
-            if k == 1:
-                got = self.generator_images()[t]
-            else:
-                got = self._power(t, k - 1) * self._power(t, 1)
-            self._powers[key] = got
-        return got
-
-    def _apply_poly(self, f: MultiPoly) -> TruncatedPoly:
-        out = self.ring.zero
-        for exps, c in f.terms.items():
-            term = self.ring.const(c)
-            for t, k in enumerate(exps):
-                if k:
-                    term = term * self._power(t, k)
-            out = out + term
-        return out
 
     def apply(self, f) -> TruncatedPoly:
         """Image of a field element: a polynomial in v with coefficients in K."""
+        if self._ladders is None:
+            imgs = self.generator_images()
+            self._ladders = [PowerLadder(x, g) for x, g in zip(self.xvars, imgs)]
         g = self.dom.coerce(f)
-        num = self._apply_poly(g.num)
+        num = evaluate(g.num.terms, self._ladders, self.ring)
         if g.den == MultiPoly.one(self.ctx, self.xvars):
             return num
-        return num * invert_unit(self._apply_poly(g.den))
+        return num * invert_unit(evaluate(g.den.terms, self._ladders, self.ring))
 
     def component(self, f, index) -> RationalFunc:
         """D_index(f) as a rational function."""

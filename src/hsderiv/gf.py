@@ -85,22 +85,40 @@ def _poly_mod(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
+def _poly_mulmod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _poly_mod(out, f, p)
+
+
 def _poly_is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
-    """Exhaustive trial division by monic polynomials of degree 1..d//2."""
-    d = len(coeffs) - 1
-    if d == 1:
-        return True
-    for deg in range(1, d // 2 + 1):
-        for n in range(p**deg):
-            div = []
-            t = n
-            for _ in range(deg):
-                div.append(t % p)
-                t //= p
-            div.append(1)
-            if not _poly_mod(list(coeffs), div, p):
+    """Rabin's test for monic f of degree d: f divides x^(p^d) - x and is
+    coprime to x^(p^(d/q)) - x for every prime q dividing d."""
+    f = list(coeffs)
+    d = len(f) - 1
+    frob = [_poly_mod([0, 1], f, p)]  # frob[k] = x^(p^k) mod f
+    for _ in range(d):
+        out, base, n = [1], frob[-1], p
+        while n:
+            if n & 1:
+                out = _poly_mulmod(out, base, f, p)
+            base = _poly_mulmod(base, base, f, p)
+            n >>= 1
+        frob.append(out)
+    for q in range(2, d + 1):
+        if d % q == 0 and is_prime(q):
+            h = frob[d // q] + [0, 0]
+            h[1] -= 1
+            a, b = f, _poly_mod(h, f, p)
+            while b:  # Euclid, each divisor made monic
+                inv = pow(b[-1], p - 2, p)
+                b = [c * inv % p for c in b]
+                a, b = b, _poly_mod(a, b, p)
+            if len(a) > 1:
                 return False
-    return True
+    return frob[d] == frob[0]
 
 
 def default_modulus(p: int, d: int) -> tuple[int, ...]:

@@ -196,15 +196,21 @@ class TruncatedPoly:
 def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedPoly:
     """Move f into target, renaming variables by mapping; overflow terms drop.
 
-    Coefficients pass through unchanged; the domains are not compared.
+    f's ring may name variables target lacks, as long as no term of f uses
+    them; a term that does raises UnknownVariable. Coefficients pass through
+    unchanged; the domains are not compared.
     """
-    pos = [target.var_index(mapping.get(v, v)) for v in f.ring.vars]
+    names = [mapping.get(v, v) for v in f.ring.vars]
+    pos = [target._index.get(v) for v in names]
     width = len(target.vars)
     out: dict = {}
     for e, c in f.terms.items():
         ne = [0] * width
-        for p_i, x in zip(pos, e):
-            ne[p_i] = x
+        for v, p_i, x in zip(names, pos, e):
+            if x:
+                if p_i is None:
+                    raise UnknownVariable(f"variable {v!r} not in ring {target!r}")
+                ne[p_i] = x
         ne = tuple(ne)
         s = out.get(ne)
         out[ne] = c if s is None else s + c
@@ -212,13 +218,61 @@ def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedP
 
 
 def convert(f: TruncatedPoly, target: TruncatedRing) -> TruncatedPoly:
-    """Move f into a ring that names all its variables; overflow terms drop.
+    """Move f into a ring that names every variable f uses; overflow terms drop.
 
     Coefficients pass through unchanged, so the domains must agree.
     """
     if f.ring.dom != target.dom:
         raise ContextMismatch("coefficient domains differ")
     return rename(f, target, {})
+
+
+class PowerLadder:
+    """Powers of one image, each computed once, on first use.
+
+    ladder[k] is image^k for k >= 1. A ladder built without an image stands
+    for a variable with no value yet: asking it for a power raises
+    UnknownVariable, so a term that needs the variable is never read as zero.
+    """
+
+    __slots__ = ("name", "pows")
+
+    def __init__(self, name: str, image: TruncatedPoly | None):
+        self.name = name
+        self.pows = None if image is None else [image]
+
+    def __getitem__(self, k: int) -> TruncatedPoly:
+        pows = self.pows
+        if pows is None:
+            raise UnknownVariable(f"no image given for variable {self.name!r}")
+        while len(pows) < k:
+            pows.append(pows[-1] * pows[0])
+        return pows[k - 1]
+
+
+def evaluate(terms: dict, ladders, target: TruncatedRing) -> TruncatedPoly:
+    """Sum of c * prod_i ladders[i][e_i] over terms {e: c}, inside target.
+
+    Plain evaluation: images may have constant terms. Each term is summed
+    into one dict in place, and a key is deleted the moment its sum cancels,
+    so keys come out in the order of a term-by-term sum of TruncatedPolys.
+    """
+    dom = target.dom
+    out: dict = {}
+    for e, c in terms.items():
+        term = target.const(c)
+        for lad, x in zip(ladders, e):
+            if x:
+                term = term * lad[x]
+        for k, v in term.terms.items():
+            s = out.get(k)
+            if s is not None:
+                v = s + v
+                if dom.is_zero(v):
+                    del out[k]
+                    continue
+            out[k] = v
+    return TruncatedPoly(target, out)
 
 
 def substitute(
@@ -233,31 +287,15 @@ def substitute(
     for v in f.ring.vars:
         if v not in images:
             raise UnknownVariable(f"no image given for variable {v!r}")
-    imgs = []
+    ladders = []
     for v in f.ring.vars:
         img = images[v]
         if img.ring != target:
             raise ContextMismatch(f"image of {v!r} lives in a different ring")
         if not target.dom.is_zero(img.constant_term()):
             raise NonNilpotentImage(f"image of {v!r} has a nonzero constant term")
-        imgs.append(img)
-    # memoized power ladders per variable
-    powers: list[list[TruncatedPoly]] = [[target.one, im] for im in imgs]
-
-    def power(i: int, n: int) -> TruncatedPoly:
-        lad = powers[i]
-        while len(lad) <= n:
-            lad.append(lad[-1] * lad[1])
-        return lad[n]
-
-    out = target.zero
-    for e, c in f.terms.items():
-        term = target.const(c)
-        for i, x in enumerate(e):
-            if x:
-                term = term * power(i, x)
-        out = out + term
-    return out
+        ladders.append(PowerLadder(v, img))
+    return evaluate(f.terms, ladders, target)
 
 
 def invert_unit(f: TruncatedPoly) -> TruncatedPoly:

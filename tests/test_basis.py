@@ -23,6 +23,7 @@ from hsderiv.errors import (
     FactorUnsupported,
     HypothesisFailure,
     NotInvertible,
+    UnknownVariable,
 )
 from hsderiv.gf import FqContext, lambda_coeffs
 from hsderiv.grouplaw import (
@@ -353,3 +354,34 @@ def test_find_x_shifted_twist_with_unit_alpha():
     x = find_x(T, y)
     assert x == x1 + x2 * x2
     assert verify_canonical_basis(T, law, [x, y]).passed
+
+
+def test_elements_of_other_rings_convert_by_name():
+    ctx = FqContext(2, 1)
+    law = make_witt2(ctx, 2, [1, 1])
+    D = _canon(law)
+    model = D.model
+    xv = [model.ring_xv.var(v) for v in model.xvars]
+    assert (model.vec_from_poly(xv[0]) == model.vec_from_poly(model.ring.var("x1"))).all()
+    report = verify_canonical_basis(D, law, xv)
+    assert report.passed
+    assert find_x(D, xv[1]) == model.ring.var("x1")
+    other = TruncatedRing(ctx, [(("x1", "y"), model.n)])
+    # a variable the model lacks is fine while no term uses it
+    assert (model.vec_from_poly(other.var("x1")) == model.vec_from_poly(xv[0])).all()
+    with pytest.raises(UnknownVariable):
+        model.vec_from_poly(other.var("y"))
+    with pytest.raises(UnknownVariable):
+        verify_canonical_basis(D, law, [other.var("y"), model.ring.var("x2")])
+
+
+def test_law_target_needs_every_coordinate_it_reads():
+    # F_2 = v2 + w2 reads only y; F_1 reads x and y, and a missing x raises
+    ctx = FqContext(2, 1)
+    D = _canon(make_witt2(ctx, 1, [1]))
+    view = basis_mod._witt2_view(D)
+    y = D.model.ring.var("x2")
+    ring = D.model.ring_xv
+    assert basis_mod._law_at(view, [None, y], 1) == ring.var("x2") + ring.var("v2")
+    with pytest.raises(UnknownVariable):
+        basis_mod._law_at(view, [None, y], 0)

@@ -1,5 +1,6 @@
 """Field arithmetic and binomial helpers."""
 
+import itertools
 import math
 import random
 
@@ -84,10 +85,52 @@ def test_multinomial_mod_p():
             assert multinomial_mod_p(parts, p) == expect % p
 
 
+# the first monic irreducible of each degree, constant coefficient varying
+# fastest, as found by exhaustive trial division
+DEFAULT_MODULI = {
+    (2, 1): (0, 1), (2, 2): (1, 1, 1), (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (3, 1): (0, 1), (3, 2): (1, 0, 1), (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (5, 1): (0, 1), (5, 2): (2, 0, 1), (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (7, 1): (0, 1), (7, 2): (1, 0, 1), (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (367, 1): (0, 1), (367, 2): (1, 0, 1), (367, 3): (2, 0, 0, 1),
+    (367, 4): (17, 1, 0, 0, 1),
+}
+
+
 def test_default_modulus_small_fields():
-    assert default_modulus(2, 1) == (0, 1)
-    assert default_modulus(2, 2) == (1, 1, 1)
-    assert default_modulus(3, 2) == (1, 0, 1)
+    for (p, d), modulus in DEFAULT_MODULI.items():
+        assert default_modulus(p, d) == modulus
+        assert FqContext(p, d).modulus == modulus
+
+
+def _moebius(n):
+    out, k = 1, 2
+    while n > 1:
+        if n % k == 0:
+            n //= k
+            if n % k == 0:
+                return 0
+            out = -out
+        k += 1
+    return out
+
+
+def test_irreducible_count_matches_necklace_formula():
+    # (1/d) sum_{k | d} mu(k) p^(d/k) monic irreducibles of degree d
+    for p, d in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (5, 2), (5, 3)):
+        count = 0
+        for low in itertools.product(range(p), repeat=d):
+            try:
+                FqContext(p, d, low + (1,))
+                count += 1
+            except ValueError:
+                pass
+        expect = sum(_moebius(k) * p ** (d // k) for k in range(1, d + 1) if d % k == 0)
+        assert count == expect // d, (p, d)
 
 
 def test_context_validation():

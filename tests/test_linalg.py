@@ -11,15 +11,12 @@ from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
 from hsderiv.linalg import Subspace, inv_matrix, nullspace, rref, solve
 
-# (p, d) pairs; the modulus for 367^4 is given because finding the first
-# irreducible quartic by search takes about half a minute
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
-MODULI = {(367, 4): (17, 1, 0, 0, 1)}
 
 
 @lru_cache(maxsize=None)
 def _ctx(p, d):
-    return FqContext(p, d, MODULI.get((p, d)))
+    return FqContext(p, d)
 
 
 # -- reference: Gauss-Jordan one pivot at a time over the whole matrix ------
