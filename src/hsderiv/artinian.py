@@ -5,9 +5,12 @@ monomial basis in the canonical graded order: ascending total degree, first
 variable heaviest within a degree. Internal dense arrays use plain C-order
 axis indexing; the permutation tables here convert at the boundary.
 
-Every dense substitution table in the package (derivation tables, law power
-tables, twist and p-fold matrices) is built, put into graded order and
-checked against the one memory budget in ArtinianModel.power_table.
+Every dense table in the package is checked against the one memory budget
+in ArtinianModel.guard_table before it is allocated. Substitution tables (law
+power tables, derivation tables from images, twist and p-fold matrices) are
+built and put into graded order by ArtinianModel.power_table; a derivation
+table obtained from matrices already in hand (a conjugated twist, a
+reconstructed stack) passes the same guard.
 """
 
 from __future__ import annotations
@@ -106,6 +109,16 @@ class ArtinianModel:
         flat = cube.reshape(self.dim, self.ctx.d)
         return flat[self.xidx.flat_of_graded].copy()
 
+    def guard_table(self, axes: int) -> None:
+        """ResourceGuard unless a dense table with this many model-box axes,
+        dim^axes * d digits, fits TABLE_BUDGET. Every dense table is checked
+        here before it is allocated."""
+        digits = self.dim**axes * self.ctx.d
+        if digits > TABLE_BUDGET:
+            raise ResourceGuard(
+                f"dense table of {digits} digits exceeds the budget of {TABLE_BUDGET}"
+            )
+
     def power_table(self, images) -> np.ndarray:
         """tab[a, b_1, .., b_k] = coefficient of x^b_1 .. x^b_k in images^a.
 
@@ -118,11 +131,7 @@ class ArtinianModel:
         """
         bounds = images[0].ring.bounds
         k = len(bounds) // self.e
-        digits = self.dim ** (k + 1) * self.ctx.d
-        if digits > TABLE_BUDGET:
-            raise ResourceGuard(
-                f"dense table of {digits} digits exceeds the budget of {TABLE_BUDGET}"
-            )
+        self.guard_table(k + 1)
         dense = DenseRing(self.ctx, bounds)
         flat = dense.product_table([dense.from_trunc(f) for f in images], self.bounds)
         rev = tuple(range(k, -1, -1)) + (k + 1,)

@@ -2,9 +2,13 @@
 
 An HSDerivation is determined by the images D(x_t) = sum_i D_i(x_t) v^i of
 the model generators, stored as elements of the model ring with the v-block
-adjoined. From these one dense table D(x^a) over the whole exponent cube is
-built by repeated multiplication, and every component D_i becomes a matrix
-on the graded monomial basis.
+adjoined. One dense table D(x^a) over the whole exponent cube holds every
+component D_i as a matrix on the graded monomial basis. The table comes from
+matrices already in hand whenever there are any: a canonical derivation
+shares its law's power table, a twist conjugates the table it twists when
+that is estimated cheaper, and a reconstruction keeps the stack it rebuilt.
+Otherwise it is built from the images by repeated multiplication
+(ArtinianModel.power_table).
 
 Iterativity over a formal group law F is the family of identities
 D_j D_i = sum_k c(k) D_k where c(k) is the coefficient of v^i w^j in F^k.
@@ -46,10 +50,6 @@ class OperatorMatrix:
     def __init__(self, model: ArtinianModel, mat: np.ndarray):
         self.model = model
         self.mat = mat
-
-    @classmethod
-    def identity(cls, model: ArtinianModel) -> "OperatorMatrix":
-        return cls(model, model.ctx.mat_eye(model.dim))
 
     @classmethod
     def zero(cls, model: ArtinianModel) -> "OperatorMatrix":
@@ -128,6 +128,9 @@ class HSDerivation:
                     "the weight-zero component must act as the identity"
                 )
         self.images = tuple(imgs)
+        # a callable returning the table from matrices already in hand;
+        # None builds it from the images
+        self._source = None
         self._tab = None
         self._tab_lock = threading.Lock()
 
@@ -150,10 +153,13 @@ class HSDerivation:
             with self._tab_lock:
                 if self._tab is None:
                     self._tab = self._build_table()
+                    self._source = None
         return self._tab
 
     def _build_table(self) -> np.ndarray:
-        return self.model.power_table(self.images)
+        if self._source is None:
+            return self.model.power_table(self.images)
+        return self._source()
 
     def matrix_stack(self) -> np.ndarray:
         """C-contiguous stack[i_rank] = matrix of the component at graded rank i."""
@@ -237,7 +243,10 @@ def canonical_derivation(model: ArtinianModel, law: FormalGroupLaw) -> HSDerivat
         mapping[f"v{l+1}"] = f"x{l+1}"
         mapping[f"w{l+1}"] = f"v{l+1}"
     imgs = [rename(f, model.ring_xv, mapping) for f in law.components]
-    return HSDerivation(model, law, imgs)
+    D = HSDerivation(model, law, imgs)
+    # tab[a, b, i] = coefficient of x^b v^i in F^a(x, v): the law's table
+    D._source = lambda: law._power_table()[0]
+    return D
 
 
 def truncate_derivation(D: HSDerivation, m2: int) -> HSDerivation:
@@ -343,17 +352,61 @@ def witt2_pfold_expansion(law: FormalGroupLaw, j: int) -> dict:
     return {s: c for s, c in out.items() if c}
 
 
+def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
+    """Whether conjugating D's table is estimated cheaper than the ladder on
+    images T(x_t) of terms[t] terms each.
+
+    The ladder (DenseRing.product_table on T's images) multiplies by image t
+    exactly n^t (n-1) times; each product pays a call per term of the image
+    plus a shifted add over the dim^2 * d digits of the (x, v) box, and the
+    table's dim^3 * d digits pass through a few whole-array steps, so the
+    estimate grows with every term count. Conjugation is two dense products
+    of dim^4 multiply-adds per pair of digit planes, whatever the sparsity
+    of Phi and Phi^-1. The weights are nanoseconds fitted with numpy int64
+    arithmetic on a 2-vCPU x86-64 host, rounded in the ladder's favour so
+    that conjugation is chosen only where it clearly wins.
+    """
+    n, dim, d = model.n, model.dim, model.ctx.d
+    work = sum(n**t * (n - 1) * k for t, k in enumerate(terms))
+    shift = 1.0 if d == 1 else 2.3
+    ladder = 30 * dim**3 * d + work * (5000 + shift * dim**2 * d)
+    conjugation = 2 * dim**4 * (1.1 if d == 1 else 1.6 * d * d)
+    return conjugation < ladder
+
+
+def _conjugated_table(D: HSDerivation, phimat, psimat=None) -> np.ndarray:
+    """Table of the twist from T_i = Phi D_i Phi^-1 for every component i;
+    Phi^-1 is psimat, or is computed here when not given."""
+    model, ctx, dim = D.model, D.model.ctx, D.model.dim
+    model.guard_table(3)
+    if psimat is None:
+        psimat = inv_matrix(ctx, phimat)
+    stack = D.matrix_stack().reshape(dim * dim, dim, ctx.d)
+    right = ctx.mat_mul(stack, psimat).reshape(dim, dim, dim, ctx.d)
+    return ctx.mat_mul(phimat, right).transpose(2, 1, 0, 3)
+
+
 def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     """Conjugate by the algebra automorphism sending x_t to phi[t].
 
-    phi must fix the origin and have invertible linear part. The inverse
-    psi comes from the matrix Phi of r -> r(phi): one exact elimination of
-    [Phi | x_1 .. x_e] must put a pivot on every column of Phi, which proves
-    r -> r(phi) bijective, and leaves psi_t = Phi^-1 x_t beside it;
-    NotInvertible otherwise.
+    phi must fix the origin and have invertible linear part. Phi is the
+    matrix of r -> r(phi). One exact elimination of [Phi | B] must put a
+    pivot on every column of Phi, which proves r -> r(phi) bijective, and
+    leaves Phi^-1 B beside it; NotInvertible otherwise. The inverse psi has
+    psi_t = Phi^-1 x_t, and the twist T = phi* D psi* has the images
+    T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
+
+    T's table comes from whichever source a cost estimate over dim, d and
+    the term counts of T's images favours: conjugating D's table (one
+    product of the dim^2 x dim stack with Phi^-1, then one batched product
+    with Phi), or the product ladder on T's images. Both give the same
+    bytes. The term counts are known only after the elimination, so B is
+    the identity, giving Phi^-1 at once, when the estimate favours
+    conjugation even at one term per image. Otherwise B is x_1 .. x_e, which
+    is all the ladder needs, and a conjugation inverts Phi when it runs.
     """
     model, ctx = D.model, D.model.ctx
-    e = model.e
+    e, dim = model.e, model.dim
     phi = list(phi)
     if len(phi) != e:
         raise ValueError(f"expected {e} images, got {len(phi)}")
@@ -371,15 +424,25 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     D.table()
     # phimat[b, a] = coefficient of x^b in phi^a
     phimat = model.power_table(phi).transpose(1, 0, 2)
-    xs = [model.vec_from_poly(model.ring.var(x)) for x in model.xvars]
-    red, pivots = rref(ctx, np.concatenate([phimat, np.stack(xs, axis=1)], axis=1))
-    if pivots != list(range(model.dim)):
+    # graded ranks of x_1 .. x_e
+    xs = [model.xidx.rank[tuple(int(l == t) for l in range(e))] for t in range(e)]
+    whole = _conjugation_is_cheaper(model, [1] * e)
+    rhs = ctx.mat_eye(dim) if whole else ctx.mat_eye(dim)[:, xs]
+    red, pivots = rref(ctx, np.concatenate([phimat, rhs], axis=1))
+    if pivots != list(range(dim)):
         raise NotInvertible("no exact inverse; the map is not an automorphism")
+    right = red[:, dim:]
+    psis = right[:, xs] if whole else right
     imgs = [
-        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(red[:, model.dim + t])))
+        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(psis[:, t])))
         for t in range(e)
     ]
-    return HSDerivation(model, D.law, imgs)
+    T = HSDerivation(model, D.law, imgs)
+    if whole:
+        T._source = lambda: _conjugated_table(D, phimat, right)
+    elif _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
+        T._source = lambda: _conjugated_table(D, phimat)
+    return T
 
 
 def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
@@ -391,18 +454,23 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
     lower terms are already known, so D_j follows by division. Every rebuilt
     matrix is checked against the stored component; disagreement (possible
     when the family is not actually iterative) raises ReconstructionMismatch.
-    The result is reassembled from the rebuilt matrices alone, so it equals
-    the input exactly when every check passed.
+    The result is reassembled from the rebuilt matrices alone: its images
+    are read off them and the rebuilt stack is its table, so it equals the
+    input exactly when every check passed.
     """
     model, law, ctx = D.model, D.law, D.model.ctx
-    e, p, m = model.e, model.ctx.p, model.m
-    known = {}
-    zero = (0,) * e
-    known[zero] = OperatorMatrix.identity(model)
+    e, p, m, dim = model.e, model.ctx.p, model.m, model.dim
+    rank = model.xidx.rank
+    model.guard_table(3)
+    # stack[rank[j]] = rebuilt matrix of D_j, the layout of matrix_stack()
+    stack = ctx.zeros((dim, dim, dim))
+    stack[0] = ctx.mat_eye(dim)
+    known = {(0,) * e}
     for l in range(e):
         for s in range(m):
             idx = tuple(p**s if t == l else 0 for t in range(e))
-            known[idx] = D.component(idx)
+            stack[rank[idx]] = D.component(idx).mat
+            known.add(idx)
     for j in model.xidx.monomials:
         if j in known:
             continue
@@ -418,26 +486,26 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
             raise ReconstructionMismatch(
                 f"leading structure constant at {j} vanished"
             )
-        acc = ctx.mat_mul(known[j0].mat, known[i0].mat)
+        acc = ctx.mat_mul(stack[rank[j0]], stack[rank[i0]])
         for k, c in sc.items():
             if k == j:
                 continue
-            mk = known.get(k)
-            if mk is None:
+            if k not in known:
                 raise ReconstructionMismatch(
                     f"index {k} needed before it is available"
                 )
-            acc = ctx.arr_add(acc, ctx.arr_neg(ctx.arr_scale(c.digits, mk.mat)))
-        rebuilt = OperatorMatrix(model, ctx.arr_scale(lead.inverse().digits, acc))
-        if rebuilt != D.component(j):
+            acc = ctx.arr_add(acc, ctx.arr_neg(ctx.arr_scale(c.digits, stack[rank[k]])))
+        rebuilt = ctx.arr_scale(lead.inverse().digits, acc)
+        if not np.array_equal(rebuilt, D.component(j).mat):
             raise ReconstructionMismatch(
                 f"component {j} is not generated by the p-power components"
             )
-        known[j] = rebuilt
-    stack = np.stack([known[idx].mat for idx in model.xidx.monomials])
+        stack[rank[j]] = rebuilt
+        known.add(j)
     imgs = []
     for t in range(e):
         unit = tuple(1 if l == t else 0 for l in range(e))
-        cube = stack[:, :, model.xidx.rank[unit]].transpose(1, 0, 2)
-        imgs.append(D._poly_from_bi(cube))
-    return HSDerivation(model, law, imgs)
+        imgs.append(D._poly_from_bi(stack[:, :, rank[unit]].transpose(1, 0, 2)))
+    R = HSDerivation(model, law, imgs)
+    R._source = lambda: stack.transpose(2, 1, 0, 3)
+    return R

@@ -296,7 +296,14 @@ class FqContext:
         by the digits of g^r * g^s (``_red``) and summed. A partial product
         adds k terms below (p-1)^2, so it is exact while k*(p-1)^2 < 2^63;
         after its reduction mod p the d*d scaled terms stay below d*d*p^2.
+
+        The body is ``_product``, which the per-pivot row updates inside one
+        elimination block (``linalg._eliminate``) call directly, so a call
+        here is one real matrix product.
         """
+        return self._product(a, b)
+
+    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         p, d = self.p, self.d
         if d == 1:
             return (a[..., 0] @ b[..., 0])[..., None] % p

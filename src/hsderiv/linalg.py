@@ -33,7 +33,8 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
 
     The pivot is the first nonzero entry, column by column, among the rows
     not yet used, found with one vectorised ``any`` over those rows. Rows
-    past the rank end up zero.
+    past the rank end up zero. The rank-1 update per pivot calls the kernel
+    body ``FqContext._product``, so ``mat_mul`` sees only whole products.
     """
     p = ctx.p
     rows, cols = m.shape[0], m.shape[1]
@@ -52,7 +53,7 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
         m[r, c:] = ctx.arr_scale(inv, m[r, c:])
         factors = m[:, c].copy()
         factors[r] = 0
-        m[:, c:] = (m[:, c:] - ctx.mat_mul(factors[:, None], m[None, r, c:])) % p
+        m[:, c:] = (m[:, c:] - ctx._product(factors[:, None], m[None, r, c:])) % p
         pivots.append(c)
         r += 1
         c += 1

@@ -275,25 +275,39 @@ def evaluate(terms: dict, ladders, target: TruncatedRing) -> TruncatedPoly:
     return TruncatedPoly(target, out)
 
 
+def _is_power(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
 def substitute(
     f: TruncatedPoly, images: dict[str, TruncatedPoly], target: TruncatedRing
 ) -> TruncatedPoly:
     """Apply the ring map sending each variable to its image inside target.
 
-    Every variable of f's ring needs an image. Images of bound variables must
-    have zero constant term, otherwise powers would not respect the source
-    truncation; violations raise NonNilpotentImage.
+    Every variable of f's ring needs an image. The map respects the source
+    truncation v^B = 0 only if each image has zero constant term and its B-th
+    power vanishes in target; NonNilpotentImage otherwise. When B is a power
+    of p and no target bound exceeds B, the Frobenius sends every term c*y^a
+    of an image without constant term to c^B*y^(Ba) = 0, so that power is
+    not computed.
     """
     for v in f.ring.vars:
         if v not in images:
             raise UnknownVariable(f"no image given for variable {v!r}")
+    p, top = target.ctx.p, max(target.bounds, default=0)
     ladders = []
-    for v in f.ring.vars:
+    for v, bound in zip(f.ring.vars, f.ring.bounds):
         img = images[v]
         if img.ring != target:
             raise ContextMismatch(f"image of {v!r} lives in a different ring")
         if not target.dom.is_zero(img.constant_term()):
             raise NonNilpotentImage(f"image of {v!r} has a nonzero constant term")
+        if not (top <= bound and _is_power(bound, p)) and img**bound:
+            raise NonNilpotentImage(
+                f"image of {v!r} does not vanish at the source bound {bound}"
+            )
         ladders.append(PowerLadder(v, img))
     return evaluate(f.terms, ladders, target)
 

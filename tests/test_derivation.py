@@ -157,12 +157,14 @@ def test_table_is_cached_and_guarded(monkeypatch):
 
 
 def test_law_table_shares_the_guard(monkeypatch):
-    # the derivation table is built first, so the law's power table is the
-    # one that trips the lowered budget
+    # the canonical derivation's table is the law's power table itself
     ctx = FqContext(3, 1)
     law = make_witt2(ctx, 1, [1])
+    assert _canon(law).table() is law._power_table()[0]
+    # on a fresh law the lowered budget trips the first build, whichever
+    # caller asks for the law table first
+    law = make_witt2(ctx, 1, [1])
     D = _canon(law)
-    D.table()
     monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 10)
     with pytest.raises(ResourceGuard):
         structure_constants(law, (1, 0), (0, 1))

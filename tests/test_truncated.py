@@ -75,6 +75,20 @@ def test_substitute_checks():
         substitute(r.var("v"), {}, target)
 
 
+def test_substitute_refuses_an_image_alive_at_the_source_bound():
+    # x^2 = 0 in the source but y^2 != 0 in the target: no ring map
+    source = _ring(3, 1, [(("x",), 2)])
+    target = _ring(3, 1, [(("y",), 4)])
+    x, y = source.var("x"), target.var("y")
+    with pytest.raises(NonNilpotentImage):
+        substitute(x * x, {"x": y}, target)
+    # y^2 squares to zero, so x -> y^2 is a ring map
+    assert substitute(x + x * x, {"x": y * y}, target) == y * y
+    # a p-power source bound at least every target bound needs no check
+    big = _ring(3, 1, [(("x",), 9)])
+    assert substitute(big.var("x") ** 8, {"x": y}, target) == target.zero
+
+
 def test_substitute_is_a_ring_hom_random():
     rng = random.Random(4242)
     for p in (2, 3):
