@@ -374,13 +374,11 @@ def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
     return conjugation < ladder
 
 
-def _conjugated_table(D: HSDerivation, phimat, psimat=None) -> np.ndarray:
-    """Table of the twist from T_i = Phi D_i Phi^-1 for every component i;
-    Phi^-1 is psimat, or is computed here when not given."""
+def _conjugated_table(D: HSDerivation, phimat) -> np.ndarray:
+    """Table of the twist from T_i = Phi D_i Phi^-1 for every component i."""
     model, ctx, dim = D.model, D.model.ctx, D.model.dim
     model.guard_table(3)
-    if psimat is None:
-        psimat = inv_matrix(ctx, phimat)
+    psimat = inv_matrix(ctx, phimat)
     stack = D.matrix_stack().reshape(dim * dim, dim, ctx.d)
     right = ctx.mat_mul(stack, psimat).reshape(dim, dim, dim, ctx.d)
     return ctx.mat_mul(phimat, right).transpose(2, 1, 0, 3)
@@ -390,23 +388,20 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     """Conjugate by the algebra automorphism sending x_t to phi[t].
 
     phi must fix the origin and have invertible linear part. Phi is the
-    matrix of r -> r(phi). One exact elimination of [Phi | B] must put a
-    pivot on every column of Phi, which proves r -> r(phi) bijective, and
-    leaves Phi^-1 B beside it; NotInvertible otherwise. The inverse psi has
-    psi_t = Phi^-1 x_t, and the twist T = phi* D psi* has the images
+    matrix of r -> r(phi). One exact elimination of [Phi | x_1 .. x_e] must
+    put a pivot on every column of Phi, which proves r -> r(phi) bijective,
+    and leaves the inverse's images psi_t = Phi^-1 x_t beside it;
+    NotInvertible otherwise. The twist T = phi* D psi* has the images
     T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
 
     T's table comes from whichever source a cost estimate over dim, d and
     the term counts of T's images favours: conjugating D's table (one
     product of the dim^2 x dim stack with Phi^-1, then one batched product
     with Phi), or the product ladder on T's images. Both give the same
-    bytes. The term counts are known only after the elimination, so B is
-    the identity, giving Phi^-1 at once, when the estimate favours
-    conjugation even at one term per image. Otherwise B is x_1 .. x_e, which
-    is all the ladder needs, and a conjugation inverts Phi when it runs.
+    bytes. A conjugation inverts Phi when it runs.
     """
     model, ctx = D.model, D.model.ctx
-    e, dim = model.e, model.dim
+    e = model.e
     phi = list(phi)
     if len(phi) != e:
         raise ValueError(f"expected {e} images, got {len(phi)}")
@@ -424,23 +419,16 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     D.table()
     # phimat[b, a] = coefficient of x^b in phi^a
     phimat = model.power_table(phi).transpose(1, 0, 2)
-    # graded ranks of x_1 .. x_e
-    xs = [model.xidx.rank[tuple(int(l == t) for l in range(e))] for t in range(e)]
-    whole = _conjugation_is_cheaper(model, [1] * e)
-    rhs = ctx.mat_eye(dim) if whole else ctx.mat_eye(dim)[:, xs]
-    red, pivots = rref(ctx, np.concatenate([phimat, rhs], axis=1))
-    if pivots != list(range(dim)):
+    xs = [model.vec_from_poly(model.ring.var(x)) for x in model.xvars]
+    red, pivots = rref(ctx, np.concatenate([phimat, np.stack(xs, axis=1)], axis=1))
+    if pivots != list(range(model.dim)):
         raise NotInvertible("no exact inverse; the map is not an automorphism")
-    right = red[:, dim:]
-    psis = right[:, xs] if whole else right
     imgs = [
-        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(psis[:, t])))
+        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(red[:, model.dim + t])))
         for t in range(e)
     ]
     T = HSDerivation(model, D.law, imgs)
-    if whole:
-        T._source = lambda: _conjugated_table(D, phimat, right)
-    elif _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
+    if _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
         T._source = lambda: _conjugated_table(D, phimat)
     return T
 
