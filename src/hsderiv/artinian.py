@@ -6,19 +6,22 @@ variable heaviest within a degree. Internal dense arrays use plain C-order
 axis indexing; the permutation tables here convert at the boundary.
 
 Every dense table in the package is checked against the one memory budget
-in ArtinianModel.guard_table before it is allocated. Substitution tables (law
-power tables, derivation tables from images, twist and p-fold matrices) are
-built and put into graded order by ArtinianModel.power_table; a derivation
-table obtained from matrices already in hand (a conjugated twist, a
-reconstructed stack) passes the same guard.
+in ArtinianModel.guard_table, at the digit count of the array about to be
+allocated. Substitution tables (law power tables, derivation tables and
+per-axis derivation stacks from images, twist and p-fold matrices) are built
+and put into graded order by ArtinianModel.power_table; a derivation table
+obtained from matrices already in hand (a conjugated twist, a reconstructed
+stack) passes the same guard.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .densepoly import DenseRing
-from .errors import ResourceGuard
+from .errors import IndexRange, ResourceGuard
 from .gf import FqContext
 from .poly import term_key
 from .truncated import TruncatedPoly, TruncatedRing, convert
@@ -109,35 +112,47 @@ class ArtinianModel:
         flat = cube.reshape(self.dim, self.ctx.d)
         return flat[self.xidx.flat_of_graded].copy()
 
-    def guard_table(self, axes: int) -> None:
-        """ResourceGuard unless a dense table with this many model-box axes,
-        dim^axes * d digits, fits TABLE_BUDGET. Every dense table is checked
-        here before it is allocated."""
-        digits = self.dim**axes * self.ctx.d
+    def axis_ranks(self, l: int) -> list:
+        """Graded ranks of the axis exponents j e_l, j < n."""
+        e = self.e
+        if not 0 <= l < e:
+            raise IndexRange(f"axis {l} outside the {e} model coordinates")
+        return [self.xidx.rank[tuple(j if t == l else 0 for t in range(e))]
+                for j in range(self.n)]
+
+    def guard_table(self, shape) -> None:
+        """ResourceGuard unless a dense array of this shape, d digits per
+        entry, fits TABLE_BUDGET. Every dense table is checked here, at its
+        real size, before it is allocated."""
+        digits = math.prod(shape) * self.ctx.d
         if digits > TABLE_BUDGET:
             raise ResourceGuard(
                 f"dense table of {digits} digits exceeds the budget of {TABLE_BUDGET}"
             )
 
-    def power_table(self, images) -> np.ndarray:
-        """tab[a, b_1, .., b_k] = coefficient of x^b_1 .. x^b_k in images^a.
+    def power_table(self, images, extra: int = 0) -> np.ndarray:
+        """tab[a, b_1, .., b_k, c] = coefficient of x^b_1 .. x^b_k y^c in images^a.
 
         images holds e elements of one ring whose bounds are k copies of the
-        model box; a runs over the model box. Every axis is in graded order.
-        The result is the axis-reversed view of a C-contiguous array, so
-        fixing the last index leaves one contiguous block (for a derivation
-        table, each matrix_stack()[r]). ResourceGuard when the table would
-        hold more than TABLE_BUDGET digits.
+        model box followed by `extra` one-variable axes (the exponents c); a
+        runs over the model box. Every box axis is in graded order. The
+        result is the axis-reversed view of a C-contiguous array, so fixing
+        the last index leaves one contiguous block (for a derivation table,
+        each matrix_stack()[r]). ResourceGuard when the table would hold
+        more than TABLE_BUDGET digits.
         """
         bounds = images[0].ring.bounds
-        k = len(bounds) // self.e
-        self.guard_table(k + 1)
+        tail = bounds[len(bounds) - extra:]
+        k = (len(bounds) - extra) // self.e
+        shape = (self.dim,) * (k + 1) + tail
+        self.guard_table(shape)
         dense = DenseRing(self.ctx, bounds)
         flat = dense.product_table([dense.from_trunc(f) for f in images], self.bounds)
-        rev = tuple(range(k, -1, -1)) + (k + 1,)
-        cube = flat.reshape((self.dim,) * (k + 1) + (self.ctx.d,)).transpose(rev)
+        rev = tuple(range(len(shape) - 1, -1, -1)) + (len(shape),)
+        cube = flat.reshape(shape + (self.ctx.d,)).transpose(rev)
         perm = self.xidx.flat_of_graded
-        return cube[np.ix_(*(perm,) * (k + 1))].transpose(rev)
+        keep = [np.arange(b) for b in reversed(tail)]
+        return cube[np.ix_(*keep, *(perm,) * (k + 1))].transpose(rev)
 
     def one_vec(self) -> np.ndarray:
         out = self.ctx.zeros((self.dim,))

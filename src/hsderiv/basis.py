@@ -27,7 +27,8 @@ from .errors import (
     NoSolution,
 )
 from .grouplaw import FormalGroupLaw, make_additive
-from .lattice import divisible_restriction, joint_kernel, restrict_matrix
+from .lattice import constants_indices, divisible_restriction, joint_kernel, \
+    ppower_indices, restrict_matrix
 from .linalg import Subspace, kernel_space, preimage_solve, solve
 from .poly import term_key
 from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
@@ -159,9 +160,10 @@ def _monomials_independent(model, con, zs) -> bool:
 class _View:
     """A coordinate block of a derivation, searched inside a fixed subspace.
 
-    coords lists the model coordinates the block covers; within constrains
-    every solve, kernel, and correction. Indices are local to the block and
-    embedded into the full exponent tuple on access.
+    coords lists the model coordinates the block covers, a block of D's law
+    (the whole law, a product factor or an additive coordinate); within
+    constrains every solve, kernel, and correction. Indices are local to the
+    block and embedded into the full exponent tuple on access.
     """
 
     def __init__(self, D, coords, law, within=None):
@@ -198,31 +200,26 @@ class _View:
                 self.D, self.embed(local), self.within)
         return self._restricted[local]
 
+    def _kernel(self, idxs) -> Subspace:
+        """joint_kernel of the components at idxs inside within, taken once
+        per index list: for a derivation known to be iterative the box
+        constants are level 0 and the absolute constants level m-1."""
+        key = tuple(idxs)
+        if key not in self._spaces:
+            self._spaces[key] = joint_kernel(self.D, idxs, self.within)
+        return self._spaces[key]
+
     def box_constants(self) -> Subspace:
         """Joint kernel over the nonzero indices below p, inside within."""
-        if "box" not in self._spaces:
-            p, k = self.ctx.p, len(self.coords)
-            idxs = [self.embed(i) for i in np.ndindex(*(p,) * k) if any(i)]
-            self._spaces["box"] = joint_kernel(self.D, idxs, self.within)
-        return self._spaces["box"]
+        return self._kernel(constants_indices(self.D, self.coords, absolute=False))
 
     def abs_constants(self) -> Subspace:
         """Joint kernel over every nonzero index of the block, inside within."""
-        if "abs" not in self._spaces:
-            n, k = self.model.n, len(self.coords)
-            idxs = [self.embed(i) for i in np.ndindex(*(n,) * k) if any(i)]
-            self._spaces["abs"] = joint_kernel(self.D, idxs, self.within)
-        return self._spaces["abs"]
+        return self._kernel(constants_indices(self.D, self.coords, absolute=True))
 
     def level(self, l) -> Subspace:
         """Joint kernel of the unit p-power components up to exponent p^l."""
-        key = ("level", l)
-        if key not in self._spaces:
-            p, k = self.ctx.p, len(self.coords)
-            idxs = [self.embed(self.unit(s, p**u))
-                    for u in range(l + 1) for s in range(k)]
-            self._spaces[key] = joint_kernel(self.D, idxs, self.within)
-        return self._spaces[key]
+        return self._kernel(ppower_indices(self.model, self.coords, l + 1))
 
     def correction(self, l) -> Subspace:
         """Level l-1 cut down to the kernel of the first-direction p^l component."""

@@ -316,6 +316,10 @@ def _cmd_tower(config):
     ctx = _context_of(config)
     law = _law_of(config, ctx)
     D = _derivation_of(config, law)
+    # admission stays at the dense table's dim^3 * d digits, the limit
+    # bench/oracle.py predicts, though tower() makes only e axis stacks of
+    # dim^2 * n * d digits each
+    D.model.guard_table((D.model.dim,) * 3)
     t = tower(D)
     dims = [int(V.dim) for V in t.levels]
     step = ctx.p ** law.e

@@ -10,6 +10,14 @@ that is estimated cheaper, and a reconstruction keeps the stack it rebuilt.
 Otherwise it is built from the images by repeated multiplication
 (ArtinianModel.power_table).
 
+A reader that needs only the axis components D_{j e_l}, j < n (the
+p-power and unit components among them), takes the e per-axis stacks of
+axis_stack instead: dim^2 * n digits each, against dim^3 for the table.
+They are read from the table when it is built, and otherwise made from the
+same sources: the ladder on the images with v_k = 0 for k != l, the
+conjugation of the twisted derivation's axis stack, or a slice of a
+reconstructed stack.
+
 Iterativity over a formal group law F is the family of identities
 D_j D_i = sum_k c(k) D_k where c(k) is the coefficient of v^i w^j in F^k.
 The table view turns the check and the derived constructions (p-fold
@@ -19,6 +27,7 @@ components) into matrix work over the coefficient field.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -100,7 +109,9 @@ class HSDerivation:
     The weight-zero component must be the identity; that much is enforced at
     construction. Whether the family actually satisfies the iterativity
     identities for its law is a separate question answered by
-    check_iterativity.
+    check_iterativity. known_iterative records that it does: it is set for a
+    canonical derivation, a twist or reconstruction of a known-iterative
+    one, and by a passing check_iterativity.
     """
 
     def __init__(self, model: ArtinianModel, law: FormalGroupLaw, images):
@@ -128,10 +139,13 @@ class HSDerivation:
                     "the weight-zero component must act as the identity"
                 )
         self.images = tuple(imgs)
-        # a callable returning the table from matrices already in hand;
-        # None builds it from the images
+        self.known_iterative = False
+        # callables returning the table, and an axis stack, from matrices
+        # already in hand; None builds them from the images
         self._source = None
+        self._axis_source = None
         self._tab = None
+        self._axes = {}
         self._tab_lock = threading.Lock()
 
     def __eq__(self, other):
@@ -153,17 +167,57 @@ class HSDerivation:
             with self._tab_lock:
                 if self._tab is None:
                     self._tab = self._build_table()
-                    self._source = None
+                    self._source = self._axis_source = None
         return self._tab
 
-    def _build_table(self) -> np.ndarray:
-        if self._source is None:
-            return self.model.power_table(self.images)
-        return self._source()
+    def _build_table(self, axis=None) -> np.ndarray:
+        """The table, or for an axis l the stack of axis_stack(l).
+
+        Every derivation table and axis stack is made here."""
+        if axis is None:
+            if self._source is None:
+                return self.model.power_table(self.images)
+            return self._source()
+        if self._axis_source is None:
+            return self._axis_ladder(axis)
+        return self._axis_source(axis)
+
+    def _axis_ladder(self, l: int) -> np.ndarray:
+        """Axis stack l by the product ladder on the images with v_k = 0 for
+        k != l, a (dim, dim, n) table on the model box and one v-axis."""
+        model = self.model
+        e, n = model.e, model.n
+        ring = TruncatedRing(model.ctx, [(model.xvars, n), ((model.vvars[l],), n)])
+        imgs = []
+        for f in self.images:
+            terms = {ex[:e] + (ex[e + l],): c for ex, c in f.terms.items()
+                     if not any(ex[e:e + l] + ex[e + l + 1:])}
+            imgs.append(TruncatedPoly(ring, terms))
+        return model.power_table(imgs, extra=1).transpose(2, 1, 0, 3)
 
     def matrix_stack(self) -> np.ndarray:
         """C-contiguous stack[i_rank] = matrix of the component at graded rank i."""
         return self.table().transpose(2, 1, 0, 3)
+
+    def axis_stack(self, l: int) -> np.ndarray:
+        """C-contiguous stack[j] = matrix of D_{j e_l}, j < n: (n, dim, dim, d).
+
+        The matrices are those of component(), byte for byte. They are read
+        from the table when it is built; otherwise only this axis is made,
+        dim^2 * n * d digits. Each axis is made once. For e = 1 the axis
+        stack is the table itself.
+        """
+        ranks = self.model.axis_ranks(l)
+        if self.model.e == 1:
+            return self.matrix_stack()
+        if l not in self._axes:
+            with self._tab_lock:
+                if l not in self._axes:
+                    if self._tab is not None:
+                        self._axes[l] = self.matrix_stack()[ranks]
+                    else:
+                        self._axes[l] = self._build_table(l)
+        return self._axes[l]
 
     def _check_index(self, i) -> tuple:
         i = tuple(int(t) for t in i)
@@ -233,6 +287,7 @@ class HSDerivation:
             rhs = ctx.mat_mul(fstack, r).reshape(shape)
             if not np.array_equal(lhs.transpose(0, 2, 1, 3), rhs):
                 return False
+        self.known_iterative = True
         return True
 
 
@@ -244,6 +299,7 @@ def canonical_derivation(model: ArtinianModel, law: FormalGroupLaw) -> HSDerivat
         mapping[f"w{l+1}"] = f"v{l+1}"
     imgs = [rename(f, model.ring_xv, mapping) for f in law.components]
     D = HSDerivation(model, law, imgs)
+    D.known_iterative = True
     # tab[a, b, i] = coefficient of x^b v^i in F^a(x, v): the law's table
     D._source = lambda: law._power_table()[0]
     return D
@@ -374,14 +430,22 @@ def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
     return conjugation < ladder
 
 
-def _conjugated_table(D: HSDerivation, phimat) -> np.ndarray:
-    """Table of the twist from T_i = Phi D_i Phi^-1 for every component i."""
-    model, ctx, dim = D.model, D.model.ctx, D.model.dim
-    model.guard_table(3)
-    psimat = inv_matrix(ctx, phimat)
-    stack = D.matrix_stack().reshape(dim * dim, dim, ctx.d)
-    right = ctx.mat_mul(stack, psimat).reshape(dim, dim, dim, ctx.d)
-    return ctx.mat_mul(phimat, right).transpose(2, 1, 0, 3)
+def _conjugation(model: ArtinianModel, phimat):
+    """Maps a C-contiguous stack of D's matrices S to Phi S Phi^-1, in its
+    layout: one tall product with Phi^-1, then one batched product with
+    Phi. The result is guarded before Phi is inverted, once, at first use."""
+    ctx, dim = model.ctx, model.dim
+
+    @functools.cache
+    def inverse():
+        return inv_matrix(ctx, phimat)
+
+    def conjugate(stack: np.ndarray) -> np.ndarray:
+        model.guard_table(stack.shape[:-1])
+        right = ctx.mat_mul(stack.reshape(-1, dim, ctx.d), inverse())
+        return ctx.mat_mul(phimat, right.reshape(stack.shape))
+
+    return conjugate
 
 
 def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
@@ -398,7 +462,10 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     the term counts of T's images favours: conjugating D's table (one
     product of the dim^2 x dim stack with Phi^-1, then one batched product
     with Phi), or the product ladder on T's images. Both give the same
-    bytes. A conjugation inverts Phi when it runs.
+    bytes. T's axis stacks take the same side: Phi D_{j e_l} Phi^-1 from
+    D's axis stack, or the ladder on T's images restricted to the axis. A
+    conjugation inverts Phi when it first runs. T is known iterative when
+    D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e
@@ -428,8 +495,11 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
         for t in range(e)
     ]
     T = HSDerivation(model, D.law, imgs)
+    T.known_iterative = D.known_iterative
     if _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
-        T._source = lambda: _conjugated_table(D, phimat)
+        conjugate = _conjugation(model, phimat)
+        T._source = lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3)
+        T._axis_source = lambda l: conjugate(D.axis_stack(l))
     return T
 
 
@@ -443,13 +513,14 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
     matrix is checked against the stored component; disagreement (possible
     when the family is not actually iterative) raises ReconstructionMismatch.
     The result is reassembled from the rebuilt matrices alone: its images
-    are read off them and the rebuilt stack is its table, so it equals the
-    input exactly when every check passed.
+    are read off them, the rebuilt stack is its table and its axis stacks
+    are slices of it, so it equals the input exactly when every check
+    passed. It is known iterative when the input is.
     """
     model, law, ctx = D.model, D.law, D.model.ctx
     e, p, m, dim = model.e, model.ctx.p, model.m, model.dim
     rank = model.xidx.rank
-    model.guard_table(3)
+    model.guard_table((dim,) * 3)
     # stack[rank[j]] = rebuilt matrix of D_j, the layout of matrix_stack()
     stack = ctx.zeros((dim, dim, dim))
     stack[0] = ctx.mat_eye(dim)
@@ -495,5 +566,7 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
         unit = tuple(1 if l == t else 0 for l in range(e))
         imgs.append(D._poly_from_bi(stack[:, :, rank[unit]].transpose(1, 0, 2)))
     R = HSDerivation(model, law, imgs)
+    R.known_iterative = D.known_iterative
     R._source = lambda: stack.transpose(2, 1, 0, 3)
+    R._axis_source = lambda l: stack[model.axis_ranks(l)]
     return R

@@ -6,6 +6,12 @@ All subspaces live on the graded monomial basis of the model and are held in
 reduced echelon form, so equal spaces compare equal as matrices. Field
 degrees from the function-field picture turn into k-dimension ratios here;
 reports label them model degrees.
+
+The tower reads only p-power components, so it takes them from the e axis
+stacks of HSDerivation.axis_stack and never builds the dim^3 table. For a
+derivation known to be iterative the constants need only p-power
+components too (constants_indices); the other readers take components from
+the full table.
 """
 
 from __future__ import annotations
@@ -26,8 +32,10 @@ def joint_kernel(D: HSDerivation, idxs, within: Subspace | None = None) -> Subsp
     Every component kernel in the package is taken here. An empty index
     list gives the whole model, or within.
     """
-    model = D.model
-    mats = [D.component(i).mat for i in idxs]
+    return _stacked_kernel(D.model, [D.component(i).mat for i in idxs], within)
+
+
+def _stacked_kernel(model: ArtinianModel, mats, within: Subspace | None = None) -> Subspace:
     if mats:
         ker = kernel_space(model.ctx, np.concatenate(mats, axis=0))
     else:
@@ -40,16 +48,47 @@ def kernel_component(D: HSDerivation, i) -> Subspace:
     return joint_kernel(D, [i])
 
 
+def ppower_indices(model: ArtinianModel, coords, levels: int) -> list:
+    """The indices p^s e_l for s < levels and l in coords, level by level."""
+    p, e = model.ctx.p, model.e
+    return [tuple(p**s if t == l else 0 for t in range(e))
+            for s in range(levels) for l in coords]
+
+
+def constants_indices(D: HSDerivation, coords, absolute: bool) -> list:
+    """Indices whose joint kernel is the constants of the coordinate block.
+
+    The box constants of the block are the joint kernel of every nonzero
+    index below p supported on coords, the absolute constants that of
+    every nonzero index supported on coords. For a derivation known to be
+    iterative the p-power indices p^s e_l, l in coords, suffice: s = 0 for
+    the box, every s < m for the absolute constants. Peel p^s off the leading
+    coordinate of j as reconstruct_from_ppowers does: D_j0 D_i0 =
+    sum_k c(k) D_k with c(j) a nonzero digit, and every other k has lower
+    weight. F^0 has no v^i w^j term, so k is never 0; F_l^p lies in
+    (v^p, w^p), so an index below p never meets one outside the box. So a
+    vector killed by the p-power components is killed by each D_j in turn.
+    coords must be a block of D's law: its components there involve only
+    the block's variables and the others none of them (the whole law, a
+    product factor, an additive coordinate); then k stays on the block.
+    """
+    model = D.model
+    if D.known_iterative:
+        return ppower_indices(model, coords, model.m if absolute else 1)
+    bound = model.n if absolute else model.ctx.p
+    off = [t for t in range(model.e) if t not in coords]
+    return [i for i in model.xidx.monomials
+            if any(i) and max(i) < bound and not any(i[t] for t in off)]
+
+
 def constants(D: HSDerivation) -> Subspace:
     """Joint kernel of the components with every exponent below p."""
-    p = D.model.ctx.p
-    return joint_kernel(D, [i for i in D.model.xidx.monomials
-                            if any(i) and all(x < p for x in i)])
+    return joint_kernel(D, constants_indices(D, range(D.model.e), absolute=False))
 
 
 def absolute_constants(D: HSDerivation) -> Subspace:
     """Joint kernel of every component of positive weight."""
-    return joint_kernel(D, [i for i in D.model.xidx.monomials if any(i)])
+    return joint_kernel(D, constants_indices(D, range(D.model.e), absolute=True))
 
 
 def subspace_polys(model: ArtinianModel, V: Subspace) -> list:
@@ -113,14 +152,14 @@ class ConstantsTower:
 
 
 def tower(D: HSDerivation) -> ConstantsTower:
+    """The constants tower, its components read from D's e axis stacks."""
     model = D.model
     p, e, m = model.ctx.p, model.e, model.m
     levels = [Subspace.full(model.ctx, model.dim)]
-    idxs = []
+    mats = []
     for s in range(m):
-        for l in range(e):
-            idxs.append(tuple(p**s if t == l else 0 for t in range(e)))
-        levels.append(joint_kernel(D, idxs))
+        mats += [D.axis_stack(l)[p**s] for l in range(e)]
+        levels.append(_stacked_kernel(model, mats))
     return ConstantsTower(model, levels)
 
 

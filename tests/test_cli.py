@@ -155,6 +155,16 @@ def test_resource_guard_exit_3(tmp_path):
     assert report["errors"][0]["kind"] == "resource-guard"
 
 
+def test_tower_admission_stays_at_the_table_size(tmp_path):
+    # dim 625: the tower builds axis stacks of 625^2 * 25 digits, within the
+    # budget, but is admitted only when the dim^3 table would fit
+    job = {"command": "tower", "context": {"p": 5, "m": 2},
+           "law": {"type": "additive", "e": 2}}
+    res = _invoke(job, "--quiet", tmp_path=tmp_path)
+    assert res.returncode == 3
+    assert json.loads(res.stdout)["errors"][0]["kind"] == "resource-guard"
+
+
 def test_nonprime_p_exit_2(tmp_path):
     res = _invoke({"command": "hn", "context": {"p": 4}, "n": 0},
                   "--quiet", tmp_path=tmp_path)

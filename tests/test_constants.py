@@ -1,12 +1,15 @@
 """Constants subspaces: kernels, towers, kernel/image checks, solvers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import hsderiv.artinian as artinian_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.derivation import HSDerivation, canonical_derivation, \
     twist_by_automorphism
-from hsderiv.errors import HypothesisFailure, NoSolution
+from hsderiv.errors import HypothesisFailure, NoSolution, ResourceGuard
 from hsderiv.gf import FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
@@ -242,3 +245,41 @@ def test_divisible_restriction_certificate():
     Dm = _canon(make_multiplicative(ctx, 2))
     with pytest.raises(HypothesisFailure, match=r"component \(1,\) is not p-nilpotent"):
         divisible_restriction(Dm, (1,), Subspace.full(ctx, Dm.model.dim))
+
+
+def test_tower_is_guarded_at_the_axis_stack_size(monkeypatch):
+    # additive e=2, p=3, m=1: an axis stack holds dim^2 * n = 243 digits,
+    # the dim^3 table 729
+    ctx = FqContext(3, 1)
+    law = make_additive(ctx, 2, 1)
+    dims = tower(_canon(law)).dims
+    monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 500)
+    assert tower(_canon(law)).dims == dims == (9, 1)
+    monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 200)
+    with pytest.raises(ResourceGuard):
+        tower(_canon(law))
+
+
+def test_tower_memory_stays_per_axis(monkeypatch):
+    # additive e=5, p=3, m=1: dim 243; the dim^3 table alone is 110 MB
+    ctx = FqContext(3, 1)
+    D = _canon(make_additive(ctx, 5, 1))
+    dim = D.model.dim
+    sizes = []
+    real = D._build_table
+
+    def recording_build(axis=None):
+        out = real(axis)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(D, "_build_table", recording_build)
+    tracemalloc.start()
+    try:
+        t = tower(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.dims == (243, 1)
+    assert peak < 40 * 2**20
+    assert len(sizes) == 5 and max(sizes) < dim**3

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hsderiv.errors import DivisionByZero, UnknownVariable
 from hsderiv.gf import FqContext
@@ -11,10 +13,13 @@ from hsderiv.textform import (
     format_poly,
     format_ratfunc,
     format_scalar,
+    format_trunc,
     parse_poly,
     parse_ratfunc,
     parse_scalar,
+    parse_trunc,
 )
+from hsderiv.truncated import TruncatedPoly, TruncatedRing
 
 
 def _rand_poly(ctx, vars, rng, deg=3, nterms=5):
@@ -175,3 +180,54 @@ def test_ratfunc_format_parse_round_trip():
         r = RationalFunc(num, den)
         assert parse_ratfunc(ctx, vars, format_ratfunc(r)) == r
     assert format_ratfunc(RationalFunc.from_poly(MultiPoly.one(ctx, vars))) == "1"
+
+
+_RT_CTX = {(p, d): FqContext(p, d) for p in (2, 3, 5) for d in (1, 2)}
+
+
+@st.composite
+def _printed_values(draw):
+    """(value, parse): a MultiPoly, TruncatedPoly or RationalFunc over
+    GF(p^d), d in {1, 2}, with the parser that reads its printed form."""
+    p, d = draw(st.sampled_from(sorted(_RT_CTX)))
+    ctx = _RT_CTX[p, d]
+    kind = draw(st.sampled_from(("poly", "trunc", "ratfunc")))
+    if kind == "trunc":
+        ring = TruncatedRing(ctx, [(("x1", "x2"), p), (("v1",), p * p)])
+        vars, top = ring.vars, p * p
+    else:
+        vars, top = ("x1", "x2", "y")[: draw(st.integers(1, 3))], 5
+
+    def terms(most):
+        out = {}
+        for _ in range(draw(st.integers(0, most))):
+            exps = tuple(draw(st.integers(0, top - 1)) for _ in vars)
+            out[exps] = ctx.scalar(tuple(draw(st.integers(0, p - 1)) for _ in range(d)))
+        return out
+
+    if kind == "trunc":
+        return TruncatedPoly(ring, terms(6)), lambda s: parse_trunc(ring, s)
+    num = MultiPoly(ctx, vars, terms(6))
+    if kind == "poly":
+        return num, lambda s: parse_poly(ctx, vars, s)
+    den = MultiPoly(ctx, vars, terms(3))
+    if not den:
+        den = MultiPoly.one(ctx, vars)
+    return RationalFunc(num, den), lambda s: parse_ratfunc(ctx, vars, s)
+
+
+def _format(f) -> str:
+    if isinstance(f, TruncatedPoly):
+        return format_trunc(f)
+    if isinstance(f, RationalFunc):
+        return format_ratfunc(f)
+    return format_poly(f)
+
+
+@given(_printed_values())
+def test_format_parse_round_trip(case):
+    f, parse = case
+    text = _format(f)
+    g = parse(text)
+    assert g == f
+    assert _format(g) == text

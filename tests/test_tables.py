@@ -1,17 +1,34 @@
 """Derivation tables taken from matrices already in hand (a conjugated twist,
-a reconstructed stack) against the generic product ladder, byte for byte."""
+a reconstructed stack) against the generic product ladder, byte for byte;
+per-axis stacks against the full table; the p-power shortcut for the
+constants of a derivation known to be iterative."""
 
+from unittest import mock
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsderiv.derivation as derivation_mod
+import hsderiv.lattice as lattice_mod
 from hsderiv.artinian import ArtinianModel
+from hsderiv.basis import _View
 from hsderiv.derivation import (
+    HSDerivation,
     canonical_derivation,
     reconstruct_from_ppowers,
     twist_by_automorphism,
 )
+from hsderiv.errors import IndexRange
 from hsderiv.gf import FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, product_law
+from hsderiv.lattice import (
+    absolute_constants,
+    constants,
+    joint_kernel,
+    ppower_indices,
+    tower,
+)
 
 _CTX = {(p, d): FqContext(p, d) for p in (2, 3, 5) for d in (1, 2)}
 
@@ -91,3 +108,169 @@ def test_near_monomial_twist_keeps_the_ladder():
     T = twist_by_automorphism(D, [x + 3 * x**25])
     assert T._source is None
     _assert_tables(T)
+
+
+# laws of dimension e >= 2, for the per-axis stacks
+_WIDE = ("additive2", "witt2", "addxmult")
+_KINDS = ("canonical", "twist-ladder", "twist-conjugate", "reconstructed",
+          "images", "images-perturbed")
+
+
+def _perturbed(D, scalar, draw):
+    """An images derivation: D's images plus a few terms of positive v-weight,
+    so it is usually not iterative."""
+    model = D.model
+    ring = model.ring_xv
+    vmonos = [ex for ex in model.xidx.monomials if any(ex)]
+    imgs = []
+    for f in D.images:
+        for _ in range(draw(st.integers(0, 3))):
+            xe = draw(st.sampled_from(model.xidx.monomials))
+            ve = draw(st.sampled_from(vmonos))
+            f = f + ring.monomial(xe + ve, draw(scalar))
+        imgs.append(f)
+    return HSDerivation(model, D.law, imgs)
+
+
+@st.composite
+def _derivations(draw):
+    """(kind, factory): each call of factory makes a fresh derivation of the
+    drawn kind, so one copy can build only its axis stacks and another its
+    full table. Twists take the drawn side, conjugation or the ladder."""
+    name = draw(st.sampled_from(_WIDE))
+    e, build = _LAWS[name]
+    p, d = draw(st.sampled_from(sorted(_CTX)))
+    ctx = _CTX[p, d]
+    m = draw(st.integers(1, max(k for k in (1, 2, 3) if p ** (e * k) <= 27)))
+
+    def digits(k):
+        return ctx.scalar(tuple(k // p**i % p for i in range(d)))
+
+    scalar = st.integers(0, p**d - 1).map(digits)
+    unit = st.integers(1, p**d - 1).map(digits)
+    alphas = [draw(scalar) for _ in range(m)]
+    law = build(ctx, m, alphas)
+    model = ArtinianModel(ctx, e, m)
+    kind = draw(st.sampled_from(_KINDS))
+    xs = [model.ring.var(v) for v in model.xvars]
+    phi = [draw(unit) * xs[0] + draw(scalar) * xs[1], draw(unit) * xs[1]]
+    higher = [ex for ex in model.xidx.monomials if sum(ex) >= 2]
+    for t in range(e):
+        for _ in range(draw(st.integers(0, 3)) if higher else 0):
+            phi[t] = phi[t] + model.ring.monomial(draw(st.sampled_from(higher)), draw(scalar))
+    extra = _perturbed(canonical_derivation(model, law), scalar, draw)
+
+    def factory():
+        D = canonical_derivation(model, law)
+        if kind == "canonical":
+            return D
+        if kind == "images":
+            return HSDerivation(model, law, D.images)
+        if kind == "images-perturbed":
+            return HSDerivation(model, law, extra.images)
+        side = kind == "twist-conjugate"
+        with mock.patch.object(derivation_mod, "_conjugation_is_cheaper",
+                               lambda model, terms: side):
+            T = twist_by_automorphism(D, phi)
+        if kind == "reconstructed":
+            return reconstruct_from_ppowers(T)
+        return T
+
+    return kind, factory
+
+
+@settings(max_examples=60, deadline=None)
+@given(_derivations())
+def test_axis_stacks_match_the_table(case):
+    kind, factory = case
+    A, F = factory(), factory()
+    model = A.model
+    e, n = model.e, model.n
+    levels = tower(A).levels
+    # the tower made only axis stacks, never A's dim^3 table
+    assert A._tab is None
+    for l in range(e):
+        stack = A.axis_stack(l)
+        assert stack.shape == (n, model.dim, model.dim, model.ctx.d)
+        assert stack.flags["C_CONTIGUOUS"]
+        for j in range(n):
+            full = F.component(tuple(j if t == l else 0 for t in range(e))).mat
+            assert stack[j].dtype == full.dtype
+            assert stack[j].tobytes() == full.tobytes()
+    assert levels[0].dim == model.dim
+    for s, V in enumerate(levels[1:]):
+        assert V == joint_kernel(F, ppower_indices(model, range(e), s + 1))
+    # once F's table is built, its axis stacks are read from it
+    assert F.axis_stack(e - 1).tobytes() == A.axis_stack(e - 1).tobytes()
+
+
+def _full_lists(D, coords):
+    """Every nonzero index on coords below p, and below n."""
+    model = D.model
+    off = [t for t in range(model.e) if t not in coords]
+    idxs = [i for i in model.xidx.monomials if any(i) and not any(i[t] for t in off)]
+    return [i for i in idxs if max(i) < model.ctx.p], idxs
+
+
+@settings(max_examples=40, deadline=None)
+@given(_derivations())
+def test_constants_shortcut_matches_full_lists(case):
+    kind, factory = case
+    D = factory()
+    if kind.startswith("images"):
+        assert not D.known_iterative
+        D.check_iterativity()
+    box, every = _full_lists(D, range(D.model.e))
+    assert constants(D) == joint_kernel(D, box)
+    assert absolute_constants(D) == joint_kernel(D, every)
+    # coordinate blocks of the law, as the basis search takes them
+    blocks = [(0, 1)] if D.law.kind == "witt2" else [(0, 1), (0,), (1,)]
+    for coords in blocks:
+        view = _View(D, coords, None)
+        box, every = _full_lists(D, coords)
+        assert view.box_constants() == joint_kernel(D, box)
+        assert view.abs_constants() == joint_kernel(D, every)
+
+
+def test_check_iterativity_marks_known_iterative():
+    ctx = FqContext(2, 1)
+    D = canonical_derivation(ArtinianModel(ctx, 2, 2), make_additive(ctx, 2, 2))
+    assert D.known_iterative
+    images = HSDerivation(D.model, D.law, D.images)
+    assert not images.known_iterative
+    assert images.check_iterativity() and images.known_iterative
+    ring = D.model.ring_xv
+    bent = [D.images[0] + ring.monomial((1, 0, 1, 0)), D.images[1]]
+    wrong = HSDerivation(D.model, D.law, bent)
+    assert not wrong.check_iterativity() and not wrong.known_iterative
+
+
+def test_images_derivation_keeps_the_full_index_lists(monkeypatch):
+    ctx = FqContext(2, 1)
+    D = canonical_derivation(ArtinianModel(ctx, 2, 2), make_additive(ctx, 2, 2))
+    images = HSDerivation(D.model, D.law, D.images)
+    rows = []
+    real = lattice_mod.kernel_space
+
+    def counting_kernel_space(ctx, mat):
+        rows.append(mat.shape[0])
+        return real(ctx, mat)
+
+    monkeypatch.setattr(lattice_mod, "kernel_space", counting_kernel_space)
+    dim = D.model.dim  # 16: p = 2, e = 2, m = 2
+    con, abs_con = constants(images), absolute_constants(images)
+    # every nonzero index below p (3), then every nonzero index (15)
+    assert rows == [3 * dim, 15 * dim]
+    assert images.check_iterativity()
+    assert constants(images) == con and absolute_constants(images) == abs_con
+    # known iterative now: the e unit components, then the e*m p-power ones
+    assert rows[2:] == [2 * dim, 4 * dim]
+    assert constants(D) == con and absolute_constants(D) == abs_con
+    assert rows[4:] == [2 * dim, 4 * dim]
+
+
+def test_axis_stack_index_range():
+    ctx = FqContext(2, 1)
+    D = canonical_derivation(ArtinianModel(ctx, 2, 1), make_additive(ctx, 2, 1))
+    with pytest.raises(IndexRange):
+        D.axis_stack(2)
