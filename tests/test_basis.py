@@ -1,5 +1,7 @@
 """Canonical coordinate search: verification, finding, and product assembly."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -18,8 +20,11 @@ from hsderiv.derivation import (
     canonical_derivation,
     twist_by_automorphism,
 )
+from hsderiv.cli import run
 from hsderiv.errors import (
+    AssemblyMismatch,
     ContextMismatch,
+    CorrectionUnsolvable,
     FactorUnsupported,
     HypothesisFailure,
     NotInvertible,
@@ -33,6 +38,7 @@ from hsderiv.grouplaw import (
     make_witt2,
     product_law,
 )
+from hsderiv.textform import parse_trunc
 from hsderiv.truncated import TruncatedRing, convert
 
 
@@ -385,3 +391,103 @@ def test_law_target_needs_every_coordinate_it_reads():
     assert basis_mod._law_at(view, [None, y], 1) == ring.var("x2") + ring.var("v2")
     with pytest.raises(UnknownVariable):
         basis_mod._law_at(view, [None, y], 0)
+
+
+# -- finder errors: each reachable CorrectionUnsolvable message, raised by a
+# derivation given by images that is not iterative for its law. The first-
+# order solves of one_dim_basis and find_x always succeed once the first
+# unit component is certified (1 lies in its kernel, so in its image), and no
+# non-iterative input was found where find_x's kernel step cannot absorb.
+
+_F2 = FqContext(2, 1)
+_FINDER_ERRORS = {
+    "y-first-order": (
+        "y", make_witt2(_F2, 1, [1]), ["x1 + v1 + x1*v2 + x2*v2", "x2 + v1 + v2"],
+        "no element attains the required first-order values"),
+    "y-kernel-leaves": (
+        "y", make_witt2(_F2, 2, [1, 1]),
+        ["x1 + v1 + x2*v2 + x2^2*v2^2", "x2 + v2 + x1*x2*v1^2"],
+        "the defect of component (2, 0) leaves its correction space"),
+    "y-kernel-absorb": (
+        "y", make_witt2(_F2, 2, [1, 0]), ["x1 + v1 + x2*v2", "x2 + v2 + x1^2*x2^2*v1^2"],
+        "component (2, 0) cannot absorb its defect"),
+    "additive-kernel-leaves": (
+        "additive", make_additive(_F2, 1, 2), ["x1 + v1 + x1*v1^2"],
+        "the defect of component (2,) leaves its correction space"),
+    "additive-kernel-absorb": (
+        "additive", make_additive(_F2, 1, 2), ["x1 + v1 + x1^2*v1^2"],
+        "component (2,) cannot absorb its defect"),
+    "x-first-level-alpha": (
+        "x", make_witt2(_F2, 1, [1]), ["x1 + v1 + x2*v1 + x2*v2", "x2 + v2"],
+        "the first-level defect has no preimage"),
+    "x-first-level-no-alpha": (
+        "x", make_witt2(_F2, 1, [0]), ["x1 + v1 + x2*v2", "x2 + v2"],
+        "the first-level defect has no preimage"),
+    "x-disturbed": (
+        "x", make_witt2(_F2, 1, [1]), ["x1 + v1", "x2 + v2"],
+        "a correction disturbed component (1, 0)"),
+    "x-kernel-leaves": (
+        "x", make_witt2(_F2, 2, [1, 0]),
+        ["x1 + v1 + x2*v2 + x2*v1^2 + v1^2*v2^3", "x2 + v2"],
+        "the defect of component (2, 0) leaves its correction space"),
+    "x-step-leaves-alpha": (
+        "x", make_witt2(_F2, 2, [0, 1]), ["x1 + v1 + x1*x2*v2^2 + x2^2*v2^2", "x2 + v2"],
+        "the defect of component (0, 2) leaves its correction space"),
+    "x-step-leaves-no-alpha": (
+        "x", make_witt2(_F2, 2, [1, 0]),
+        ["x1 + v1 + x2*v2 + x1^3*x2^3*v1^3*v2^3", "x2 + v2 + v2^2"],
+        "the defect of component (0, 2) leaves its correction space"),
+    "x-step-absorb": (
+        "x", make_witt2(_F2, 2, [1, 1]), ["x1 + v1 + x2*v2", "x2 + v2"],
+        "component (0, 2) cannot absorb its defect"),
+}
+
+
+def _from_images(law, images):
+    model = ArtinianModel(law.ctx, law.e, law.m)
+    return HSDerivation(model, law, [parse_trunc(model.ring_xv, s) for s in images])
+
+
+@pytest.mark.parametrize("case", sorted(_FINDER_ERRORS))
+def test_finder_reports_correction_unsolvable(case):
+    finder, law, images, message = _FINDER_ERRORS[case]
+    D = _from_images(law, images)
+    assert not D.check_iterativity()
+    exact = "^" + re.escape(message) + "$"
+    with pytest.raises(CorrectionUnsolvable, match=exact):
+        assemble_product_basis(D)
+    with pytest.raises(CorrectionUnsolvable, match=exact):
+        if finder == "additive":
+            one_dim_basis(D)
+        elif finder == "y":
+            find_y(D)
+        else:
+            find_x(D, find_y(D))
+
+
+def test_cli_reports_correction_unsolvable():
+    # the derivation of the law with alphas [1, 0], run against alphas [1, 1]
+    config = {"command": "basis-find", "context": {"p": 2, "m": 2},
+              "law": {"type": "witt2", "alphas": [1, 1]},
+              "derivation": {"type": "images", "images": ["x1 + v1 + x2*v2", "x2 + v2"]}}
+    report, code = run(config)
+    assert code == 1
+    assert report["checks"] == [] and not report["pass"]
+    assert report["errors"] == [{"kind": "CorrectionUnsolvable",
+                                 "message": "component (0, 2) cannot absorb its defect"}]
+
+
+def test_assembly_refuses_a_family_that_fails_verification(monkeypatch):
+    # every finder checks its own defining pattern, and the p-th powers keep
+    # the constants large enough for the ratio, so only a family that skips
+    # the finders reaches this check
+    D = _canon(make_additive(_F2, 2, 1))
+    x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
+    monkeypatch.setattr(basis_mod, "_assemble", lambda view: [x2, x1])
+    with pytest.raises(AssemblyMismatch, match="^assembled coordinates fail verification$"):
+        assemble_product_basis(D)
+    report, code = run({"command": "basis-find", "context": {"p": 2, "m": 1},
+                        "law": {"type": "additive", "e": 2}})
+    assert code == 1
+    assert report["errors"] == [{"kind": "AssemblyMismatch",
+                                 "message": "assembled coordinates fail verification"}]

@@ -20,13 +20,12 @@ from hsderiv.lattice import (
     divisible_restriction,
     joint_kernel,
     kernel_component,
-    preimage_solve,
     restrict_matrix,
     subspace_polys,
     tower,
     zm_check,
 )
-from hsderiv.linalg import Subspace, kernel_space
+from hsderiv.linalg import Subspace, kernel_space, preimage_solve
 
 
 def _canon(law):
@@ -192,18 +191,23 @@ def test_preimage_solve_witness():
     D = _canon(make_additive(ctx, 1, 2))
     model = D.model
     T = D.component((1,))
-    w = preimage_solve(T, model.ring.one)
+
+    def witness(target, within=None):
+        vec = preimage_solve(ctx, [(T.mat, model.vec_from_poly(target))], within)
+        return model.poly_from_vec(vec)
+
+    w = witness(model.ring.one)
     assert T.apply(w) == model.ring.one
-    assert w == preimage_solve(T, model.ring.one)
+    assert w == witness(model.ring.one)
     # constrained solve still succeeds inside a space containing x
     W = _span(model, [model.ring.var("x1"), model.ring.monomial((3,))])
-    w2 = preimage_solve(T, model.ring.one, within=W)
+    w2 = witness(model.ring.one, within=W)
     assert T.apply(w2) == model.ring.one
     assert W.contains(model.vec_from_poly(w2))
     with pytest.raises(NoSolution):
-        preimage_solve(T, model.ring.var("x1"))
+        witness(model.ring.var("x1"))
     with pytest.raises(NoSolution):
-        preimage_solve(T, model.ring.one, within=constants(D))
+        witness(model.ring.one, within=constants(D))
 
 
 def test_restrict_matrix():

@@ -229,6 +229,50 @@ def test_found_coordinate_targets_pinned(name, kind):
     assert hashlib.sha256(rows.encode()).hexdigest() == EXPECTED_ROWS_SHA256[(name, kind)]
 
 
+# the same pins over GF(4) and GF(9): level coefficients and twists that
+# use the generator g, so extension-field digits go through every solve
+
+_F4, _F9 = FqContext(2, 2), FqContext(3, 2)
+_SWEEP_D2 = {
+    "witt2-q4-m2": lambda: make_witt2(_F4, 2, [(0, 1), (1, 1)]),
+    "witt2-q9-m2": lambda: make_witt2(_F9, 2, [(0, 1), (2, 1)]),
+    "addxmult-q4-m2": lambda: product_law(make_additive(_F4, 1, 2),
+                                          make_multiplicative(_F4, 2)),
+    "addxmult-q9-m1": lambda: product_law(make_additive(_F9, 1, 1),
+                                          make_multiplicative(_F9, 1)),
+}
+
+_PHI_D2 = {
+    2: ["x1 + g*x2^2 + x1*x2", "x2 + (g + 1)*x1^2"],
+    3: ["x1 + g*x2^2 + 2*x1*x2", "g*x2 + x1^2"],
+}
+
+EXPECTED_ROWS_SHA256_D2 = {
+    ("witt2-q4-m2", "canonical"): "c448ef8418a1747c8cbdae301e8639fd944a0b930f18b228d266cd63bb8e016a",
+    ("witt2-q4-m2", "twisted"): "81b1ab48ce3e4d2661f9beb33a27b0b9a758c2ed53bd6facdb47d2136d279c03",
+    ("witt2-q9-m2", "canonical"): "0f515d8adfc76bb5c0c7a0c97684c7b76dfa0d8e6902bf77a4ffd1c39ccfa757",
+    ("witt2-q9-m2", "twisted"): "5fc13af1d31cc4c373414161961f6951e5e4864e40491542b90dea1f22cc71b6",
+    ("addxmult-q4-m2", "canonical"): "a80b4bf88c3940568b0ec0aba51de49d198260f8bf594a540ddbddb28d6f8a9b",
+    ("addxmult-q4-m2", "twisted"): "82dfce6554bfbd8c84925dbd74567c3dfbced44fffdaf257daf1dc913b09ed0d",
+    ("addxmult-q9-m1", "canonical"): "a80b4bf88c3940568b0ec0aba51de49d198260f8bf594a540ddbddb28d6f8a9b",
+    ("addxmult-q9-m1", "twisted"): "88d10809f4105d9dbd7d808936d4388d186bf7c26f36859c9f18cf6a494ec382",
+}
+
+
+@pytest.mark.parametrize("name,kind", sorted(EXPECTED_ROWS_SHA256_D2))
+def test_found_coordinate_targets_pinned_d2(name, kind):
+    law = _SWEEP_D2[name]()
+    model = ArtinianModel(law.ctx, law.e, law.m)
+    D = canonical_derivation(model, law)
+    if kind == "twisted":
+        phi = _PHI_D2[law.ctx.p]
+        D = twist_by_automorphism(D, [parse_trunc(model.ring, s) for s in phi])
+    report = verify_canonical_basis(D, law, list(assemble_product_basis(D)))
+    assert report.passed
+    rows = "".join(format_trunc(en["expected"]) + "\n" for en in report.embeddings)
+    assert hashlib.sha256(rows.encode()).hexdigest() == EXPECTED_ROWS_SHA256_D2[(name, kind)]
+
+
 # -- golden pins: report bytes of dependent rational families whose
 # witnesses keep unreduced denominators, so summation order shows
 

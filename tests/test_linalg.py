@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
-from hsderiv.linalg import Subspace, inv_matrix, nullspace, rref, solve
+from hsderiv.linalg import Subspace, inv_matrix, nullspace, preimage_solve, rref, solve
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -203,6 +203,45 @@ def test_coords_and_coset_representatives(case, seed):
     if rep.any():
         with pytest.raises(NoSolution):
             V.coords_of(vec)
+
+
+# -- preimage_solve inside an invariant subspace ----------------------------
+
+
+def _restricted_solve(ctx, T, V, b):
+    """Reference: solve on V's echelon coordinates with T's restriction to V."""
+    cols = [V.coords_of(ctx.mat_vec(T, V.basis[r])) for r in range(V.dim)]
+    rmat = np.stack(cols, axis=1) if cols else ctx.zeros((0, 0))
+    return V.lift(solve(ctx, rmat, V.coords_of(b)))
+
+
+@given(matrices(max_rows=10, max_cols=10), st.integers(0, 2**32 - 1),
+       st.sampled_from(("image", "inside", "outside")))
+def test_preimage_solve_matches_restricted_solve(case, seed, target):
+    ctx, rng, mat = case
+    n = mat.shape[1]
+    V = Subspace.from_vectors(ctx, n, mat)
+    # T maps V's basis into V and the unit vectors off V's pivots anywhere;
+    # with Q holding those n vectors as columns, T = images @ Q^-1
+    rng = np.random.default_rng(seed)
+    free = [c for c in range(n) if c not in V.pivots]
+    Q = np.concatenate([V.basis, ctx.mat_eye(n)[free]]).transpose(1, 0, 2)
+    inside = ctx.mat_mul(rng.integers(0, ctx.p, (V.dim, V.dim, ctx.d)), V.basis)
+    images = np.concatenate([inside, rng.integers(0, ctx.p, (len(free), n, ctx.d))])
+    T = ctx.mat_mul(images.transpose(1, 0, 2), inv_matrix(ctx, Q))
+    if target == "image":
+        b = ctx.mat_vec(T, V.lift(rng.integers(0, ctx.p, (V.dim, ctx.d))))
+    elif target == "inside":
+        b = V.lift(rng.integers(0, ctx.p, (V.dim, ctx.d)))
+    else:
+        b = rng.integers(0, ctx.p, (n, ctx.d))
+    try:
+        want = _restricted_solve(ctx, T, V, b)
+    except NoSolution:
+        with pytest.raises(NoSolution):
+            preimage_solve(ctx, [(T, b)], within=V)
+        return
+    assert np.array_equal(preimage_solve(ctx, [(T, b)], within=V), want)
 
 
 # -- the one product kernel --------------------------------------------------
