@@ -29,7 +29,7 @@ from .errors import (
 from .grouplaw import FormalGroupLaw, make_additive
 from .lattice import constants_indices, divisible_restriction, joint_kernel, \
     ppower_indices, restrict_matrix
-from .linalg import Subspace, kernel_space, preimage_solve, solve
+from .linalg import Subspace, kernel_space, preimage_solve
 from .poly import term_key
 from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
 
@@ -193,12 +193,15 @@ class _View:
             self._mats[local] = self.D.component(self.embed(local)).mat
         return self._mats[local]
 
-    def divisible(self, local) -> np.ndarray:
-        """divisible_restriction of the component at local to within."""
-        if local not in self._restricted:
-            self._restricted[local] = divisible_restriction(
-                self.D, self.embed(local), self.within)
-        return self._restricted[local]
+    def divisible(self, local, space: Subspace) -> np.ndarray:
+        """divisible_restriction of the component at local to space, certified
+        once per component and space: the key is the space's echelon bytes,
+        so find_y and find_x share each certificate."""
+        key = (local, space.basis.tobytes())
+        if key not in self._restricted:
+            self._restricted[key] = divisible_restriction(
+                self.D, self.embed(local), space)
+        return self._restricted[key]
 
     def _kernel(self, idxs) -> Subspace:
         """joint_kernel of the components at idxs inside within, taken once
@@ -229,6 +232,16 @@ class _View:
             self._spaces[key] = joint_kernel(self.D, [idx], self.level(l - 1))
         return self._spaces[key]
 
+    def steps(self, l) -> list:
+        """(local, space) of each level-l correction: the p^l component in
+        each direction of the block, the first kept inside level l-1 and the
+        second inside the correction space the first leaves."""
+        pl = self.ctx.p**l
+        out = [(self.unit(0, pl), self.level(l - 1))]
+        if len(self.coords) == 2:
+            out.append((self.unit(1, pl), self.correction(l)))
+        return out
+
     def wspace(self, l) -> Subspace:
         """Multi-constants space for the level-l second-direction correction."""
         p = self.ctx.p
@@ -247,52 +260,81 @@ def _ratio_guard(view: _View, expect: int) -> None:
         )
 
 
-def _kernel_correction(view: _View, local, cur: np.ndarray, space: Subspace) -> np.ndarray:
-    """Remove the component's value at cur by subtracting an element of space."""
-    ctx = view.ctx
-    T = view.mat(local)
-    defect = ctx.mat_vec(T, cur)
-    if not defect.any():
-        return cur
-    name = view.embed(local)
-    rmat = divisible_restriction(view.D, name, space)
+def _solve(view: _View, conds, space: Subspace, message: str) -> np.ndarray:
+    """Canonical z in space with D_i(z) = b for every (local i, b) in conds.
+
+    The one solve of the finders; no solution is a CorrectionUnsolvable
+    with the step's message.
+    """
     try:
-        dc = space.coords_of(defect)
+        return preimage_solve(
+            view.ctx, [(view.mat(i), b) for i, b in conds], within=space)
     except NoSolution:
+        raise CorrectionUnsolvable(message) from None
+
+
+def _correct(view: _View, local, z: np.ndarray, target: np.ndarray,
+             space: Subspace, certify) -> np.ndarray:
+    """Add to z the element of space that brings the component at local to target.
+
+    A zero defect leaves z as it is. Otherwise the defect must lie in space,
+    certify(local, space) must hold (None certifies nothing), and the
+    component must reach the defect from space.
+    """
+    ctx = view.ctx
+    delta = (target - ctx.mat_vec(view.mat(local), z)) % ctx.p
+    if not delta.any():
+        return z
+    name = view.embed(local)
+    if not space.contains(delta):
         raise CorrectionUnsolvable(
             f"the defect of component {name} leaves its correction space"
-        ) from None
-    try:
-        sol = solve(ctx, rmat, dc)
-    except NoSolution:
-        raise CorrectionUnsolvable(
-            f"component {name} cannot absorb its defect"
-        ) from None
-    return (cur - space.lift(sol)) % ctx.p
+        )
+    if certify is not None:
+        certify(local, space)
+    u = _solve(view, [(local, delta)], space, f"component {name} cannot absorb its defect")
+    return (z + u) % ctx.p
 
 
-def _corrected_solve(view: _View, t10: np.ndarray, t01: np.ndarray) -> np.ndarray:
-    """Element with prescribed unit values whose higher p-power values vanish."""
-    ctx, model, p = view.ctx, view.model, view.ctx.p
-    conds = [(view.mat(view.unit(0, 1)), t10), (view.mat(view.unit(1, 1)), t01)]
-    try:
-        z = preimage_solve(ctx, conds, within=view.within)
-    except NoSolution:
-        raise CorrectionUnsolvable(
-            "no element attains the required first-order values"
-        ) from None
-    for l in range(1, model.m):
-        pl = p**l
-        z = _kernel_correction(view, view.unit(0, pl), z, view.level(l - 1))
-        z = _kernel_correction(view, view.unit(1, pl), z, view.correction(l))
+def _power_identity(view: _View, l: int):
+    """Certificate of the level-l second-direction step of a witt2 search
+    with alpha_l != 0: on the multi-constants space, T^p = -alpha_l D_(1,0)
+    for T the step's component."""
+    ctx = view.ctx
+
+    def certify(local, space) -> None:
+        name = view.embed(local)
+        wsp = view.wspace(l)
+        rt = restrict_matrix(view.D, name, wsp)
+        rm = restrict_matrix(view.D, view.embed(view.unit(0, 1)), wsp)
+        rtp = rt
+        for _ in range(ctx.p - 1):
+            rtp = ctx.mat_mul(rtp, rt)
+        scaled = ctx.arr_neg(ctx.arr_scale(view.law.alphas[l].digits, rm))
+        if (rtp != scaled).any():
+            raise HypothesisFailure(
+                f"power identity fails for component {name} on its correction space"
+            )
+    return certify
+
+
+def _expand(view: _View, first, levels: int) -> np.ndarray:
+    """The paper's expansion: an element with the given first-order values
+    whose p-power components at levels 1 .. levels-1 vanish, built level by
+    level.
+
+    first lists the (local, target) values of the unit components. The first
+    unit component is certified on the search space before the solve, and
+    every correction divides through a ZM-certified component.
+    """
+    view.divisible(view.unit(0, 1), view.within)
+    z = _solve(view, first, view.within,
+               "no element attains the required first-order values")
+    zero = view.ctx.zeros((view.model.dim,))
+    for l in range(1, levels):
+        for local, space in view.steps(l):
+            z = _correct(view, local, z, zero, space, view.divisible)
     return z
-
-
-def _apply_power(ctx, mat: np.ndarray, vec: np.ndarray, k: int) -> np.ndarray:
-    out = vec
-    for _ in range(k):
-        out = ctx.mat_vec(mat, out)
-    return out
 
 
 def _check_achieved(view: _View, vec: np.ndarray, wanted) -> None:
@@ -303,135 +345,65 @@ def _check_achieved(view: _View, vec: np.ndarray, wanted) -> None:
             )
 
 
-def _assert_embedding(view: _View, zs, j, what: str) -> None:
-    """D(z_j) must equal the block law's j-th component at (z, v)."""
+def _finish(view: _View, vec: np.ndarray, zs, j, what: str) -> TruncatedPoly:
+    """Reduce vec modulo the block's absolute constants into z_j, then check
+    the defining pattern: D(z_j) must equal the block law's j-th component
+    at (z, v)."""
+    zs[j] = view.model.poly_from_vec(view.abs_constants().reduce_mod(vec))
     if view.D.apply(zs[j]) != _law_at(view, zs, j):
         raise HypothesisFailure(f"the found {what} fails its defining pattern")
-
-
-def _reduce_coset(view: _View, vec: np.ndarray) -> np.ndarray:
-    """Canonical representative modulo the block's absolute constants."""
-    return view.abs_constants().reduce_mod(vec)
+    return zs[j]
 
 
 def _find_y(view: _View) -> TruncatedPoly:
-    ctx, model, p = view.ctx, view.model, view.ctx.p
-    _ratio_guard(view, p * p)
-    view.divisible(view.unit(0, 1))
-    zero = ctx.zeros((model.dim,))
-    y = _corrected_solve(view, zero, model.one_vec())
-    y = _reduce_coset(view, y)
-    ypoly = model.poly_from_vec(y)
-    _assert_embedding(view, [None, ypoly], 1, "second coordinate")
-    return ypoly
+    model = view.model
+    _ratio_guard(view, view.ctx.p ** 2)
+    zero = view.ctx.zeros((model.dim,))
+    first = [(view.unit(0, 1), zero), (view.unit(1, 1), model.one_vec())]
+    y = _expand(view, first, model.m)
+    return _finish(view, y, [None, None], 1, "second coordinate")
 
 
 def _find_x(view: _View, ypoly: TruncatedPoly) -> TruncatedPoly:
     ctx, model, p = view.ctx, view.model, view.ctx.p
     _ratio_guard(view, p * p)
     alphas = view.law.alphas
-    m10 = view.mat(view.unit(0, 1))
-    m01 = view.mat(view.unit(1, 1))
-    name10 = view.embed(view.unit(0, 1))
-    view.divisible(view.unit(0, 1))
+    u10, u01 = view.unit(0, 1), view.unit(1, 1)
     one = model.one_vec()
+    x = _expand(view, [(u10, one)], 1)
     zero = ctx.zeros((model.dim,))
     yvec = model.vec_from_poly(ypoly)
-    try:
-        x = preimage_solve(ctx, [(m10, one)], within=view.within)
-    except NoSolution:
-        raise CorrectionUnsolvable(
-            "no element attains the required first-order values"
-        ) from None
 
     # first-direction value 1 is set; steer the second-direction value
     t0 = ctx.arr_scale(alphas[0].digits, model.vec_pow(yvec, p - 1))
-    delta = (t0 - ctx.mat_vec(m01, x)) % p
+    delta = (t0 - ctx.mat_vec(view.mat(u01), x)) % p
     if delta.any():
+        message = "the first-level defect has no preimage"
         if alphas[0]:
-            try:
-                z = preimage_solve(ctx, [(m10, delta)], within=view.within)
-            except NoSolution:
-                raise CorrectionUnsolvable(
-                    "the first-level defect has no preimage"
-                ) from None
-            u = ctx.arr_neg(
-                ctx.arr_scale(
-                    alphas[0].inverse().digits, _apply_power(ctx, m01, z, p - 1)
-                )
-            )
-            x = (x + u) % p
+            u = _solve(view, [(u10, delta)], view.within, message)
+            for _ in range(p - 1):
+                u = ctx.mat_vec(view.mat(u01), u)
+            u = ctx.arr_neg(ctx.arr_scale(alphas[0].inverse().digits, u))
         else:
-            try:
-                u = preimage_solve(
-                    ctx, [(m10, zero), (m01, delta)], within=view.within
-                )
-            except NoSolution:
-                raise CorrectionUnsolvable(
-                    "the first-level defect has no preimage"
-                ) from None
-            x = (x + u) % p
-    achieved = [(view.unit(0, 1), one), (view.unit(1, 1), t0)]
+            u = _solve(view, [(u10, zero), (u01, delta)], view.within, message)
+        x = (x + u) % p
+    achieved = [(u10, one), (u01, t0)]
     _check_achieved(view, x, achieved)
 
     for l in range(1, model.m):
-        pl = p**l
-        x = _kernel_correction(view, view.unit(0, pl), x, view.level(l - 1))
-        Tl = view.mat(view.unit(1, pl))
-        tl = ctx.arr_scale(alphas[l].digits, model.vec_pow(yvec, (p - 1) * pl))
-        delta = (tl - ctx.mat_vec(Tl, x)) % p
-        if delta.any():
-            name = view.embed(view.unit(1, pl))
-            space = view.correction(l)
-            if not space.contains(delta):
-                raise CorrectionUnsolvable(
-                    f"the defect of component {name} leaves its correction space"
-                )
-            if alphas[l]:
-                wsp = view.wspace(l)
-                rt = restrict_matrix(view.D, name, wsp)
-                rm = restrict_matrix(view.D, name10, wsp)
-                rtp = rt
-                for _ in range(p - 1):
-                    rtp = ctx.mat_mul(rtp, rt)
-                scaled = ctx.arr_neg(ctx.arr_scale(alphas[l].digits, rm))
-                if (rtp != scaled).any():
-                    raise HypothesisFailure(
-                        f"power identity fails for component {name} on its correction space"
-                    )
-            try:
-                u = preimage_solve(ctx, [(Tl, delta)], within=space)
-            except NoSolution:
-                raise CorrectionUnsolvable(
-                    f"component {name} cannot absorb its defect"
-                ) from None
-            x = (x + u) % p
-        achieved += [(view.unit(0, pl), zero), (view.unit(1, pl), tl)]
+        (i0, s0), (i1, s1) = view.steps(l)
+        x = _correct(view, i0, x, zero, s0, view.divisible)
+        tl = ctx.arr_scale(alphas[l].digits, model.vec_pow(yvec, (p - 1) * p**l))
+        x = _correct(view, i1, x, tl, s1, _power_identity(view, l) if alphas[l] else None)
+        achieved += [(i0, zero), (i1, tl)]
         _check_achieved(view, x, achieved)
-
-    x = _reduce_coset(view, x)
-    xpoly = model.poly_from_vec(x)
-    _assert_embedding(view, [xpoly, ypoly], 0, "first coordinate")
-    return xpoly
+    return _finish(view, x, [None, ypoly], 0, "first coordinate")
 
 
 def _one_dim_additive(view: _View) -> TruncatedPoly:
-    ctx, model, p = view.ctx, view.model, view.ctx.p
-    _ratio_guard(view, p)
-    m1 = view.mat((1,))
-    view.divisible((1,))
-    try:
-        z = preimage_solve(ctx, [(m1, model.one_vec())], within=view.within)
-    except NoSolution:
-        raise CorrectionUnsolvable(
-            "no element attains the required first-order values"
-        ) from None
-    for l in range(1, model.m):
-        z = _kernel_correction(view, (p**l,), z, view.level(l - 1))
-    z = _reduce_coset(view, z)
-    zpoly = model.poly_from_vec(z)
-    _assert_embedding(view, [zpoly], 0, "coordinate")
-    return zpoly
+    _ratio_guard(view, view.ctx.p)
+    z = _expand(view, [(view.unit(0, 1), view.model.one_vec())], view.model.m)
+    return _finish(view, z, [None], 0, "coordinate")
 
 
 def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
@@ -455,7 +427,8 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
     u = ctx.arr_scale(ctx.scalar(c).inverse().digits, u)
     z = (u - model.one_vec()) % ctx.p
     zpoly = model.poly_from_vec(z)
-    _assert_embedding(view, [zpoly], 0, "coordinate")
+    if view.D.apply(zpoly) != _law_at(view, [zpoly], 0):
+        raise HypothesisFailure("the found coordinate fails its defining pattern")
     return zpoly
 
 

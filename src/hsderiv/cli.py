@@ -165,11 +165,11 @@ def _combo_matrix(D: HSDerivation, coeffs: dict) -> np.ndarray:
     return acc
 
 
-def _component_table(D: HSDerivation, el) -> dict:
-    """Nonzero component values of one element, keyed by printed index."""
-    model = D.model
+def _component_table(model: ArtinianModel, image: TruncatedPoly) -> dict:
+    """Nonzero component values of one element, keyed by printed index,
+    read off its image D(el) in the model ring."""
     by_v: dict = {}
-    for exps, c in D.apply(el).terms.items():
+    for exps, c in image.terms.items():
         xe, ve = exps[: model.e], exps[model.e:]
         by_v.setdefault(ve, {})[xe] = c
     out = {}
@@ -198,8 +198,10 @@ def _basis_checks(D: HSDerivation, law, elements, found=None) -> list:
         "ratio_ok": bool(ind["ratio_ok"]),
         "monomials_ok": bool(ind["monomials_ok"]),
     }))
-    tables = [{"element": format_trunc(el), "components": _component_table(D, el),
-               "index_count": int(D.model.dim)} for el in elements]
+    tables = [{"element": format_trunc(el),
+               "components": _component_table(D.model, row["actual"]),
+               "index_count": int(D.model.dim)}
+              for el, row in zip(elements, report.embeddings)]
     checks.append(_check("component-tables", True, detail={"tables": tables}))
     return checks
 

@@ -282,10 +282,6 @@ class FqContext:
             return (a * c[0]) % self.p
         return (a @ self.mul_matrix(c).T) % self.p
 
-    def arr_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise field product of two digit arrays of identical shape."""
-        return self.mat_mul(a[..., None, None, :], b[..., None, None, :])[..., 0, 0, :]
-
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Field matrix product, a (..., n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
 

@@ -210,14 +210,6 @@ def test_matrix_kernels_match_scalar_arithmetic():
                 for t in range(k):
                     acc = acc + ctx.scalar(tuple(A[i, t])) * ctx.scalar(tuple(B[t, j]))
                 assert tuple(C[i, j]) == acc.digits, (p, d, i, j)
-        # elementwise product agrees with scalar product
-        X = A[:, :2]
-        Y = A[:, 1:]
-        Z = ctx.arr_mul(X, Y)
-        for i in range(n):
-            for j in range(2):
-                prod = ctx.scalar(tuple(X[i, j])) * ctx.scalar(tuple(Y[i, j]))
-                assert tuple(Z[i, j]) == prod.digits
 
 
 def test_matrix_power_and_identity():
