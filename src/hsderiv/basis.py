@@ -35,10 +35,15 @@ from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
 
 
 class BasisCandidate:
-    """An ordered family of model elements proposed as canonical coordinates."""
+    """An ordered family of model elements proposed as canonical coordinates.
 
-    def __init__(self, elements):
+    report is the BasisReport of the verification that accepted the family
+    (assemble_product_basis's), or None for a family built by hand.
+    """
+
+    def __init__(self, elements, report=None):
         self.elements = tuple(elements)
+        self.report = report
 
     def __iter__(self):
         return iter(self.elements)
@@ -497,11 +502,12 @@ def assemble_product_basis(D: HSDerivation) -> BasisCandidate:
 
     Each factor's coordinates are found inside the absolute constants of the
     other factors' components, then the concatenated family is verified
-    against the full law; only a verified family is returned.
+    against the full law; only a verified family is returned, carrying that
+    verification's report.
     """
     view = _View(D, tuple(range(D.model.e)), D.law)
     elements = _assemble(view)
     report = _verify(view, elements)
     if not report.passed:
         raise AssemblyMismatch("assembled coordinates fail verification")
-    return BasisCandidate(elements)
+    return BasisCandidate(elements, report)

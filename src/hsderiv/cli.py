@@ -19,8 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .artinian import ArtinianModel
-from .basis import BasisCandidate, assemble_product_basis, find_x, find_y, \
-    verify_canonical_basis
+from .basis import assemble_product_basis, verify_canonical_basis
 from .derivation import HSDerivation, canonical_derivation, p_fold_evP, \
     truncate_derivation, twist_by_automorphism, witt2_pfold_expansion
 from .errors import HsderivError, MalformedConfig, ResourceGuard
@@ -104,8 +103,9 @@ def _build_law(spec, ctx: FqContext, m: int):
     return reduce(product_law, [_build_law(s, ctx, m) for s in spec["factors"]])
 
 
-def _law_of(config, ctx: FqContext):
-    """Law plus truncation depth, after the resource guard has cleared."""
+def _law_of(config):
+    """The config's law over its context, after the resource guard has cleared."""
+    ctx = _context_of(config)
     c = config["context"]
     m = _get_int(c, "m", default=1)
     spec = config.get("law")
@@ -122,7 +122,8 @@ def _law_of(config, ctx: FqContext):
     return _build_law(spec, ctx, m)
 
 
-def _derivation_of(config, law) -> HSDerivation:
+def _derivation_of(config) -> HSDerivation:
+    law = _law_of(config)
     model = ArtinianModel(law.ctx, law.e, law.m)
     spec = config.get("derivation", {"type": "canonical"})
     _require(isinstance(spec, dict), "derivation spec must be an object")
@@ -155,14 +156,22 @@ def _check(name, ok, expected=None, actual=None, detail=None):
 
 
 def _combo_matrix(D: HSDerivation, coeffs: dict) -> np.ndarray:
-    """Matrix of sum_s coeffs[s] * D at index (s, 0, ..., 0)."""
+    """Matrix of sum_k coeffs[k] * D_k, keyed by full index tuples k."""
     ctx = D.model.ctx
-    e = D.model.e
-    acc = np.zeros_like(D.component((0,) * e).mat)
-    for s, c in coeffs.items():
-        idx = (s,) + (0,) * (e - 1)
-        acc = ctx.arr_add(acc, ctx.arr_scale(c.digits, D.component(idx).mat))
+    acc = np.zeros_like(D.component((0,) * D.model.e).mat)
+    for k, c in coeffs.items():
+        acc = ctx.arr_add(acc, ctx.arr_scale(c.digits, D.component(k).mat))
     return acc
+
+
+def _witt2_pfold_holds(D: HSDerivation, M: dict, idx) -> bool:
+    """The witt2 closed form of the p-fold composite M at idx: zero off the
+    second axis, sum_s c_s D_(s,0) on it."""
+    if idx[0] != 0:
+        return not M[idx].mat.any()
+    expansion = witt2_pfold_expansion(D.law, idx[1])
+    combo = _combo_matrix(D, {(s, 0): c for s, c in expansion.items()})
+    return np.array_equal(M[idx].mat, combo)
 
 
 def _component_table(model: ArtinianModel, image: TruncatedPoly) -> dict:
@@ -180,12 +189,9 @@ def _component_table(model: ArtinianModel, image: TruncatedPoly) -> dict:
     return out
 
 
-def _basis_checks(D: HSDerivation, law, elements, found=None) -> list:
+def _basis_checks(D: HSDerivation, elements, report) -> list:
+    """Checks printed from report, the BasisReport of elements."""
     checks = []
-    if found is not None:
-        checks.append(_check("found-elements", True, detail={
-            "elements": [format_trunc(el) for el in found]}))
-    report = verify_canonical_basis(D, law, elements)
     for row in report.embeddings:
         checks.append(_check(
             f"embedding-{row['generator']}", row["ok"],
@@ -207,26 +213,29 @@ def _basis_checks(D: HSDerivation, law, elements, found=None) -> list:
 
 
 def _cmd_law_check(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
     return [_check(f"axiom-{k}", v, expected="True", actual=str(bool(v)))
-            for k, v in sorted(check_axioms(law).items())]
+            for k, v in sorted(check_axioms(_law_of(config)).items())]
 
 
 def _cmd_pseries(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    N = _get_int(config, "N", default=ctx.p, minimum=0)
-    comps = n_series(law, N)
+    law = _law_of(config)
+    p = law.ctx.p
+    N = _get_int(config, "N", default=p, minimum=0)
+    # [p](v) lies in the ideal of the p-th powers for every law built here:
+    # additive 0, multiplicative v^p, witt2 the closed form checked below,
+    # products componentwise. By Frobenius, u in the ideal of the p^k-th
+    # powers puts [p](u) in that of the p^(k+1)-th, so [p^m](v) is 0 in the
+    # truncated ring and [N + p^m] = F([N], [p^m]) = F([N], 0) = [N].
+    comps = n_series(law, N % p**law.m)
     printed = [format_trunc(c) for c in comps]
     checks = [_check("pseries-components", True,
                      detail={"N": N, "components": printed})]
-    if law.kind == "witt2" and N == ctx.p:
+    if law.kind == "witt2" and N == p:
         vring = comps[0].ring
         terms = {}
         for nidx, a in enumerate(law.alphas):
-            expo = ctx.p ** (nidx + 1)
-            if expo < ctx.p ** law.m and a:
+            expo = p ** (nidx + 1)
+            if expo < p ** law.m and a:
                 terms[(0, expo)] = -a
         expected = TruncatedPoly(vring, terms)
         ok = comps[0] == expected and comps[1] == vring.zero
@@ -243,6 +252,10 @@ def _cmd_hn(config):
     p = _get_int(c, "p")
     _require(is_prime(p), f"context.p must be prime, got {p}")
     n = _get_int(config, "n", minimum=0)
+    # H_n enters a law only at levels n < m, so p^(n+1) <= p^m <= MAX_DIM;
+    # 2^(n+1) already exceeds MAX_DIM once n + 1 reaches its bit length
+    if n + 1 >= MAX_DIM.bit_length() or p ** (n + 1) > MAX_DIM:
+        raise ResourceGuard(f"hn degree p^(n+1) = {p}^{n + 1} exceeds {MAX_DIM}")
     f = h_n(p, n)
     s = format_poly(f)
     ok = parse_poly(f.ctx, f.vars, s) == f
@@ -250,16 +263,12 @@ def _cmd_hn(config):
 
 
 def _cmd_iterativity(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
-    return [_check("iterativity", D.check_iterativity())]
+    return [_check("iterativity", _derivation_of(config).check_iterativity())]
 
 
 def _cmd_evp_check(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
+    D = _derivation_of(config)
+    law = D.law
     M = p_fold_evP(D)
     zero = (0,) * law.e
     checks = [_check("pfold-identity-at-zero",
@@ -276,14 +285,7 @@ def _cmd_evp_check(config):
                 failures.append(idx)
         name = "pfold-fixes-components"
     elif law.kind == "witt2":
-        for idx in sorted(M):
-            if idx[0] != 0:
-                ok = not M[idx].mat.any()
-            else:
-                combo = _combo_matrix(D, witt2_pfold_expansion(law, idx[1]))
-                ok = np.array_equal(M[idx].mat, combo)
-            if not ok:
-                failures.append(idx)
+        failures = [idx for idx in sorted(M) if not _witt2_pfold_holds(D, M, idx)]
         name = "pfold-closed-form"
     else:
         return checks + [_check("pfold-no-catalogued-form", True, detail={
@@ -294,9 +296,7 @@ def _cmd_evp_check(config):
 
 
 def _cmd_structure_constants(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
+    D = _derivation_of(config)
     if "i" not in config and "j" not in config:
         return [_check("structure-constants-all", D.check_iterativity(), detail={
             "pairs": int(D.model.dim) ** 2})]
@@ -304,10 +304,8 @@ def _cmd_structure_constants(config):
     j = config.get("j")
     _require(isinstance(i, list) and isinstance(j, list),
              "structure-constants needs index lists i and j")
-    sc = structure_constants(law, i, j)
-    combo = np.zeros_like(D.component(tuple(i)).mat)
-    for k, c in sc.items():
-        combo = ctx.arr_add(combo, ctx.arr_scale(c.digits, D.component(k).mat))
+    sc = structure_constants(D.law, i, j)
+    combo = _combo_matrix(D, sc)
     ok = np.array_equal(D.compose(tuple(j), tuple(i)).mat, combo)
     table = {",".join(str(a) for a in k): str(c) for k, c in sc.items()}
     return [_check("structure-constants-pair", ok, detail={
@@ -315,16 +313,14 @@ def _cmd_structure_constants(config):
 
 
 def _cmd_tower(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
+    D = _derivation_of(config)
     # admission stays at the dense table's dim^3 * d digits, the limit
     # bench/oracle.py predicts, though tower() makes only e axis stacks of
     # dim^2 * n * d digits each
     D.model.guard_table((D.model.dim,) * 3)
     t = tower(D)
     dims = [int(V.dim) for V in t.levels]
-    step = ctx.p ** law.e
+    step = D.model.ctx.p ** D.model.e
     ratios = all(dims[s] == step * dims[s + 1] for s in range(len(dims) - 1))
     return [
         _check("tower-dims", True, detail={
@@ -335,30 +331,26 @@ def _cmd_tower(config):
 
 
 def _cmd_basis_verify(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
+    D = _derivation_of(config)
     els = config.get("elements")
     _require(isinstance(els, list) and els, "basis-verify needs elements")
-    elements = BasisCandidate([parse_trunc(D.model.ring, s) for s in els])
-    return _basis_checks(D, law, elements)
+    elements = [parse_trunc(D.model.ring, s) for s in els]
+    return _basis_checks(D, elements, verify_canonical_basis(D, D.law, elements))
 
 
 def _cmd_basis_find(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    D = _derivation_of(config, law)
+    D = _derivation_of(config)
     found = assemble_product_basis(D)
-    return _basis_checks(D, law, found, found=found)
+    listed = _check("found-elements", True, detail={
+        "elements": [format_trunc(el) for el in found]})
+    return [listed] + _basis_checks(D, found, found.report)
 
 
 def _cmd_wronskian(config):
-    ctx = _context_of(config)
-    law = _law_of(config, ctx)
-    fctx = FieldDerivationContext(law)
+    fctx = FieldDerivationContext(_law_of(config))
     els = config.get("elements")
     _require(isinstance(els, list) and els, "wronskian needs elements")
-    elements = [parse_ratfunc(ctx, fctx.xvars, s) for s in els]
+    elements = [parse_ratfunc(fctx.ctx, fctx.xvars, s) for s in els]
     mode = config.get("test", "dependence")
     expect = config.get("expect")
     if mode == "dependence":
@@ -383,11 +375,10 @@ def _cmd_wronskian(config):
 def _selftest_pair():
     """Fixed depth-2 configuration with a shear twist, rebuilt per block."""
     ctx = FqContext(2, 1)
-    law = make_witt2(ctx, 2, [1, 1])
-    D = canonical_derivation(ArtinianModel(ctx, 2, 2), law)
+    D = canonical_derivation(ArtinianModel(ctx, 2, 2), make_witt2(ctx, 2, [1, 1]))
     phi = [parse_trunc(D.model.ring, "x1 + x2^2"),
            parse_trunc(D.model.ring, "x2")]
-    return law, D, twist_by_automorphism(D, phi)
+    return D, twist_by_automorphism(D, phi)
 
 
 def _cmd_selftest(config):
@@ -431,31 +422,25 @@ def _cmd_selftest(config):
             actual=format_poly(f))
 
     def iterativity():
-        _, D, T = _selftest_pair()
+        D, T = _selftest_pair()
         add("iterativity-canonical", D.check_iterativity())
         add("iterativity-twisted", T.check_iterativity())
 
     def pfold():
-        law, _, T = _selftest_pair()
+        _, T = _selftest_pair()
         M = p_fold_evP(T)
-        ok = True
-        for idx in sorted(M):
-            if idx[0] != 0:
-                ok = ok and not M[idx].mat.any()
-            else:
-                combo = _combo_matrix(T, witt2_pfold_expansion(law, idx[1]))
-                ok = ok and np.array_equal(M[idx].mat, combo)
-        add("pfold-closed-form", ok)
+        add("pfold-closed-form", all(_witt2_pfold_holds(T, M, idx) for idx in sorted(M)))
 
     def basis():
-        law, _, T = _selftest_pair()
-        y = find_y(T)
-        x = find_x(T, y)
-        add("basis-roundtrip", verify_canonical_basis(T, law, [x, y]).passed,
+        # the assembly verifies what it finds and raises AssemblyMismatch,
+        # a failing check here, for a family that fails
+        _, T = _selftest_pair()
+        x, y = found = assemble_product_basis(T)
+        add("basis-roundtrip", found.report.passed,
             actual=f"x = {format_trunc(x)}, y = {format_trunc(y)}")
 
     def tower_ratios():
-        _, D, _ = _selftest_pair()
+        D, _ = _selftest_pair()
         dims = [int(V.dim) for V in tower(D).levels]
         add("tower-ratios",
             all(dims[s] == 4 * dims[s + 1] for s in range(len(dims) - 1)),
@@ -474,16 +459,15 @@ def _cmd_selftest(config):
         add("wronskian-examples", ok)
 
     def truncate():
-        law, D, _ = _selftest_pair()
+        D, _ = _selftest_pair()
         D1 = truncate_derivation(D, 1)
-        law1 = truncate_law(law, 1)
-        ctx = law.ctx
-        D2 = canonical_derivation(ArtinianModel(ctx, 2, 1), law1)
+        law1 = truncate_law(D.law, 1)
+        D2 = canonical_derivation(ArtinianModel(D.model.ctx, 2, 1), law1)
         add("truncate-compat",
             D1.law == D2.law and np.array_equal(D1.table(), D2.table()))
 
     def roundtrip():
-        law, _, _ = _selftest_pair()
+        law = _selftest_pair()[0].law
         add("print-roundtrip",
             all(parse_trunc(law.ring, format_trunc(c)) == c
                 for c in law.components))
@@ -516,41 +500,40 @@ _HANDLERS = {
 }
 
 
-def run(config) -> tuple[dict, int]:
-    """Execute one job; returns (report, exit_code) and never raises."""
-    report = {
+def _report(config, command=None, checks=(), error=None) -> dict:
+    """The one report layout; error is (kind, message) for a job it stopped."""
+    errors = [] if error is None else [{"kind": error[0], "message": error[1]}]
+    return {
         "schema": SCHEMA_VERSION,
         "tool": "hsderiv",
-        "command": None,
+        "command": command,
         "config": config,
-        "checks": [],
-        "errors": [],
-        "pass": False,
+        "checks": list(checks),
+        "errors": errors,
+        "pass": not errors and all(c["pass"] for c in checks),
     }
+
+
+def run(config) -> tuple[dict, int]:
+    """Execute one job; returns (report, exit_code) and never raises."""
+    command = None
     try:
         _require(isinstance(config, dict), "config must be a JSON object")
         cmd = config.get("command")
         _require(cmd in COMMANDS,
                  f"command must be one of {', '.join(COMMANDS)}; got {cmd!r}")
-        report["command"] = cmd
+        command = cmd
         checks = _HANDLERS[cmd](config)
     except MalformedConfig as ex:
-        report["errors"].append({"kind": "malformed-config", "message": str(ex)})
-        return report, 2
+        return _report(config, command, error=("malformed-config", str(ex))), 2
     except ResourceGuard as ex:
-        report["errors"].append({"kind": "resource-guard", "message": str(ex)})
-        return report, 3
+        return _report(config, command, error=("resource-guard", str(ex))), 3
     except HsderivError as ex:
-        report["errors"].append(
-            {"kind": type(ex).__name__, "message": str(ex)})
-        return report, 1
+        return _report(config, command, error=(type(ex).__name__, str(ex))), 1
     except (KeyError, TypeError, ValueError) as ex:
-        report["errors"].append({
-            "kind": "malformed-config",
-            "message": f"{type(ex).__name__}: {ex}"})
-        return report, 2
-    report["checks"] = checks
-    report["pass"] = all(c["pass"] for c in checks)
+        message = f"{type(ex).__name__}: {ex}"
+        return _report(config, command, error=("malformed-config", message)), 2
+    report = _report(config, command, checks)
     return report, 0 if report["pass"] else 1
 
 
@@ -593,13 +576,8 @@ def main(argv=None) -> int:
     try:
         config = json.loads(raw)
     except json.JSONDecodeError as ex:
-        report = {
-            "schema": SCHEMA_VERSION, "tool": "hsderiv", "command": None,
-            "config": None, "checks": [],
-            "errors": [{"kind": "malformed-config",
-                        "message": f"invalid JSON: {ex.msg} at line {ex.lineno}"}],
-            "pass": False,
-        }
+        report = _report(None, error=(
+            "malformed-config", f"invalid JSON: {ex.msg} at line {ex.lineno}"))
         code = 2
     else:
         report, code = run(config)

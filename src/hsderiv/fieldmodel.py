@@ -13,7 +13,7 @@ dependence and p-independence classifications.
 """
 
 from .artinian import GradedIndexing
-from .errors import IndexRange, TooManyElements
+from .errors import HypothesisFailure, IndexRange, TooManyElements
 from .grouplaw import FormalGroupLaw, make_additive
 from .poly import MultiPoly, RatFuncDomain, RationalFunc
 from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, evaluate, invert_unit
@@ -187,7 +187,8 @@ def dependence_test(fctx: FieldDerivationContext, elements) -> dict:
         acc = fctx.dom.zero
         for ent, wj in zip(row, w):
             acc = acc + ent * wj
-        assert acc.is_zero(), "kernel vector fails a component row"
+        if not acc.is_zero():
+            raise HypothesisFailure("kernel vector fails a component row")
     return {"independent": False, "rank": rank, "witness": w}
 
 

@@ -208,3 +208,80 @@ def test_run_api_report_shape():
     text = render_report(report)
     assert text.endswith("\n")
     assert json.loads(text) == report
+
+
+def test_basis_find_verifies_once(monkeypatch):
+    # the assembly's verification is the report: one _verify, and D.apply and
+    # the law at z once per coordinate in each finder's own pattern check and
+    # once more in that verification
+    from hsderiv import basis as basis_mod
+    from hsderiv.derivation import HSDerivation
+    calls = {"_verify": 0, "apply": 0, "_law_at": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(basis_mod, "_verify", counting("_verify", basis_mod._verify))
+    monkeypatch.setattr(basis_mod, "_law_at", counting("_law_at", basis_mod._law_at))
+    monkeypatch.setattr(HSDerivation, "apply", counting("apply", HSDerivation.apply))
+    report, code = run(json.loads((ROOT / "configs" / "basis_find_twist.json").read_text()))
+    assert code == 0
+    assert calls == {"_verify": 1, "apply": 4, "_law_at": 4}
+
+
+# sha256 of basis-find reports beyond the shipped config: a product with a
+# multiplicative factor (witt2 and additive), twisted, and witt2 over GF(4)
+BASIS_FIND_SHA256 = [
+    ({"command": "basis-find", "context": {"p": 2, "m": 2},
+      "law": {"type": "product", "factors": [
+          {"type": "witt2", "alphas": [1, 1]}, {"type": "multiplicative"}]},
+      "derivation": {"type": "twist",
+                     "phi": ["x1 + x2^2", "x2 + x3^2 + x1*x3", "x3 + x1^2"]}},
+     "15c6b096ff09f3436a545671a6eda46e22a97ec51d082228e7e00d1e93da0cd4"),
+    ({"command": "basis-find", "context": {"p": 3, "m": 1},
+      "law": {"type": "product", "factors": [
+          {"type": "additive"}, {"type": "multiplicative"}]},
+      "derivation": {"type": "twist", "phi": ["x1 + 2*x2^2 + x1*x2", "2*x2 + x1^2"]}},
+     "9ca2a17d9e3e177e67428d63859b0b154b8392d19c629e7122d24174a6f420c3"),
+    ({"command": "basis-find", "context": {"p": 2, "d": 2, "m": 2},
+      "law": {"type": "witt2", "alphas": ["g", "g + 1"]},
+      "derivation": {"type": "twist",
+                     "phi": ["x1 + g*x2^2 + x1*x2", "x2 + (g + 1)*x1^2"]}},
+     "4dd57e2c2da3c5c155bdf52784b620679a9299e691ffa8fb36aad93ca7ff0ec2"),
+]
+
+
+@pytest.mark.parametrize("config,digest", BASIS_FIND_SHA256,
+                         ids=["witt2xmult-twisted", "addxmult-twisted", "witt2-gf4"])
+def test_basis_find_report_bytes(config, digest):
+    report, code = run(config)
+    assert code == 0
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
+
+
+def test_pseries_reads_n_modulo_the_period(tmp_path):
+    # [p^m](v) = 0 in the truncated ring, so N = 10^9 costs what N mod 27 does
+    law = {"type": "witt2", "alphas": [1, 2, 1]}
+    job = {"command": "pseries", "law": law, "context": {"p": 3, "m": 3}}
+    big, code = run(dict(job, N=10**9))
+    small, _ = run(dict(job, N=10**9 % 27))
+    assert code == 0
+    detail = big["checks"][0]["detail"]
+    assert detail["N"] == 10**9
+    assert detail["components"] == small["checks"][0]["detail"]["components"]
+    res = _invoke(dict(job, N=10**9), "--quiet", tmp_path=tmp_path)
+    assert res.returncode == 0 and not res.stderr
+
+
+def test_hn_degree_guard_exit_3(tmp_path):
+    # H_n enters a law only at levels n < m, so p^(n+1) <= p^m <= 65536
+    assert run({"command": "hn", "context": {"p": 2}, "n": 15})[1] == 0
+    report, code = run({"command": "hn", "context": {"p": 2}, "n": 16})
+    assert code == 3 and report["errors"][0]["kind"] == "resource-guard"
+    res = _invoke({"command": "hn", "context": {"p": 3}, "n": 10**6},
+                  "--quiet", tmp_path=tmp_path)
+    assert res.returncode == 3 and not res.stderr
+    assert json.loads(res.stdout)["errors"][0]["kind"] == "resource-guard"

@@ -273,6 +273,29 @@ def test_found_coordinate_targets_pinned_d2(name, kind):
     assert hashlib.sha256(rows.encode()).hexdigest() == EXPECTED_ROWS_SHA256_D2[(name, kind)]
 
 
+# the assembly hands out the report of its own verification, the same one a
+# fresh verify_canonical_basis gives
+
+@pytest.mark.parametrize("name,kind", sorted(EXPECTED_ROWS_SHA256) + sorted(EXPECTED_ROWS_SHA256_D2))
+def test_found_report_matches_a_fresh_verification(name, kind):
+    if name in _SWEEP:
+        law = _SWEEP[name]()
+        phi = _PHI[(law.ctx.p, law.e)]
+    else:
+        law = _SWEEP_D2[name]()
+        phi = _PHI_D2[law.ctx.p]
+    model = ArtinianModel(law.ctx, law.e, law.m)
+    D = canonical_derivation(model, law)
+    if kind == "twisted":
+        D = twist_by_automorphism(D, [parse_trunc(model.ring, s) for s in phi])
+    found = assemble_product_basis(D)
+    fresh = verify_canonical_basis(D, D.law, list(found))
+    assert found.report.embeddings == fresh.embeddings
+    assert found.report.independence == fresh.independence
+    assert found.report.first_mismatch == fresh.first_mismatch
+    assert found.report.passed
+
+
 # -- golden pins: report bytes of dependent rational families whose
 # witnesses keep unreduced denominators, so summation order shows
 

@@ -174,6 +174,19 @@ def test_n_series_composition_property():
                 assert combined == n_series(law, na + nb), (p, law.kind, na, nb)
 
 
+def test_n_series_has_period_p_to_the_m():
+    # [p](v) lies in the ideal of p-th powers for every constructor law, so
+    # [p^m](v) = 0 in the truncated ring and [N + p^m] = [N]
+    rng = random.Random(29)
+    for p, m, d in ((2, 2, 1), (2, 3, 1), (3, 2, 1), (2, 2, 2), (5, 1, 1)):
+        ctx = FqContext(p, d)
+        for law in _constructor_zoo(ctx, m, rng):
+            period = p**m
+            assert all(c.is_zero() for c in n_series(law, period)), (p, m, law.kind)
+            for N in (1, 2, period - 1):
+                assert n_series(law, N + period) == n_series(law, N), (p, m, law.kind, N)
+
+
 def test_truncate_law_drops_upper_levels():
     ctx = FqContext(2, 1)
     law = make_witt2(ctx, 2, [1, 1])

@@ -1,12 +1,15 @@
 """Field-side derivations: component matrices, rank, dependence, p-independence."""
 
 import random
+import subprocess
+import sys
 
 import pytest
 
+from hsderiv import fieldmodel
 from hsderiv.artinian import ArtinianModel
 from hsderiv.derivation import canonical_derivation
-from hsderiv.errors import TooManyElements
+from hsderiv.errors import HypothesisFailure, TooManyElements
 from hsderiv.fieldmodel import (
     FieldDerivationContext,
     dependence_test,
@@ -239,3 +242,36 @@ def test_artinian_consistency():
         assert not dependence_test(fctx, [fctx.dom.one, xp])["independent"]
         assert not V.contains(D.model.vec_from_poly(D.model.ring.monomial((1,))))
         assert dependence_test(fctx, [fctx.dom.one, x])["independent"]
+
+
+_WRONG_WITNESS = """
+import sys
+from hsderiv import fieldmodel
+from hsderiv.errors import HypothesisFailure
+from hsderiv.gf import FqContext
+from hsderiv.grouplaw import make_additive
+from hsderiv.poly import MultiPoly
+fctx = fieldmodel.FieldDerivationContext(make_additive(FqContext(2, 1), 1, 1))
+x = fctx.dom.coerce(MultiPoly.var(fctx.ctx, fctx.xvars, "x1"))
+fieldmodel._kernel_vector = lambda mat: [fctx.dom.one, fctx.dom.zero]
+try:
+    fieldmodel.dependence_test(fctx, [fctx.dom.one, x * x])
+except HypothesisFailure:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_dependence_witness_is_checked(monkeypatch):
+    fctx = _fctx(make_additive(FqContext(2, 1), 1, 1))
+    x = _x(fctx)
+    monkeypatch.setattr(fieldmodel, "_kernel_vector",
+                        lambda mat: [fctx.dom.one, fctx.dom.zero])
+    with pytest.raises(HypothesisFailure):
+        dependence_test(fctx, [fctx.dom.one, x * x])
+
+
+def test_dependence_witness_is_checked_under_optimize():
+    # python -O strips assert statements; the witness check must not be one
+    res = subprocess.run([sys.executable, "-O", "-c", _WRONG_WITNESS], capture_output=True)
+    assert res.returncode == 0, res.stderr.decode()
