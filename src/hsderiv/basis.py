@@ -414,13 +414,10 @@ def _one_dim_additive(view: _View) -> TruncatedPoly:
 def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
     ctx, model = view.ctx, view.model
     _ratio_guard(view, ctx.p)
-    dim = model.dim
-    eye = ctx.zeros((dim, dim))
-    eye[np.arange(dim), np.arange(dim), 0] = 1
-    mats = [(view.mat((1,)) - eye) % ctx.p]
+    mats = [(view.mat((1,)) - ctx.mat_eye(model.dim)) % ctx.p]
     for j in range(2, model.n):
         mats.append(view.mat((j,)))
-    ker = kernel_space(ctx, np.concatenate(mats, axis=0)).intersect(view.within)
+    ker = kernel_space(ctx, np.concatenate(mats, axis=0), view.within)
     if ker.dim != 1:
         raise HypothesisFailure(
             f"the unit-eigenvector space has dimension {ker.dim}, expected 1"

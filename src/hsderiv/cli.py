@@ -221,12 +221,7 @@ def _cmd_pseries(config):
     law = _law_of(config)
     p = law.ctx.p
     N = _get_int(config, "N", default=p, minimum=0)
-    # [p](v) lies in the ideal of the p-th powers for every law built here:
-    # additive 0, multiplicative v^p, witt2 the closed form checked below,
-    # products componentwise. By Frobenius, u in the ideal of the p^k-th
-    # powers puts [p](u) in that of the p^(k+1)-th, so [p^m](v) is 0 in the
-    # truncated ring and [N + p^m] = F([N], [p^m]) = F([N], 0) = [N].
-    comps = n_series(law, N % p**law.m)
+    comps = n_series(law, N)
     printed = [format_trunc(c) for c in comps]
     checks = [_check("pseries-components", True,
                      detail={"N": N, "components": printed})]

@@ -27,7 +27,6 @@ components) into matrix work over the coefficient field.
 
 from __future__ import annotations
 
-import functools
 import threading
 
 import numpy as np
@@ -49,7 +48,7 @@ from .grouplaw import (
     structure_constants,
     truncate_law,
 )
-from .linalg import inv_matrix, rref
+from .linalg import inv_matrix
 from .truncated import TruncatedPoly, TruncatedRing, convert, rename
 
 
@@ -430,19 +429,15 @@ def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
     return conjugation < ladder
 
 
-def _conjugation(model: ArtinianModel, phimat):
+def _conjugation(model: ArtinianModel, phimat, phiinv):
     """Maps a C-contiguous stack of D's matrices S to Phi S Phi^-1, in its
     layout: one tall product with Phi^-1, then one batched product with
-    Phi. The result is guarded before Phi is inverted, once, at first use."""
+    Phi. The result is guarded before either product."""
     ctx, dim = model.ctx, model.dim
-
-    @functools.cache
-    def inverse():
-        return inv_matrix(ctx, phimat)
 
     def conjugate(stack: np.ndarray) -> np.ndarray:
         model.guard_table(stack.shape[:-1])
-        right = ctx.mat_mul(stack.reshape(-1, dim, ctx.d), inverse())
+        right = ctx.mat_mul(stack.reshape(-1, dim, ctx.d), phiinv)
         return ctx.mat_mul(phimat, right.reshape(stack.shape))
 
     return conjugate
@@ -451,11 +446,10 @@ def _conjugation(model: ArtinianModel, phimat):
 def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     """Conjugate by the algebra automorphism sending x_t to phi[t].
 
-    phi must fix the origin and have invertible linear part. Phi is the
-    matrix of r -> r(phi). One exact elimination of [Phi | x_1 .. x_e] must
-    put a pivot on every column of Phi, which proves r -> r(phi) bijective,
-    and leaves the inverse's images psi_t = Phi^-1 x_t beside it;
-    NotInvertible otherwise. The twist T = phi* D psi* has the images
+    phi must fix the origin and have invertible linear part; NotInvertible
+    otherwise. Phi is the matrix of r -> r(phi), and one elimination,
+    inv_matrix, gives Phi^-1; the inverse's images psi_t = Phi^-1 x_t are
+    its columns at x_t. The twist T = phi* D psi* has the images
     T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
 
     T's table comes from whichever source a cost estimate over dim, d and
@@ -463,9 +457,8 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     product of the dim^2 x dim stack with Phi^-1, then one batched product
     with Phi), or the product ladder on T's images. Both give the same
     bytes. T's axis stacks take the same side: Phi D_{j e_l} Phi^-1 from
-    D's axis stack, or the ladder on T's images restricted to the axis. A
-    conjugation inverts Phi when it first runs. T is known iterative when
-    D is.
+    D's axis stack, or the ladder on T's images restricted to the axis.
+    T is known iterative when D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e
@@ -473,31 +466,28 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     if len(phi) != e:
         raise ValueError(f"expected {e} images, got {len(phi)}")
     lin = ctx.zeros((e, e))
+    units = [tuple(1 if i == l else 0 for i in range(e)) for l in range(e)]
     for t, f in enumerate(phi):
         if f.ring != model.ring:
             raise ContextMismatch("twist image lives outside the model ring")
         if f.constant_term():
             raise NotInvertible("twist must fix the origin")
-        for l in range(e):
-            unit = tuple(1 if i == l else 0 for i in range(e))
+        for l, unit in enumerate(units):
             lin[t, l] = f.coeff(unit).digits
     inv_matrix(ctx, lin)  # NotInvertible for a singular linear part
     # the guard on D's table comes before any elimination on Phi
     D.table()
     # phimat[b, a] = coefficient of x^b in phi^a
     phimat = model.power_table(phi).transpose(1, 0, 2)
-    xs = [model.vec_from_poly(model.ring.var(x)) for x in model.xvars]
-    red, pivots = rref(ctx, np.concatenate([phimat, np.stack(xs, axis=1)], axis=1))
-    if pivots != list(range(model.dim)):
-        raise NotInvertible("no exact inverse; the map is not an automorphism")
+    phiinv = inv_matrix(ctx, phimat)
     imgs = [
-        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(red[:, model.dim + t])))
-        for t in range(e)
+        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(phiinv[:, model.xidx.rank[u]])))
+        for u in units
     ]
     T = HSDerivation(model, D.law, imgs)
     T.known_iterative = D.known_iterative
     if _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
-        conjugate = _conjugation(model, phimat)
+        conjugate = _conjugation(model, phimat, phiinv)
         T._source = lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3)
         T._axis_source = lambda l: conjugate(D.axis_stack(l))
     return T

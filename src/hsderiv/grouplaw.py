@@ -235,20 +235,25 @@ def truncate_law(law: FormalGroupLaw, m2: int) -> FormalGroupLaw:
 
 
 def n_series(law: FormalGroupLaw, n: int):
-    """Components of the n-fold formal sum [n](v); [0] = 0, [1] = v."""
+    """Components of the n-fold formal sum [n](v); [0] = 0, [1] = v.
+
+    Each [k] = F(v, [k-1]) is kept. Once [k] = 0 for some k >= 1, [k+1] =
+    F(v, 0) = [1], so [n] = [n mod k]: p^m substitutions at most for every
+    law built here, since each has [p^m] = 0."""
     if n < 0:
         raise ValueError("n must be >= 0")
     ctx, e = law.ctx, law.e
     bound = ctx.p**law.m
     vnames = law.vnames
     vring = TruncatedRing(ctx, [(vnames, bound)])
-    series = [vring.zero] * e
-    ident = [vring.var(v) for v in vnames]
-    for _ in range(n):
-        imgs = {vnames[l]: ident[l] for l in range(e)}
-        imgs.update({law.wnames[l]: series[l] for l in range(e)})
-        series = [substitute(f, imgs, vring) for f in law.components]
-    return tuple(series)
+    seen = [(vring.zero,) * e]
+    imgs = {v: vring.var(v) for v in vnames}
+    for k in range(1, n + 1):
+        imgs.update(zip(law.wnames, seen[-1]))
+        seen.append(tuple(substitute(f, imgs, vring) for f in law.components))
+        if all(c.is_zero() for c in seen[k]):
+            return seen[n % k]
+    return seen[n]
 
 
 def iterated_law(law: FormalGroupLaw, n: int):

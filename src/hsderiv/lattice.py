@@ -1,6 +1,7 @@
 """Constants subspaces of a derivation: joint component kernels, the
 constants ring, the descending tower, and the restricted operators and
-kernel/image checks behind the basis search.
+kernel/image checks behind the basis search. A kernel within a subspace is
+computed inside within, in its echelon coordinates (linalg.kernel_space).
 
 All subspaces live on the graded monomial basis of the model and are held in
 reduced echelon form, so equal spaces compare equal as matrices. Field
@@ -28,7 +29,8 @@ from .linalg import preimage_solve as _vec_preimage_solve
 
 
 def joint_kernel(D: HSDerivation, idxs, within: Subspace | None = None) -> Subspace:
-    """Joint kernel of the components at idxs, intersected with within.
+    """Joint kernel of the components at idxs, computed inside within, in
+    its echelon coordinates.
 
     Every component kernel in the package is taken here. An empty index
     list gives the whole model, or within.
@@ -38,10 +40,8 @@ def joint_kernel(D: HSDerivation, idxs, within: Subspace | None = None) -> Subsp
 
 def _stacked_kernel(model: ArtinianModel, mats, within: Subspace | None = None) -> Subspace:
     if mats:
-        ker = kernel_space(model.ctx, np.concatenate(mats, axis=0))
-    else:
-        ker = Subspace.full(model.ctx, model.dim)
-    return ker if within is None else ker.intersect(within)
+        return kernel_space(model.ctx, np.concatenate(mats, axis=0), within)
+    return Subspace.full(model.ctx, model.dim) if within is None else within
 
 
 def kernel_component(D: HSDerivation, i) -> Subspace:
@@ -191,15 +191,13 @@ def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:
     if V.dim == 0:
         return ctx.zeros((0, 0))
     rows = ctx.mat_mul(V.basis, D.component(i).mat.swapaxes(0, 1))
-    cols = []
-    for r in range(V.dim):
-        try:
-            cols.append(V.coords_of(rows[r]))
-        except NoSolution:
-            raise HypothesisFailure(
-                f"component {i} does not preserve its correction space"
-            ) from None
-    return np.stack(cols, axis=1)
+    try:
+        coords = V.coords_of(rows)
+    except NoSolution:
+        raise HypothesisFailure(
+            f"component {i} does not preserve its correction space"
+        ) from None
+    return np.ascontiguousarray(coords.swapaxes(0, 1))
 
 
 def divisible_restriction(D: HSDerivation, i, V: Subspace) -> np.ndarray:

@@ -18,6 +18,11 @@ The bytes do not depend on the blocking: the merged rows span the row space
 of the rows seen so far and are in reduced echelon form, and that form of a
 row space is unique. So ``rref`` returns the same matrix and pivot list as a
 one-pivot-at-a-time elimination of the whole input.
+
+Work inside a subspace V follows one rule: compose with V's echelon basis,
+work in V's echelon coordinates, lift the result back. ``preimage_solve``
+solves there and ``kernel_space`` takes kernels there: one elimination of the
+composed matrix and one echelon form of the lifted rows, not an intersection.
 """
 
 from __future__ import annotations
@@ -164,33 +169,35 @@ class Subspace:
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
-    def reduce_mod(self, vec: np.ndarray) -> np.ndarray:
-        """Canonical coset representative: clear the pivot coordinates."""
+    def reduce_mod(self, vecs: np.ndarray) -> np.ndarray:
+        """Canonical coset representative of a vector, or of each row of a stack."""
         ctx = self.ctx
-        v = vec % ctx.p
-        return (v - ctx.mat_mul(v[None, self.pivots], self.basis)[0]) % ctx.p
+        v = vecs % ctx.p
+        return (v - self.lift(v[..., self.pivots, :])) % ctx.p
 
-    def contains(self, vec: np.ndarray) -> bool:
-        return not self.reduce_mod(vec).any()
+    def contains(self, vecs: np.ndarray) -> bool:
+        return not self.reduce_mod(vecs).any()
 
-    def coords_of(self, vec: np.ndarray) -> np.ndarray:
-        """Coordinates over the echelon basis; NoSolution if vec lies outside.
+    def coords_of(self, vecs: np.ndarray) -> np.ndarray:
+        """Coordinates over the echelon basis, of a vector or of each row of
+        a stack; NoSolution if any of them lies outside.
 
         The basis is reduced, so coordinate i is the entry at pivot i.
         """
-        ctx = self.ctx
-        v = vec % ctx.p
-        coords = v[self.pivots]
-        if not np.array_equal(v, ctx.mat_mul(coords[None], self.basis)[0]):
+        v = vecs % self.ctx.p
+        coords = v[..., self.pivots, :]
+        if not np.array_equal(v, self.lift(coords)):
             raise NoSolution("vector lies outside the subspace")
         return coords
 
     def lift(self, coords: np.ndarray) -> np.ndarray:
-        """Vector with the given basis coordinates."""
+        """Vector with the given basis coordinates, or one per row of a stack."""
+        if coords.ndim == 3:
+            return self.ctx.mat_mul(coords, self.basis)
         return self.ctx.mat_mul(coords[None], self.basis)[0]
 
     def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(self.basis[i]) for i in range(self.dim))
+        return other.contains(self.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
         ctx = self.ctx
@@ -228,8 +235,16 @@ def image_space(ctx: FqContext, mat: np.ndarray) -> Subspace:
     return Subspace.from_vectors(ctx, mat.shape[0], _transpose(mat))
 
 
-def kernel_space(ctx: FqContext, mat: np.ndarray) -> Subspace:
-    return Subspace.from_vectors(ctx, mat.shape[1], nullspace(ctx, mat))
+def kernel_space(ctx: FqContext, mat: np.ndarray, within: Subspace | None = None) -> Subspace:
+    """Kernel of mat, computed inside within, in its echelon coordinates: the
+    same echelon basis as the kernel intersected with within. A full within
+    takes the plain kernel; an empty one is returned as it is."""
+    if within is None or within.dim == within.ambient:
+        return Subspace.from_vectors(ctx, mat.shape[1], nullspace(ctx, mat))
+    if within.dim == 0:
+        return within
+    null = nullspace(ctx, ctx.mat_mul(mat, _transpose(within.basis)))
+    return Subspace.from_vectors(ctx, within.ambient, within.lift(null))
 
 
 def preimage_solve(

@@ -172,10 +172,9 @@ def test_law_table_shares_the_guard(monkeypatch):
         D.check_iterativity()
 
 
-def test_twist_guard_precedes_elimination(monkeypatch):
-    ctx = FqContext(3, 1)
-    D = _canon(make_witt2(ctx, 1, [1]))
-    xs = [D.model.ring.var(v) for v in D.model.xvars]
+def _rref_rows(monkeypatch) -> list:
+    """Row counts of the rref calls made from now on, through linalg's rref
+    and the derivation module's own binding of it, should it have one."""
     rows = []
     real_rref = linalg_mod.rref
 
@@ -184,13 +183,54 @@ def test_twist_guard_precedes_elimination(monkeypatch):
         return real_rref(ctx, mat)
 
     monkeypatch.setattr(linalg_mod, "rref", counting_rref)
-    monkeypatch.setattr(derivation_mod, "rref", counting_rref)
+    monkeypatch.setattr(derivation_mod, "rref", counting_rref, raising=False)
+    return rows
+
+
+def test_twist_guard_precedes_elimination(monkeypatch):
+    ctx = FqContext(3, 1)
+    D = _canon(make_witt2(ctx, 1, [1]))
+    xs = [D.model.ring.var(v) for v in D.model.xvars]
+    rows = _rref_rows(monkeypatch)
     # room for the dim^2 table of phi, not for the dim^3 derivation table
     monkeypatch.setattr(artinian_mod, "TABLE_BUDGET", 100)
     with pytest.raises(ResourceGuard):
         twist_by_automorphism(D, [xs[0] + xs[1] ** 2, xs[1]])
     # only the e x e linear-part check eliminated
     assert rows == [D.model.e]
+
+
+@pytest.mark.parametrize("side", ["conjugation", "ladder"])
+def test_twist_eliminates_phi_once(monkeypatch, side):
+    ctx = FqContext(5, 1)
+    if side == "conjugation":
+        # dim 25, dense images: T's table is D's conjugated by Phi
+        D = _canon(make_multiplicative(ctx, 2))
+        x = D.model.ring.var("x1")
+        phi = [x + 2 * x**3 + x**5 + 3 * x**7 + 4 * x**11]
+    else:
+        # dim 125, nearly monomial images: T's table comes from the ladder
+        D = _canon(make_additive(ctx, 1, 3))
+        x = D.model.ring.var("x1")
+        phi = [x + 3 * x**25]
+    rows = _rref_rows(monkeypatch)
+    T = twist_by_automorphism(D, phi)
+    assert (T._source is not None) == (side == "conjugation")
+    T.table()
+    # the e x e linear-part check, then Phi once: psi and Phi^-1 alike
+    assert rows == [1, D.model.dim]
+
+
+def test_singular_twist_fails_before_the_table_guard():
+    # dim 625, e = 2: D's dim^3 table exceeds TABLE_BUDGET, but a singular
+    # linear part is refused by the e x e check before the guard runs
+    ctx = FqContext(5, 1)
+    D = _canon(make_additive(ctx, 2, 2))
+    x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
+    with pytest.raises(NotInvertible, match="matrix is singular"):
+        twist_by_automorphism(D, [x1 + x2, 2 * x1 + 2 * x2 + x1**2])
+    with pytest.raises(ResourceGuard):
+        twist_by_automorphism(D, [x1 + x2, x2])
 
 
 def test_matrix_stack_blocks_are_contiguous():

@@ -187,6 +187,15 @@ def test_n_series_has_period_p_to_the_m():
                 assert n_series(law, N + period) == n_series(law, N), (p, m, law.kind, N)
 
 
+def test_n_series_reads_n_modulo_its_period():
+    # at most p^m substitutions, however large n is
+    rng, N = random.Random(31), 10**9
+    for p in (2, 3):
+        for m in (1, 2):
+            for law in _constructor_zoo(FqContext(p, 1), m, rng):
+                assert n_series(law, N) == n_series(law, N % p**m), (p, m, law.kind)
+
+
 def test_truncate_law_drops_upper_levels():
     ctx = FqContext(2, 1)
     law = make_witt2(ctx, 2, [1, 1])

@@ -9,7 +9,15 @@ from hypothesis import strategies as st
 
 from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
-from hsderiv.linalg import Subspace, inv_matrix, nullspace, preimage_solve, rref, solve
+from hsderiv.linalg import (
+    Subspace,
+    inv_matrix,
+    kernel_space,
+    nullspace,
+    preimage_solve,
+    rref,
+    solve,
+)
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -203,6 +211,65 @@ def test_coords_and_coset_representatives(case, seed):
     if rep.any():
         with pytest.raises(NoSolution):
             V.coords_of(vec)
+
+
+# -- kernels inside a subspace, and stacks of rows --------------------------
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(ctx, matrix, V): d = 1 or 2, matrices with zero rows among them, and
+    V full, zero or proper (rank strictly between 0 and the column count)."""
+    ctx = _ctx(draw(st.sampled_from((2, 3, 5))), draw(st.sampled_from((1, 2))))
+    cols = draw(st.integers(2, 10))
+    rows = draw(st.sampled_from((0, 1, 3, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = _matrix(ctx, rng, rows, cols, draw(st.sampled_from(KINDS)))
+    side = draw(st.sampled_from(("full", "zero", "proper")))
+    if side == "full":
+        V = Subspace.full(ctx, cols)
+    elif side == "zero":
+        V = Subspace.zero_space(ctx, cols)
+    else:
+        k = int(rng.integers(1, cols))
+        V = Subspace.from_vectors(ctx, cols, _full_rank(ctx, rng, k, cols, k))
+    return ctx, mat, V
+
+
+@given(_kernel_cases())
+def test_kernel_space_within_equals_the_intersection(case):
+    ctx, mat, V = case
+    got = kernel_space(ctx, mat, within=V)
+    want = kernel_space(ctx, mat).intersect(V)
+    assert got.ambient == want.ambient and got.pivots == want.pivots
+    assert got.basis.dtype == want.basis.dtype and got.basis.shape == want.basis.shape
+    assert got.basis.tobytes() == want.basis.tobytes()
+
+
+@given(_kernel_cases(), st.integers(0, 2**32 - 1))
+def test_stacks_of_rows_match_row_by_row(case, seed):
+    ctx, _, V = case
+    n = V.ambient
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 6))
+    inside = ctx.mat_mul(rng.integers(0, ctx.p, (k, V.dim, ctx.d)), V.basis)
+    coords = V.coords_of(inside)
+    assert coords.shape == (k, V.dim, ctx.d)
+    for r in range(k):
+        assert np.array_equal(coords[r], V.coords_of(inside[r]))
+    assert V.contains(inside)
+    assert Subspace.from_vectors(ctx, n, inside).is_subspace_of(V)
+    vecs = rng.integers(0, ctx.p, (k, n, ctx.d))
+    reps = V.reduce_mod(vecs)
+    for r in range(k):
+        assert np.array_equal(reps[r], V.reduce_mod(vecs[r]))
+    if V.dim < n:
+        # a unit vector off the pivots lies outside V; put it in one row
+        free = [c for c in range(n) if c not in V.pivots]
+        inside[int(rng.integers(0, k))] = ctx.mat_eye(n)[free[0]]
+        assert not V.contains(inside)
+        with pytest.raises(NoSolution, match="vector lies outside the subspace"):
+            V.coords_of(inside)
 
 
 # -- preimage_solve inside an invariant subspace ----------------------------

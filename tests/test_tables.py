@@ -252,9 +252,9 @@ def test_images_derivation_keeps_the_full_index_lists(monkeypatch):
     rows = []
     real = lattice_mod.kernel_space
 
-    def counting_kernel_space(ctx, mat):
+    def counting_kernel_space(ctx, mat, within=None):
         rows.append(mat.shape[0])
-        return real(ctx, mat)
+        return real(ctx, mat, within)
 
     monkeypatch.setattr(lattice_mod, "kernel_space", counting_kernel_space)
     dim = D.model.dim  # 16: p = 2, e = 2, m = 2
