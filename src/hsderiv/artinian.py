@@ -46,9 +46,6 @@ class GradedIndexing:
         else:
             flats = [0]
         self.flat_of_graded = np.array(flats, dtype=np.intp)
-        inv = np.empty(self.size, dtype=np.intp)
-        inv[self.flat_of_graded] = np.arange(self.size)
-        self.graded_of_flat = inv
 
 
 class ArtinianModel:

@@ -11,6 +11,11 @@ division relies on (subspace invariance, nilpotency, kernel/image
 balance, operator power identities) is checked at runtime right where it
 is used, so inputs outside the supported envelope fail loudly instead of
 returning garbage.
+
+Component kernels, restrictions and certificates come from lattice. The
+one other kernel, the unit eigenvectors of a one-dimensional
+multiplicative factor (D_1 - 1 stacked with D_j, j >= 2), is taken with
+linalg.kernel_space inside the block's subspace.
 """
 
 from __future__ import annotations

@@ -79,18 +79,9 @@ class OperatorMatrix:
     def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
         return OperatorMatrix(self.model, self.model.ctx.arr_add(self.mat, other.mat))
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.model,
-            self.model.ctx.arr_add(self.mat, self.model.ctx.arr_neg(other.mat)),
-        )
-
     def scale(self, c) -> "OperatorMatrix":
         digits = self.model.ctx.scalar(c).digits
         return OperatorMatrix(self.model, self.model.ctx.arr_scale(digits, self.mat))
-
-    def power(self, k: int) -> "OperatorMatrix":
-        return OperatorMatrix(self.model, self.model.ctx.mat_pow(self.mat, k))
 
     def is_zero(self) -> bool:
         return not np.any(self.mat)
@@ -228,9 +219,6 @@ class HSDerivation:
         i = self._check_index(i)
         return OperatorMatrix(self.model, self.matrix_stack()[self.model.xidx.rank[i]])
 
-    def component_apply(self, i, f: TruncatedPoly) -> TruncatedPoly:
-        return self.component(i).apply(f)
-
     def compose(self, j, i) -> OperatorMatrix:
         """Matrix of r -> D_j(D_i(r)); the outer index comes first."""
         return self.component(j) @ self.component(i)
@@ -244,15 +232,6 @@ class HSDerivation:
             exps = model.xidx.monomials[b] + model.vidx.monomials[i]
             terms[exps] = model.ctx.scalar(tuple(int(x) for x in flat[pos]))
         return TruncatedPoly(model.ring_xv, terms)
-
-    def _image_matrix(self, t: int) -> np.ndarray:
-        """R[i_rank, a_rank] = coefficient of x^a v^i in D(x_t)."""
-        model = self.model
-        e = model.e
-        out = model.ctx.zeros((model.dim, model.dim))
-        for ex, c in self.images[t].terms.items():
-            out[model.vidx.rank[ex[e:]], model.xidx.rank[ex[:e]]] = c.digits
-        return out
 
     def _image_cube(self, vec: np.ndarray) -> np.ndarray:
         """cube[b, i] = coefficient of x^b v^i in D(r), r given by its vector."""
@@ -275,11 +254,14 @@ class HSDerivation:
         shape = (model.dim,) * 3 + (ctx.d,)
         # both stacks are C-contiguous with the last graded axis first:
         # stack[j, b, a] from D(x^a), fstack[j, i, k] = coeff of v^i w^j in F^k
-        stack = self.matrix_stack().reshape(model.dim**2, model.dim, ctx.d)
+        cube = self.matrix_stack()
+        stack = cube.reshape(model.dim**2, model.dim, ctx.d)
         fstack = self.law._power_table()[0].transpose(2, 1, 0, 3)
         fstack = fstack.reshape(model.dim**2, model.dim, ctx.d)
         for t in range(model.e):
-            r = self._image_matrix(t)
+            unit = tuple(1 if l == t else 0 for l in range(model.e))
+            # r[i, a] = coefficient of x^a v^i in D(x_t): the column at x_t
+            r = cube[:, :, model.xidx.rank[unit]]
             # route 1: expand D(x_t) coefficientwise through the table
             lhs = ctx.mat_mul(stack, r.transpose(1, 0, 2)).reshape(shape)
             # route 2: pair each component of D(x_t) with the matching F^k

@@ -26,7 +26,7 @@ class NotAUnit(HsderivError):
 
 
 class FractionalExponent(HsderivError):
-    """frobenius_root hit an exponent not divisible by p."""
+    """evp_point met a p-series exponent not divisible by p."""
 
 
 class TruncationOrder(HsderivError):

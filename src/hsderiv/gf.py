@@ -1,4 +1,5 @@
-"""Arithmetic in F_{p^d}: scalar type, digit-vector numpy kernels, binomials mod p.
+"""Arithmetic in F_{p^d}: scalar type, digit-vector numpy kernels, the
+multinomial and carry coefficients mod p.
 
 Scalars are vectors of d digits in [0, p) over a fixed monic irreducible modulus
 (coefficients ascending, degree d). All numpy arrays carrying field elements use
@@ -29,23 +30,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def binom_mod_p(n: int, k: int, p: int) -> int:
-    """Binomial coefficient C(n, k) mod p by Lucas reduction on base-p digits."""
-    if not is_prime(p):
-        raise ValueError(f"p={p} is not prime")
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        nd, kd = n % p, k % p
-        if kd > nd:
-            return 0
-        out = out * (math.comb(nd, kd) % p) % p
-        n //= p
-        k //= p
-    return out
 
 
 def multinomial_mod_p(parts: tuple[int, ...], p: int) -> int:
@@ -174,16 +158,6 @@ class FqContext:
             for s in range(d):
                 red[r, s] = gpow[r + s]
         self._red = red
-        # Frobenius x -> x^p as an F_p-linear matrix on digits (columns frob(g^i))
-        frob = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            col = self.s_pow((0,) * i + (1,) + (0,) * (d - 1 - i), p)
-            frob[:, i] = col
-        self._frob = frob
-        inv = frob.copy()
-        for _ in range(d - 2):
-            inv = (inv @ frob) % p
-        self._frob_inv = inv if d > 1 else frob
         self._mulmat_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def __eq__(self, other):
@@ -247,12 +221,6 @@ class FqContext:
             raise DivisionByZero("inverse of zero")
         return self.s_pow(a, self.q - 2)
 
-    def s_frob(self, a):
-        return tuple(int(v) % self.p for v in (self._frob @ np.array(a)) % self.p)
-
-    def s_frob_inv(self, a):
-        return tuple(int(v) % self.p for v in (self._frob_inv @ np.array(a)) % self.p)
-
     def mul_matrix(self, c: tuple[int, ...]) -> np.ndarray:
         """d x d matrix M with (c*x)_digits = M @ x_digits."""
         key = tuple(c)
@@ -313,24 +281,10 @@ class FqContext:
         """Field matrix-vector product, m (n,k,d) @ v (k,d) -> (n,d)."""
         return self.mat_mul(m, v[..., None, :])[..., 0, :]
 
-    def mat_pow(self, m: np.ndarray, n: int) -> np.ndarray:
-        out = self.mat_eye(m.shape[0])
-        base = m
-        while n:
-            if n & 1:
-                out = self.mat_mul(out, base)
-            base = self.mat_mul(base, base)
-            n >>= 1
-        return out
-
     def mat_eye(self, n: int) -> np.ndarray:
         out = self.zeros((n, n))
         out[np.arange(n), np.arange(n), 0] = 1
         return out
-
-    @staticmethod
-    def arr_is_zero(a: np.ndarray) -> bool:
-        return not np.any(a)
 
     # convenience scalar objects
 
@@ -355,19 +309,6 @@ class FqContext:
         if self.d == 1:
             raise ValueError("prime field has no generator symbol g")
         return FqScalar(self, (0, 1) + (0,) * (self.d - 2))
-
-    def elements(self):
-        """All q field elements, iteration order fixed by digit odometer."""
-        for n in range(self.q):
-            digs = []
-            t = n
-            for _ in range(self.d):
-                digs.append(t % self.p)
-                t //= self.p
-            yield FqScalar(self, tuple(digs))
-
-    def random_scalar(self, rng) -> "FqScalar":
-        return FqScalar(self, tuple(rng.randrange(self.p) for _ in range(self.d)))
 
 
 class FqScalar:
@@ -429,12 +370,6 @@ class FqScalar:
 
     def inverse(self) -> "FqScalar":
         return FqScalar(self.ctx, self.ctx.s_inv(self.digits))
-
-    def frobenius(self) -> "FqScalar":
-        return FqScalar(self.ctx, self.ctx.s_frob(self.digits))
-
-    def frobenius_inv(self) -> "FqScalar":
-        return FqScalar(self.ctx, self.ctx.s_frob_inv(self.digits))
 
     def is_zero(self) -> bool:
         return not any(self.digits)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .artinian import ArtinianModel
-from .derivation import HSDerivation, OperatorMatrix
+from .derivation import HSDerivation
 from .errors import HypothesisFailure, NoSolution
 from .linalg import Subspace, image_space, kernel_space
 # not called here: the benchmark tracer's test checks that installing it
@@ -90,11 +90,6 @@ def constants(D: HSDerivation) -> Subspace:
 def absolute_constants(D: HSDerivation) -> Subspace:
     """Joint kernel of every component of positive weight."""
     return joint_kernel(D, constants_indices(D, range(D.model.e), absolute=True))
-
-
-def subspace_polys(model: ArtinianModel, V: Subspace) -> list:
-    """Echelon basis rows as model elements, for reports."""
-    return [model.poly_from_vec(V.basis[r]) for r in range(V.dim)]
 
 
 class ConstantsTower:
@@ -173,11 +168,6 @@ def _zm(ctx, mat: np.ndarray) -> dict:
         "nilpotent_p": not ctx.mat_mul(pm1, mat).any(),
         "ker_im_equal": kernel_space(ctx, pm1) == image_space(ctx, mat),
     }
-
-
-def zm_check(T: OperatorMatrix) -> dict:
-    """Nilpotency of order p, and whether ker T^(p-1) equals im T."""
-    return _zm(T.model.ctx, T.mat)
 
 
 def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:

@@ -52,10 +52,6 @@ class FqDomain:
     def inverse(c):
         return c.inverse()
 
-    @staticmethod
-    def frobenius_inv(c):
-        return c.frobenius_inv()
-
 
 class RatFuncDomain:
     """Coefficient domain adapter for rational functions in fixed variables."""
@@ -214,34 +210,12 @@ class MultiPoly:
     def coeff(self, exps: tuple[int, ...]) -> FqScalar:
         return self.terms.get(tuple(exps), self.ctx.zero)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def leading(self) -> tuple[tuple[int, ...], FqScalar]:
         """Final term in canonical order; only defined for nonzero polynomials."""
         if not self.terms:
             raise DivisionByZero("leading term of the zero polynomial")
         e = max(self.terms, key=term_key)
         return e, self.terms[e]
-
-    def exact_div(self, other: "MultiPoly") -> "MultiPoly":
-        """Quotient self/other when the division is exact; raises otherwise."""
-        self._check(other)
-        if not other:
-            raise DivisionByZero("division by the zero polynomial")
-        oe, oc = other.leading()
-        oc_inv = oc.inverse()
-        rem = self
-        out: dict = {}
-        while rem:
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, oe))
-            if any(x < 0 for x in qe):
-                raise ValueError("division is not exact")
-            qc = rc * oc_inv
-            out[qe] = qc
-            rem = rem - MultiPoly(self.ctx, self.vars, {qe: qc}) * other
-        return MultiPoly(self.ctx, self.vars, out)
 
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly gives zeros)."""

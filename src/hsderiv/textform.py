@@ -101,9 +101,13 @@ def format_ratfunc(f: RationalFunc) -> str:
 
 
 class _Parser:
-    def __init__(self, ctx: FqContext, vars: tuple[str, ...], text: str):
+    """Recursive descent building MultiPoly values in vars, or, given a
+    truncated ring on vars, the ring's elements: every product truncates."""
+
+    def __init__(self, ctx: FqContext, vars: tuple[str, ...], text: str, ring):
         self.ctx = ctx
         self.vars = tuple(vars)
+        self.ring = ring
         self.tokens: list[str] = []
         pos = 0
         while pos < len(text):
@@ -131,13 +135,13 @@ class _Parser:
         if got != t:
             raise ValueError(f"expected {t!r}, got {got!r}")
 
-    def parse(self) -> MultiPoly:
+    def parse(self):
         out = self.expression()
         if self.peek() is not None:
             raise ValueError(f"trailing input at {self.peek()!r}")
         return out
 
-    def expression(self) -> MultiPoly:
+    def expression(self):
         neg = False
         if self.peek() in ("+", "-"):
             neg = self.take() == "-"
@@ -150,14 +154,14 @@ class _Parser:
             out = out - t if op == "-" else out + t
         return out
 
-    def term(self) -> MultiPoly:
+    def term(self):
         out = self.factor()
         while self.peek() == "*":
             self.take()
             out = out * self.factor()
         return out
 
-    def factor(self) -> MultiPoly:
+    def factor(self):
         base = self.primary()
         if self.peek() == "^":
             self.take()
@@ -167,12 +171,17 @@ class _Parser:
             base = base ** int(e)
         return base
 
-    def primary(self) -> MultiPoly:
+    def _const(self, c: FqScalar):
+        if self.ring is None:
+            return MultiPoly.const(self.ctx, self.vars, c)
+        return self.ring.const(c)
+
+    def primary(self):
         t = self.take()
         if t is None:
             raise ValueError("unexpected end of input")
         if t.isdigit():
-            return MultiPoly.const(self.ctx, self.vars, self.ctx.scalar(int(t)))
+            return self._const(self.ctx.scalar(int(t)))
         if t == "(":
             inner = self.expression()
             self.expect(")")
@@ -180,16 +189,18 @@ class _Parser:
         if t == "g":
             if self.ctx.d == 1:
                 raise UnknownVariable("g is not available over a prime field")
-            return MultiPoly.const(self.ctx, self.vars, self.ctx.gen)
+            return self._const(self.ctx.gen)
         if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", t):
             if t not in self.vars:
                 raise UnknownVariable(f"unknown variable {t!r}")
-            return MultiPoly.var(self.ctx, self.vars, t)
+            if self.ring is None:
+                return MultiPoly.var(self.ctx, self.vars, t)
+            return self.ring.var(t)
         raise ValueError(f"unexpected token {t!r}")
 
 
 def parse_poly(ctx: FqContext, vars, text: str) -> MultiPoly:
-    return _Parser(ctx, tuple(vars), text).parse()
+    return _Parser(ctx, tuple(vars), text, None).parse()
 
 
 def parse_scalar(ctx: FqContext, text) -> FqScalar:
@@ -200,13 +211,12 @@ def parse_scalar(ctx: FqContext, text) -> FqScalar:
 
 
 def parse_trunc(ring, text: str):
-    """Parse into a truncated ring with field coefficients."""
-    from .truncated import TruncatedPoly
-
+    """Parse into a truncated ring with field coefficients, evaluating in
+    the ring so no value outgrows its box. Truncation is a ring map, so this
+    is parse_poly's polynomial truncated."""
     if not isinstance(ring.dom, FqDomain):
         raise ValueError("parse_trunc needs a field coefficient domain")
-    f = parse_poly(ring.ctx, ring.vars, text)
-    return TruncatedPoly(ring, dict(f.terms))
+    return _Parser(ring.ctx, ring.vars, text, ring).parse()
 
 
 def _split_top_slash(text: str):

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from .errors import (
     ContextMismatch,
-    FractionalExponent,
     NonNilpotentImage,
     NotAUnit,
     UnknownVariable,
@@ -184,9 +183,6 @@ class TruncatedPoly:
     def sorted_terms(self):
         return sorted_terms(self.terms)
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __repr__(self):
         from .textform import format_trunc
 
@@ -328,20 +324,3 @@ def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
         p = p * n
     return out.scale(c0_inv)
 
-
-def frobenius_root(f: TruncatedPoly) -> TruncatedPoly:
-    """The unique r with r^p = f, when all exponents are divisible by p.
-
-    Coefficients map through the inverse Frobenius; exponents divide by p. An
-    exponent not divisible by p raises FractionalExponent.
-    """
-    p = f.ring.ctx.p
-    dom = f.ring.dom
-    if not hasattr(dom, "frobenius_inv"):
-        raise ContextMismatch("coefficient domain has no Frobenius inverse")
-    out: dict = {}
-    for e, c in f.terms.items():
-        if any(x % p for x in e):
-            raise FractionalExponent(f"exponents {e} are not all divisible by p={p}")
-        out[tuple(x // p for x in e)] = dom.frobenius_inv(c)
-    return TruncatedPoly(f.ring, out)

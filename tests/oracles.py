@@ -5,10 +5,45 @@ Everything here recomputes results along a different route than the library
 than a tautology.
 """
 
+import math
+
 import numpy as np
 
 from hsderiv.derivation import HSDerivation
+from hsderiv.gf import FqScalar, is_prime
 from hsderiv.truncated import TruncatedPoly
+
+
+def binom_mod_p(n: int, k: int, p: int) -> int:
+    """Binomial coefficient C(n, k) mod p by Lucas reduction on base-p digits."""
+    if not is_prime(p):
+        raise ValueError(f"p={p} is not prime")
+    if k < 0 or k > n:
+        return 0
+    out = 1
+    while n or k:
+        nd, kd = n % p, k % p
+        if kd > nd:
+            return 0
+        out = out * (math.comb(nd, kd) % p) % p
+        n //= p
+        k //= p
+    return out
+
+
+def elements(ctx):
+    """All q field elements, iteration order fixed by digit odometer."""
+    for n in range(ctx.q):
+        digs = []
+        for _ in range(ctx.d):
+            digs.append(n % ctx.p)
+            n //= ctx.p
+        yield FqScalar(ctx, tuple(digs))
+
+
+def random_scalar(ctx, rng) -> FqScalar:
+    """A uniform field element, one rng.randrange(p) per digit."""
+    return FqScalar(ctx, tuple(rng.randrange(ctx.p) for _ in range(ctx.d)))
 
 
 def _mm(ctx, a, b):

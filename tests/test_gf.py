@@ -1,4 +1,5 @@
-"""Field arithmetic and binomial helpers."""
+"""Field arithmetic, digit-array kernels and the coefficients mod p, with
+the Lucas binomial that tests take as their reference (oracles.binom_mod_p)."""
 
 import itertools
 import math
@@ -10,11 +11,11 @@ import pytest
 from hsderiv.errors import DivisionByZero
 from hsderiv.gf import (
     FqContext,
-    binom_mod_p,
     default_modulus,
     lambda_coeffs,
     multinomial_mod_p,
 )
+from oracles import binom_mod_p, elements, random_scalar
 
 
 def test_binom_mod_p_known_values():
@@ -155,7 +156,7 @@ def test_f4_multiplication_table():
 def test_scalar_field_axioms_small_fields():
     for p, d in ((2, 1), (3, 1), (2, 2), (3, 2), (2, 3)):
         ctx = FqContext(p, d)
-        els = list(ctx.elements())
+        els = list(elements(ctx))
         assert len(els) == p**d
         for a in els:
             assert a + ctx.zero == a
@@ -169,15 +170,6 @@ def test_scalar_field_axioms_small_fields():
                 assert a * b == b * a
         with pytest.raises(DivisionByZero):
             ctx.zero.inverse()
-
-
-def test_frobenius_is_p_power_and_invertible():
-    for p, d in ((2, 2), (3, 2), (2, 3), (5, 2)):
-        ctx = FqContext(p, d)
-        for a in ctx.elements():
-            assert a.frobenius() == a**p
-            assert a.frobenius().frobenius_inv() == a
-            assert a.frobenius_inv().frobenius() == a
 
 
 def test_scalar_pow_negative_and_division():
@@ -196,11 +188,11 @@ def test_matrix_kernels_match_scalar_arithmetic():
         ctx = FqContext(p, d)
         n, k, m = 4, 3, 5
         A = np.array(
-            [[ctx.random_scalar(rng).digits for _ in range(k)] for _ in range(n)],
+            [[random_scalar(ctx, rng).digits for _ in range(k)] for _ in range(n)],
             dtype=np.int64,
         )
         B = np.array(
-            [[ctx.random_scalar(rng).digits for _ in range(m)] for _ in range(k)],
+            [[random_scalar(ctx, rng).digits for _ in range(m)] for _ in range(k)],
             dtype=np.int64,
         )
         C = ctx.mat_mul(A, B)
@@ -216,19 +208,17 @@ def test_matrix_power_and_identity():
     ctx = FqContext(3, 1)
     m = ctx.zeros((2, 2))
     m[0, 1, 0] = 1  # strictly upper triangular
-    assert not ctx.arr_is_zero(m)
-    assert ctx.arr_is_zero(ctx.mat_mul(m, m))
+    assert np.any(m)
+    assert not np.any(ctx.mat_mul(m, m))
     eye = ctx.mat_eye(2)
     assert np.array_equal(ctx.mat_mul(eye, m), m)
-    assert np.array_equal(ctx.mat_pow(m, 1), m)
-    assert ctx.arr_is_zero(ctx.mat_pow(m, 3))
 
 
 def test_arr_scale_matches_scalar_multiplication():
     rng = random.Random(777)
     ctx = FqContext(3, 2)
-    a = np.array([ctx.random_scalar(rng).digits for _ in range(6)], dtype=np.int64)
-    c = ctx.random_scalar(rng)
+    a = np.array([random_scalar(ctx, rng).digits for _ in range(6)], dtype=np.int64)
+    c = random_scalar(ctx, rng)
     out = ctx.arr_scale(c.digits, a)
     for i in range(6):
         assert tuple(out[i]) == (c * ctx.scalar(tuple(a[i]))).digits

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from hsderiv.errors import ContextMismatch, LawAxiomFailure, TruncationOrder
-from hsderiv.gf import FqContext, binom_mod_p
+from hsderiv.gf import FqContext
 from hsderiv.grouplaw import (
     FormalGroupLaw,
     check_axioms,
@@ -22,10 +22,11 @@ from hsderiv.grouplaw import (
 from hsderiv.poly import MultiPoly
 from hsderiv.textform import format_trunc, parse_trunc
 from hsderiv.truncated import TruncatedRing, substitute
+from oracles import binom_mod_p, random_scalar
 
 
 def _random_witt2(ctx, m, rng):
-    return make_witt2(ctx, m, [ctx.random_scalar(rng) for _ in range(m)])
+    return make_witt2(ctx, m, [random_scalar(ctx, rng) for _ in range(m)])
 
 
 def _constructor_zoo(ctx, m, rng):
@@ -142,7 +143,7 @@ def test_p_series_witt2_formula():
         for m in (1, 2):
             ctx = FqContext(p, 1)
             for _ in range(4):
-                alphas = [ctx.random_scalar(rng) for _ in range(m)]
+                alphas = [random_scalar(ctx, rng) for _ in range(m)]
                 law = make_witt2(ctx, m, alphas)
                 s1, s2 = n_series(law, p)
                 vring = s1.ring

@@ -1,6 +1,7 @@
 """Sparse polynomials, rational functions, and the shared text syntax."""
 
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -20,13 +21,14 @@ from hsderiv.textform import (
     parse_trunc,
 )
 from hsderiv.truncated import TruncatedPoly, TruncatedRing
+from oracles import random_scalar
 
 
 def _rand_poly(ctx, vars, rng, deg=3, nterms=5):
     terms = {}
     for _ in range(nterms):
         e = tuple(rng.randrange(deg) for _ in vars)
-        terms[e] = ctx.random_scalar(rng)
+        terms[e] = random_scalar(ctx, rng)
     return MultiPoly(ctx, vars, terms)
 
 
@@ -96,7 +98,7 @@ def test_scalar_format_and_parse_extension_field():
     assert parse_scalar(ctx, 4) == ctx.scalar(1)
     rng = random.Random(5)
     for _ in range(20):
-        a = ctx.random_scalar(rng)
+        a = random_scalar(ctx, rng)
         assert parse_scalar(ctx, format_scalar(a)) == a
 
 
@@ -108,24 +110,6 @@ def test_extension_coefficients_round_trip_in_polynomials():
     f = MultiPoly.const(ctx, vars, g + 1) * x**2 + MultiPoly.const(ctx, vars, g) * x
     text = format_poly(f)
     assert parse_poly(ctx, vars, text) == f
-
-
-def test_exact_division():
-    ctx = FqContext(5, 1)
-    vars = ("x", "y")
-    rng = random.Random(99)
-    for _ in range(20):
-        a = _rand_poly(ctx, vars, rng, deg=3, nterms=4)
-        b = _rand_poly(ctx, vars, rng, deg=3, nterms=3)
-        if not b:
-            continue
-        assert (a * b).exact_div(b) == a
-    x = MultiPoly.var(ctx, vars, "x")
-    y = MultiPoly.var(ctx, vars, "y")
-    with pytest.raises(ValueError):
-        (x**2 + y).exact_div(y**2)
-    with pytest.raises(DivisionByZero):
-        x.exact_div(MultiPoly.zero(ctx, vars))
 
 
 def test_monomial_content_and_shift():
@@ -231,3 +215,45 @@ def test_format_parse_round_trip(case):
     g = parse(text)
     assert g == f
     assert _format(g) == text
+
+
+_TRUNC_CTX = {(p, d): FqContext(p, d) for p, d in ((2, 1), (3, 1), (2, 2), (3, 2))}
+
+
+@st.composite
+def _trunc_texts(draw):
+    """(ring, text): sums of products of powers over a truncated ring, the
+    powers reaching past its bounds; g appears over GF(4) and GF(9)."""
+    p, d = draw(st.sampled_from(sorted(_TRUNC_CTX)))
+    ring = TruncatedRing(_TRUNC_CTX[p, d], [(("x1", "x2"), p), (("v1",), p * p)])
+    atoms = st.sampled_from(list(ring.vars) + ["1", str(p + 1)] + ["g"] * (d > 1))
+
+    def factor():
+        base = " + ".join(draw(st.lists(atoms, min_size=1, max_size=2)))
+        return f"({base})^{draw(st.integers(0, p * p + p))}"
+
+    def term():
+        return "*".join(factor() for _ in range(draw(st.integers(1, 2))))
+
+    text = term()
+    for _ in range(draw(st.integers(0, 2))):
+        text += draw(st.sampled_from((" + ", " - "))) + term()
+    return ring, text
+
+
+@given(_trunc_texts())
+def test_parse_trunc_is_the_truncated_parse_poly(case):
+    ring, text = case
+    want = TruncatedPoly(ring, parse_poly(ring.ctx, ring.vars, text).terms)
+    assert parse_trunc(ring, text) == want
+
+
+def test_parse_trunc_truncates_as_it_goes():
+    # 16806 has every base-7 digit 6: the untruncated power has about 17M
+    # terms, but x^7 = 0 leaves only (x1 + x2 + 1)^6, 28 terms
+    ring = TruncatedRing(FqContext(7, 1), [(("x1", "x2"), 7)])
+    start = time.perf_counter()
+    f = parse_trunc(ring, "(x1 + x2 + 1)^16806")
+    assert time.perf_counter() - start < 1.0
+    assert f == parse_trunc(ring, "(x1 + x2 + 1)^6")
+    assert len(f.terms) == 28

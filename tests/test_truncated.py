@@ -1,11 +1,10 @@
-"""Truncated block rings: quotient arithmetic, substitution, units, p-th roots."""
+"""Truncated block rings: quotient arithmetic, substitution, units, parsing."""
 
 import random
 
 import pytest
 
 from hsderiv.errors import (
-    FractionalExponent,
     NonNilpotentImage,
     NotAUnit,
     UnknownVariable,
@@ -15,11 +14,11 @@ from hsderiv.truncated import (
     TruncatedPoly,
     TruncatedRing,
     convert,
-    frobenius_root,
     invert_unit,
     substitute,
 )
 from hsderiv.textform import format_trunc, parse_trunc
+from oracles import random_scalar
 
 
 def _ring(p, d, blocks):
@@ -32,7 +31,7 @@ def _rand_elem(ring, rng, nterms=5, zero_const=False):
         e = tuple(rng.randrange(b) for b in ring.bounds)
         if zero_const and not any(e):
             continue
-        terms[e] = ring.ctx.random_scalar(rng)
+        terms[e] = random_scalar(ring.ctx, rng)
     return TruncatedPoly(ring, terms)
 
 
@@ -140,31 +139,6 @@ def test_invert_unit_round_trip_random():
                     if not f.constant_term():
                         f = f + r.one
                     assert f * invert_unit(f) == r.one
-
-
-def test_frobenius_root_examples():
-    for p in (2, 3):
-        r = _ring(p, 1, [(("v",), p**2)])
-        v = r.var("v")
-        assert frobenius_root(v**p) == v
-        f = v ** (2 * p) + v**p if 2 * p < p**2 else v**p
-        expect = v**2 + v if 2 * p < p**2 else v
-        assert frobenius_root(f) == expect
-        with pytest.raises(FractionalExponent):
-            frobenius_root(v ** (p + 1))
-
-
-def test_frobenius_root_inverts_p_power_with_extension_coeffs():
-    rng = random.Random(11)
-    ctx = FqContext(3, 2)
-    r = TruncatedRing(ctx, [(("v1", "v2"), 9)])
-    for _ in range(10):
-        f = _rand_elem(r, rng, nterms=4)
-        g = f**3
-        if not g:
-            continue
-        root = frobenius_root(g)
-        assert root**3 == g
 
 
 def test_convert_between_rings():
