@@ -1,20 +1,33 @@
-"""Arithmetic in F_{p^d}: scalar type, digit-vector numpy kernels, the
-multinomial and carry coefficients mod p.
+"""Arithmetic in F_{p^d}: scalar arithmetic on raw values, digit-vector numpy
+kernels, the multinomial and carry coefficients mod p.
 
-Scalars are vectors of d digits in [0, p) over a fixed monic irreducible modulus
-(coefficients ascending, degree d). All numpy arrays carrying field elements use
-a trailing axis of length d holding those digits; every kernel is exact integer
-arithmetic reduced mod p. No floats anywhere.
+An element is d digits in [0, p), the coefficients (ascending) of a
+polynomial in g reduced by a fixed monic irreducible modulus of degree d.
+Its raw value is one Python int holding digit i at bit offset W*i, W =
+``FqContext.width``; for d = 1 it is the int in [0, p) itself. The product
+of two raw values is the digit convolution at the same offsets, so a plain
+sum of one reduced value and up to LAZY_PRODUCTS such products stays exact
+(W is sized for it from p and d), and ``FqContext.reduce`` folds it back to
+a reduced raw value once. FqScalar is a view of one raw value.
+
+All numpy arrays carrying field elements use a trailing axis of length d
+holding the digits; every kernel is exact integer arithmetic reduced mod p.
+No floats anywhere.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ContextMismatch, DivisionByZero
+
+# unreduced products a lazy sum over an extension field may hold before it
+# is reduced (FqContext.width is sized for it)
+LAZY_PRODUCTS = 128
 
 
 def is_prime(n: int) -> bool:
@@ -120,7 +133,8 @@ def default_modulus(p: int, d: int) -> tuple[int, ...]:
 
 
 class FqContext:
-    """The field F_{p^d} with a fixed modulus; owns all digit-vector kernels."""
+    """The field F_{p^d} with a fixed modulus; owns the scalar arithmetic on
+    raw packed values and all digit-vector kernels."""
 
     def __init__(self, p: int, d: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -151,17 +165,24 @@ class FqContext:
                 for i in range(d):
                     nxt[i] = (nxt[i] - lead * modulus[i]) % p
             cur = nxt
-        self._gpow = tuple(tuple(row) for row in gpow)
+        self._fold = tuple(tuple(row) for row in gpow[d:])
         # red[r, s, t]: digits of g^r * g^s
         red = np.zeros((d, d, d), dtype=np.int64)
         for r in range(d):
             for s in range(d):
                 red[r, s] = gpow[r + s]
         self._red = red
+        # a product of reduced values puts at most d*(p-1)^2 in each of its
+        # 2d-1 convolution digits; a prime field has one digit, which no
+        # sum overflows
+        self.width = ((LAZY_PRODUCTS + 1) * d * (p - 1) ** 2).bit_length()
+        self.lazy = LAZY_PRODUCTS if d > 1 else sys.maxsize
+        self._mask = (1 << self.width) - 1
+        self._neg_base = self.pack((p,) * d)
         self._mulmat_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, FqContext)
             and (self.p, self.d, self.modulus) == (other.p, other.d, other.modulus)
         )
@@ -173,63 +194,84 @@ class FqContext:
         return f"FqContext(p={self.p}, d={self.d})"
 
     def check_same(self, other: "FqContext") -> None:
-        if self != other:
+        if other is not self and self != other:
             raise ContextMismatch(f"field contexts differ: {self} vs {other}")
 
-    # scalar (digit tuple) arithmetic
+    # scalar arithmetic on raw values
 
-    def s_from_int(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.d - 1)
+    def pack(self, digits) -> int:
+        """Raw value of d digits in [0, p)."""
+        out = 0
+        for v in reversed(tuple(digits)):
+            out = (out << self.width) | int(v)
+        return out
 
-    def s_add(self, a, b):
-        return tuple((x + y) % self.p for x, y in zip(a, b))
+    def unpack(self, x: int) -> tuple[int, ...]:
+        """The d digits of a reduced raw value."""
+        w, mask = self.width, self._mask
+        return tuple((x >> (w * i)) & mask for i in range(self.d))
 
-    def s_neg(self, a):
-        return tuple((-x) % self.p for x in a)
-
-    def s_mul(self, a, b):
+    def reduce(self, x: int) -> int:
+        """Reduced raw value of a plain sum of products of reduced values
+        (see ``lazy``): each digit mod p, the digits at g^d .. g^(2d-2)
+        folded back through the modulus."""
         p, d = self.p, self.d
         if d == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * d - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        conv[i + j] += x * y
-        out = [0] * d
-        for c, row in zip(conv, self._gpow):
+            return x % p
+        w, mask = self.width, self._mask
+        out = [(x >> (w * t)) & mask for t in range(d)]
+        x >>= w * d
+        for row in self._fold:
+            if not x:
+                break
+            c = x & mask
             if c:
                 for t in range(d):
                     out[t] += c * row[t]
-        return tuple(v % p for v in out)
+            x >>= w
+        r = 0
+        for v in reversed(out):
+            r = (r << w) | (v % p)
+        return r
 
-    def s_pow(self, a, n: int):
+    def neg(self, x: int) -> int:
+        return self.reduce(self._neg_base - x)
+
+    def pow(self, x: int, n: int) -> int:
         if n < 0:
-            return self.s_pow(self.s_inv(a), -n)
-        out = self.s_from_int(1)
-        base = tuple(a)
+            return self.pow(self.inv(x), -n)
+        if self.d == 1:
+            return pow(x, n, self.p)
+        out = 1
         while n:
             if n & 1:
-                out = self.s_mul(out, base)
-            base = self.s_mul(base, base)
+                out = self.reduce(out * x)
+            x = self.reduce(x * x)
             n >>= 1
         return out
 
-    def s_inv(self, a):
-        if not any(a):
+    def inv(self, x: int) -> int:
+        if not x:
             raise DivisionByZero("inverse of zero")
-        return self.s_pow(a, self.q - 2)
+        return self.pow(x, self.q - 2)
+
+    def raw(self, v) -> int:
+        """Raw value of a field element given as an FqScalar, an integer
+        (taken mod p) or a sequence of d digits."""
+        if isinstance(v, FqScalar):
+            self.check_same(v.ctx)
+            return v.raw
+        if isinstance(v, int):
+            return v % self.p
+        return self.pack(int(x) % self.p for x in v)
 
     def mul_matrix(self, c: tuple[int, ...]) -> np.ndarray:
         """d x d matrix M with (c*x)_digits = M @ x_digits."""
         key = tuple(c)
         m = self._mulmat_cache.get(key)
         if m is None:
-            cols = []
-            for i in range(self.d):
-                basis = (0,) * i + (1,) + (0,) * (self.d - 1 - i)
-                cols.append(self.s_mul(key, basis))
+            x = self.pack(key)
+            cols = [self.unpack(self.reduce(x << (self.width * i))) for i in range(self.d)]
             m = np.array(cols, dtype=np.int64).T
             self._mulmat_cache[key] = m
         return m
@@ -286,64 +328,66 @@ class FqContext:
         out[np.arange(n), np.arange(n), 0] = 1
         return out
 
-    # convenience scalar objects
+    # scalar views, for text and digit boundaries
 
     def scalar(self, v) -> "FqScalar":
         if isinstance(v, FqScalar):
             self.check_same(v.ctx)
             return v
-        if isinstance(v, int):
-            return FqScalar(self, self.s_from_int(v))
-        return FqScalar(self, tuple(int(x) % self.p for x in v))
+        return FqScalar(self, self.raw(v))
 
     @property
     def zero(self) -> "FqScalar":
-        return FqScalar(self, (0,) * self.d)
+        return FqScalar(self, 0)
 
     @property
     def one(self) -> "FqScalar":
-        return FqScalar(self, self.s_from_int(1))
+        return FqScalar(self, 1)
 
     @property
     def gen(self) -> "FqScalar":
         if self.d == 1:
             raise ValueError("prime field has no generator symbol g")
-        return FqScalar(self, (0, 1) + (0,) * (self.d - 2))
+        return FqScalar(self, 1 << self.width)
 
 
 class FqScalar:
-    """Immutable element of F_{p^d}, stored as d digits in [0, p)."""
+    """Immutable element of F_{p^d}: a view of one reduced raw value."""
 
-    __slots__ = ("ctx", "digits")
+    __slots__ = ("ctx", "raw")
 
-    def __init__(self, ctx: FqContext, digits: tuple[int, ...]):
+    def __init__(self, ctx: FqContext, raw: int):
         self.ctx = ctx
-        self.digits = digits
+        self.raw = raw
 
-    def _coerce(self, other) -> "FqScalar":
+    @property
+    def digits(self) -> tuple[int, ...]:
+        return self.ctx.unpack(self.raw)
+
+    def _coerce(self, other):
         if isinstance(other, FqScalar):
             self.ctx.check_same(other.ctx)
-            return other
+            return other.raw
         if isinstance(other, int):
-            return FqScalar(self.ctx, self.ctx.s_from_int(other))
+            return other % self.ctx.p
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FqScalar(self.ctx, self.ctx.s_add(self.digits, o.digits))
+        return FqScalar(self.ctx, self.ctx.reduce(self.raw + o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FqScalar(self.ctx, self.ctx.s_neg(self.digits))
+        return FqScalar(self.ctx, self.ctx.neg(self.raw))
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        return FqScalar(self.ctx, self.ctx.reduce(self.raw + self.ctx.neg(o)))
 
     def __rsub__(self, other):
         return (-self) + other
@@ -352,7 +396,7 @@ class FqScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return FqScalar(self.ctx, self.ctx.s_mul(self.digits, o.digits))
+        return FqScalar(self.ctx, self.ctx.reduce(self.raw * o))
 
     __rmul__ = __mul__
 
@@ -360,30 +404,30 @@ class FqScalar:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self * o.inverse()
+        return FqScalar(self.ctx, self.ctx.reduce(self.raw * self.ctx.inv(o)))
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     def __pow__(self, n: int):
-        return FqScalar(self.ctx, self.ctx.s_pow(self.digits, n))
+        return FqScalar(self.ctx, self.ctx.pow(self.raw, n))
 
     def inverse(self) -> "FqScalar":
-        return FqScalar(self.ctx, self.ctx.s_inv(self.digits))
+        return FqScalar(self.ctx, self.ctx.inv(self.raw))
 
     def is_zero(self) -> bool:
-        return not any(self.digits)
+        return not self.raw
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.raw)
 
     def __eq__(self, other):
         if isinstance(other, int):
-            return self.digits == self.ctx.s_from_int(other)
+            return self.raw == other % self.ctx.p
         return (
             isinstance(other, FqScalar)
             and self.ctx == other.ctx
-            and self.digits == other.digits
+            and self.raw == other.raw
         )
 
     def __hash__(self):

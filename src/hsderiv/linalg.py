@@ -54,7 +54,7 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
         hit = r + k % live.shape[1]
         if hit != r:
             m[[r, hit]] = m[[hit, r]]
-        inv = ctx.s_inv(tuple(int(v) for v in m[r, c]))
+        inv = ctx.unpack(ctx.inv(ctx.pack(m[r, c])))
         m[r, c:] = ctx.arr_scale(inv, m[r, c:])
         factors = m[:, c].copy()
         factors[r] = 0

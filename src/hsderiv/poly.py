@@ -1,20 +1,37 @@
 """Sparse multivariate polynomials and rational functions over F_{p^d}.
 
-Terms map exponent tuples to nonzero coefficients. The canonical term order used
-everywhere (printing, leading terms, matrix bases) is ascending total degree with
-ties broken by descending lexicographic exponent comparison, so within a degree
-the variable declared first carries the highest power first.
+Terms map exponent tuples to nonzero coefficients, each held as the field's
+raw value: one int with digit i at bit offset ``ctx.width * i`` (for d = 1
+the int in [0, p) itself). A product f*g sums the unreduced coefficient
+products for each exponent and reduces once per output term. An output
+term collects at most min(|f|, |g|) products, and a plain sum of up to
+``ctx.lazy`` of them is exact; a larger product reduces its sums every
+``ctx.lazy`` terms of f as well. FqScalar views are made only at the
+boundary (``coeff``, and formatting in textform).
+
+The canonical term order used everywhere (printing, leading terms, matrix
+bases) is ascending total degree with ties broken by descending lexicographic
+exponent comparison, so within a degree the variable declared first carries
+the highest power first.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from operator import add, neg
+
 from .errors import ContextMismatch, DivisionByZero
 from .gf import FqContext, FqScalar
+
+# products of at least this many term pairs add exponents packed into ints,
+# which repays packing every input exponent and unpacking every output one;
+# it is below gf.LAZY_PRODUCTS ** 2, so a smaller product sums exactly
+PACKED_EXPONENTS_MIN = 1024
 
 
 def term_key(exps: tuple[int, ...]):
     """Sort key of the canonical term order."""
-    return (sum(exps), tuple(-e for e in exps))
+    return (sum(exps), tuple(map(neg, exps)))
 
 
 def sorted_terms(terms: dict):
@@ -85,9 +102,7 @@ class RatFuncDomain:
             return v
         if isinstance(v, MultiPoly):
             return RationalFunc.from_poly(v)
-        return RationalFunc.from_poly(
-            MultiPoly.const(self.ctx, self.vars, self.ctx.scalar(v))
-        )
+        return RationalFunc.from_poly(MultiPoly.const(self.ctx, self.vars, v))
 
     @staticmethod
     def is_zero(c) -> bool:
@@ -104,20 +119,31 @@ class MultiPoly:
     __slots__ = ("ctx", "vars", "terms")
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...], terms: dict):
+        """terms maps exponent tuples to field elements: FqScalar, int or
+        digit sequence, as FqContext.raw takes them."""
         self.ctx = ctx
         self.vars = tuple(vars)
-        self.terms = {e: c for e, c in terms.items() if c}
+        raw = ctx.raw
+        self.terms = {e: v for e, c in terms.items() if (v := raw(c))}
+
+    @classmethod
+    def _of_raw(cls, ctx, vars, terms: dict) -> "MultiPoly":
+        """Wrap terms already holding nonzero reduced raw values."""
+        f = object.__new__(cls)
+        f.ctx, f.vars, f.terms = ctx, vars, terms
+        return f
 
     @classmethod
     def zero(cls, ctx, vars) -> "MultiPoly":
-        return cls(ctx, vars, {})
+        return cls._of_raw(ctx, tuple(vars), {})
 
     @classmethod
     def one(cls, ctx, vars) -> "MultiPoly":
-        return cls.const(ctx, vars, ctx.one)
+        vars = tuple(vars)
+        return cls._of_raw(ctx, vars, {(0,) * len(vars): 1})
 
     @classmethod
-    def const(cls, ctx, vars, c: FqScalar) -> "MultiPoly":
+    def const(cls, ctx, vars, c) -> "MultiPoly":
         vars = tuple(vars)
         return cls(ctx, vars, {(0,) * len(vars): c})
 
@@ -126,10 +152,10 @@ class MultiPoly:
         vars = tuple(vars)
         i = vars.index(name)
         e = tuple(exp if j == i else 0 for j in range(len(vars)))
-        return cls(ctx, vars, {e: ctx.one})
+        return cls._of_raw(ctx, vars, {e: 1})
 
     def _check(self, other: "MultiPoly"):
-        if self.ctx != other.ctx or self.vars != other.vars:
+        if (other.ctx is not self.ctx and other.ctx != self.ctx) or other.vars != self.vars:
             raise ContextMismatch("polynomials from different rings")
 
     def _coerce(self, other):
@@ -137,23 +163,26 @@ class MultiPoly:
             self._check(other)
             return other
         if isinstance(other, (int, FqScalar)):
-            return MultiPoly.const(self.ctx, self.vars, self.ctx.scalar(other))
+            return MultiPoly.const(self.ctx, self.vars, other)
         return NotImplemented
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        reduce = self.ctx.reduce
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
-        return MultiPoly(self.ctx, self.vars, out)
+            out[e] = c if s is None else reduce(s + c)
+        return MultiPoly._of_raw(self.ctx, self.vars, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.ctx, self.vars, {e: -c for e, c in self.terms.items()})
+        neg = self.ctx.neg
+        return MultiPoly._of_raw(
+            self.ctx, self.vars, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -168,16 +197,71 @@ class MultiPoly:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
+        # a polynomial entry of a rational function has denominator one
+        if o._is_one():
+            return self
+        if self._is_one():
+            return o
+        if self.vars and len(self.terms) * len(o.terms) >= PACKED_EXPONENTS_MIN:
+            return self._mul_packed(o)
+        # an output term collects at most min(|f|, |g|) < 32 products, fewer
+        # than ctx.lazy, so one reduction per output term is enough
         out: dict = {}
+        get = out.get
+        right = o.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return MultiPoly(self.ctx, self.vars, out)
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        reduce = self.ctx.reduce
+        return MultiPoly._of_raw(
+            self.ctx, self.vars, {e: v for e, c in out.items() if (v := reduce(c))})
 
     __rmul__ = __mul__
+
+    def _mul_packed(self, o: "MultiPoly") -> "MultiPoly":
+        """__mul__ with each exponent tuple packed into one int, `width`
+        bits per variable, so an exponent sum is one int addition. Same
+        products in the same order, so the same terms in the same order.
+        Every ctx.lazy rows of self the sums are reduced, since an output
+        term may collect more products than a plain sum holds exactly."""
+        ctx = self.ctx
+        reduce, lazy = ctx.reduce, ctx.lazy
+        width = (max(map(max, self.terms)) + max(map(max, o.terms))).bit_length()
+        shifts = [width * i for i in range(len(self.vars))]
+
+        def packed(terms):
+            codes = [0] * len(terms)
+            for s, col in zip(shifts, zip(*terms)):
+                codes = [c | (x << s) for c, x in zip(codes, col)]
+            return list(zip(codes, terms.values()))
+
+        out = defaultdict(int)
+        right = packed(o.terms)
+        rows = 0
+        for k1, c1 in packed(self.terms):
+            if rows == lazy:
+                for k, c in out.items():
+                    out[k] = reduce(c)
+                rows = 0
+            rows += 1
+            for k2, c2 in right:
+                out[k1 + k2] += c1 * c2
+        raws = [reduce(c) for c in out.values()]
+        mask = (1 << width) - 1
+        cols = [[(k >> s) & mask for k in out] for s in shifts]
+        return MultiPoly._of_raw(
+            ctx, self.vars, {e: v for e, v in zip(zip(*cols), raws) if v})
+
+    def _is_one(self) -> bool:
+        terms = self.terms
+        return len(terms) == 1 and terms.get((0,) * len(self.vars)) == 1
+
+    def scale(self, c: int) -> "MultiPoly":
+        """Product with a nonzero raw value."""
+        reduce = self.ctx.reduce
+        return MultiPoly._of_raw(
+            self.ctx, self.vars, {e: reduce(v * c) for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -193,7 +277,7 @@ class MultiPoly:
 
     def __eq__(self, other):
         if isinstance(other, (int, FqScalar)):
-            other = MultiPoly.const(self.ctx, self.vars, self.ctx.scalar(other))
+            other = MultiPoly.const(self.ctx, self.vars, other)
         return (
             isinstance(other, MultiPoly)
             and self.ctx == other.ctx
@@ -208,14 +292,7 @@ class MultiPoly:
         return not self.terms
 
     def coeff(self, exps: tuple[int, ...]) -> FqScalar:
-        return self.terms.get(tuple(exps), self.ctx.zero)
-
-    def leading(self) -> tuple[tuple[int, ...], FqScalar]:
-        """Final term in canonical order; only defined for nonzero polynomials."""
-        if not self.terms:
-            raise DivisionByZero("leading term of the zero polynomial")
-        e = max(self.terms, key=term_key)
-        return e, self.terms[e]
+        return FqScalar(self.ctx, self.terms.get(tuple(exps), 0))
 
     def monomial_content(self) -> tuple[int, ...]:
         """Componentwise minimum exponent over all terms (zero poly gives zeros)."""
@@ -243,7 +320,8 @@ class MultiPoly:
 
 
 class RationalFunc:
-    """Quotient of MultiPoly values; denominator kept monic in the leading term."""
+    """Quotient of MultiPoly values; denominator kept monic in its last term
+    in canonical order."""
 
     __slots__ = ("num", "den")
 
@@ -254,11 +332,11 @@ class RationalFunc:
         if not num:
             den = MultiPoly.one(num.ctx, num.vars)
         else:
-            _, lc = den.leading()
-            if lc != num.ctx.one:
-                inv = lc.inverse()
-                num = num * inv
-                den = den * inv
+            lc = den.terms[max(den.terms, key=term_key)]
+            if lc != 1:
+                inv = num.ctx.inv(lc)
+                num = num.scale(inv)
+                den = den.scale(inv)
         self.num = num
         self.den = den
 
@@ -281,9 +359,7 @@ class RationalFunc:
         if isinstance(other, MultiPoly):
             return RationalFunc.from_poly(other)
         if isinstance(other, (int, FqScalar)):
-            return RationalFunc.from_poly(
-                MultiPoly.const(self.ctx, self.vars, self.ctx.scalar(other))
-            )
+            return RationalFunc.from_poly(MultiPoly.const(self.ctx, self.vars, other))
         return NotImplemented
 
     def __add__(self, other):

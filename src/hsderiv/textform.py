@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import re
 
-from .errors import UnknownVariable
+from .artinian import TABLE_BUDGET
+from .errors import ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
 from .poly import FqDomain, MultiPoly, RationalFunc, sorted_terms
 
@@ -75,18 +76,19 @@ def _coeff_factor(c, dom) -> str:
     if isinstance(dom, FqDomain):
         return _scalar_factor(c)
     if isinstance(c, RationalFunc) and len(c.num.terms) == 1 and c.den == 1:
-        (exps, sc), = c.num.terms.items()
+        (exps, raw), = c.num.terms.items()
         mono = _monomial_str(c.num.vars, exps)
         if not mono:
-            return _scalar_factor(sc)
-        if sc == c.num.ctx.one:
+            return _scalar_factor(FqScalar(c.ctx, raw))
+        if raw == 1:
             return mono
-        return f"{_scalar_factor(sc)}*{mono}"
+        return f"{_scalar_factor(FqScalar(c.ctx, raw))}*{mono}"
     return f"({format_ratfunc(c)})"
 
 
 def format_poly(f: MultiPoly) -> str:
-    return _format_terms(f.vars, f.terms, FqDomain(f.ctx))
+    views = {e: FqScalar(f.ctx, c) for e, c in f.terms.items()}
+    return _format_terms(f.vars, views, FqDomain(f.ctx))
 
 
 def format_trunc(f) -> str:
@@ -102,7 +104,11 @@ def format_ratfunc(f: RationalFunc) -> str:
 
 class _Parser:
     """Recursive descent building MultiPoly values in vars, or, given a
-    truncated ring on vars, the ring's elements: every product truncates."""
+    truncated ring on vars, the ring's elements: every product truncates.
+
+    A MultiPoly product does not truncate, so before each one (a power is
+    its square-and-multiply chain) ResourceGuard is raised when the two
+    term counts times d exceed TABLE_BUDGET."""
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...], text: str, ring):
         self.ctx = ctx
@@ -158,7 +164,7 @@ class _Parser:
         out = self.factor()
         while self.peek() == "*":
             self.take()
-            out = out * self.factor()
+            out = self._mul(out, self.factor())
         return out
 
     def factor(self):
@@ -168,10 +174,31 @@ class _Parser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            base = base ** int(e)
+            base = self._pow(base, int(e))
         return base
 
-    def _const(self, c: FqScalar):
+    def _mul(self, f, g):
+        if self.ring is None:
+            cost = len(f.terms) * len(g.terms) * self.ctx.d
+            if cost > TABLE_BUDGET:
+                raise ResourceGuard(
+                    f"product of {len(f.terms)} and {len(g.terms)} terms exceeds "
+                    f"the budget of {TABLE_BUDGET} digits"
+                )
+        return f * g
+
+    def _pow(self, f, n: int):
+        # the square-and-multiply chain of __pow__, one product at a time
+        out = self._const(1)
+        while n:
+            if n & 1:
+                out = self._mul(out, f)
+            if n > 1:
+                f = self._mul(f, f)
+            n >>= 1
+        return out
+
+    def _const(self, c):
         if self.ring is None:
             return MultiPoly.const(self.ctx, self.vars, c)
         return self.ring.const(c)

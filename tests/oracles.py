@@ -38,12 +38,57 @@ def elements(ctx):
         for _ in range(ctx.d):
             digs.append(n % ctx.p)
             n //= ctx.p
-        yield FqScalar(ctx, tuple(digs))
+        yield ctx.scalar(tuple(digs))
 
 
 def random_scalar(ctx, rng) -> FqScalar:
     """A uniform field element, one rng.randrange(p) per digit."""
-    return FqScalar(ctx, tuple(rng.randrange(ctx.p) for _ in range(ctx.d)))
+    return ctx.scalar(tuple(rng.randrange(ctx.p) for _ in range(ctx.d)))
+
+
+# -- F_{p^d} on digit tuples: schoolbook convolution, then the remainder by
+# the monic modulus; shares no code with hsderiv.gf
+
+def digit_add(p, a, b):
+    return tuple((x + y) % p for x, y in zip(a, b))
+
+
+def digit_neg(p, a):
+    return tuple(-x % p for x in a)
+
+
+def digit_mul(p, modulus, a, b):
+    d = len(modulus) - 1
+    conv = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        lead, conv[k] = conv[k], 0
+        for i in range(d):
+            conv[k - d + i] -= lead * modulus[i]
+    return tuple(c % p for c in conv[:d])
+
+
+def digit_pow(p, modulus, a, n):
+    out = (1,) + (0,) * (len(modulus) - 2)
+    for _ in range(n):
+        out = digit_mul(p, modulus, out, a)
+    return out
+
+
+def digit_inv(p, modulus, a):
+    """a^(q-2) by square-and-multiply, checked to be the inverse."""
+    d = len(modulus) - 1
+    one = (1,) + (0,) * (d - 1)
+    out, base, n = one, tuple(a), p**d - 2
+    while n:
+        if n & 1:
+            out = digit_mul(p, modulus, out, base)
+        base = digit_mul(p, modulus, base, base)
+        n >>= 1
+    assert digit_mul(p, modulus, out, a) == one
+    return out
 
 
 def _mm(ctx, a, b):

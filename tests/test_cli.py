@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -285,3 +286,36 @@ def test_hn_degree_guard_exit_3(tmp_path):
                   "--quiet", tmp_path=tmp_path)
     assert res.returncode == 3 and not res.stderr
     assert json.loads(res.stdout)["errors"][0]["kind"] == "resource-guard"
+
+
+# every untruncated product of a parsed element is guarded at the table budget
+
+_POWER_FAMILIES = [
+    (["(x1 + x2 + 1)^40", "x1 + x2^2", "x1*x2"],
+     "71f276f61616fbd29b6b050c029b81a167d5affe2d2007c90d6a2a46ac53459d"),
+    (["(x1 + x2 + 1)^40", "x2^3*(x1 + x2 + 1)^40", "x1"],
+     "bb67133c659922705a691ebb4e3ae19515b2470ff2d5489f04e3fdc8878cc1f0"),
+]
+
+
+@pytest.mark.parametrize("elements,digest", _POWER_FAMILIES, ids=["independent", "dependent"])
+def test_wronskian_powers_inside_the_parse_budget(elements, digest):
+    report, code = run({"command": "wronskian", "context": {"p": 3, "m": 1},
+                        "law": {"type": "additive", "e": 2},
+                        "elements": elements, "test": "dependence"})
+    assert code == 0
+    assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
+
+
+def test_wronskian_parse_guard_exit_3():
+    # over GF(7) (x1 + x2 + 1)^16806 has about 17M terms; its square-and-
+    # multiply chain reaches a 28224-term square, a product past the budget
+    job = {"command": "wronskian", "context": {"p": 7, "m": 1},
+           "law": {"type": "additive", "e": 2},
+           "elements": ["(x1 + x2 + 1)^16806", "x1", "x2"], "test": "dependence"}
+    start = time.process_time()
+    report, code = run(job)
+    assert time.process_time() - start < 1.0
+    assert code == 3
+    assert report["errors"][0]["kind"] == "resource-guard"
+    assert "28224 and 28224 terms" in report["errors"][0]["message"]

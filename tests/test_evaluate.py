@@ -143,9 +143,10 @@ def test_field_apply_matches_reference(data):
     num = data.draw(_multipoly(ctx, fctx.xvars))
     den = data.draw(_multipoly(ctx, fctx.xvars, nonzero=True))
     images = fctx.generator_images()
-    want = _reference(num.terms, images, fctx.ring)
+    want = _reference({e: num.coeff(e) for e in num.terms}, images, fctx.ring)
     if den != MultiPoly.one(ctx, fctx.xvars):
-        want = want * invert_unit(_reference(den.terms, images, fctx.ring))
+        want = want * invert_unit(
+            _reference({e: den.coeff(e) for e in den.terms}, images, fctx.ring))
     got = fctx.apply(RationalFunc(num, den))
     assert list(got.terms) == list(want.terms)
     assert [format_ratfunc(c) for c in got.terms.values()] == \
@@ -321,13 +322,38 @@ _WRONSKIAN = [
       "elements": ["x1 / (x2 + 1)", "x1 * x2^4 / (x2 + 1)", "(x1 + x2) / (x2^4 + 1)"],
       "test": "dependence"},
      "4d70460c0679cdde80205f3fe178a8d34db72935142d1ac53d6a18414d9fa2e9"),
+    # extension fields: coefficients in g, so every product folds digits
+    # through the modulus
+    ({"command": "wronskian", "context": {"p": 2, "d": 2, "m": 1},
+      "law": {"type": "additive", "e": 1},
+      "elements": ["1 / (x1^2 + g*x1)", "g*x1^2 / (x1^2 + g*x1)", "1 / (x1^2 + 1)"],
+      "test": "dependence"},
+     "55d500f2be92aaa3e47d6d8500fd2f27bdd8728c5800327166074759f614fa8e"),
+    ({"command": "wronskian", "context": {"p": 2, "d": 3, "m": 1},
+      "law": {"type": "multiplicative"},
+      "elements": ["x1 / (x1^2 + g)", "(g^2 + 1)*x1^3 / (x1^2 + g)", "1 / (x1 + g)"],
+      "test": "dependence"},
+     "e4a7cd0b04e7408bfde66bc28f73ab36fb5975ed879953e128e1d655ea4ac693"),
+    ({"command": "wronskian", "context": {"p": 3, "d": 2, "m": 1},
+      "law": {"type": "additive", "e": 2},
+      "elements": ["x1 / (x2 + g)", "x1 * x2^3 / (x2 + g)", "(x1 + g*x2) / (x2^3 + 1)"],
+      "test": "dependence"},
+     "0945fa68729ebef757f265633c557142354fef853c182474b328296751ee6b39"),
+    ({"command": "wronskian", "context": {"p": 3, "d": 2, "m": 1},
+      "law": {"type": "additive", "e": 2},
+      "elements": ["x1 + g*x2^3", "x2 + (g + 1)*x1^3"],
+      "test": "p-independence"},
+     "e9db6c75b84c5a2e0e2d2cc0892ebed1b45440a2aa20bab18ad811d8077f1b38"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", _WRONSKIAN,
-                         ids=["mult", "witt2", "additive-d2", "add-x-mult"])
+                         ids=["mult", "witt2", "additive-d2", "add-x-mult",
+                              "additive-q4", "mult-q8", "additive2-q9",
+                              "pindep-q9"])
 def test_rational_witness_report_bytes(config, digest):
     report, code = run(config)
     assert code == 0
-    assert any(" / " in w for w in report["checks"][0]["detail"]["witness"])
+    if config["test"] == "dependence":
+        assert any(" / " in w for w in report["checks"][0]["detail"]["witness"])
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest

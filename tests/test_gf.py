@@ -1,12 +1,15 @@
 """Field arithmetic, digit-array kernels and the coefficients mod p, with
 the Lucas binomial that tests take as their reference (oracles.binom_mod_p)."""
 
+import functools
 import itertools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsderiv.errors import DivisionByZero
 from hsderiv.gf import (
@@ -15,7 +18,16 @@ from hsderiv.gf import (
     lambda_coeffs,
     multinomial_mod_p,
 )
-from oracles import binom_mod_p, elements, random_scalar
+from oracles import (
+    binom_mod_p,
+    digit_add,
+    digit_inv,
+    digit_mul,
+    digit_neg,
+    digit_pow,
+    elements,
+    random_scalar,
+)
 
 
 def test_binom_mod_p_known_values():
@@ -222,3 +234,57 @@ def test_arr_scale_matches_scalar_multiplication():
     out = ctx.arr_scale(c.digits, a)
     for i in range(6):
         assert tuple(out[i]) == (c * ctx.scalar(tuple(a[i]))).digits
+
+
+# -- raw values against the digit-tuple reference in oracles ----------------
+
+RAW_FIELDS = [(p, d) for p in (2, 3, 5, 7, 251, 65521) for d in (1, 2, 3, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, d):
+    return FqContext(p, d)
+
+
+@st.composite
+def _raw_case(draw):
+    p, d = draw(st.sampled_from(RAW_FIELDS))
+    digits = st.tuples(*[st.integers(0, p - 1)] * d)
+    return _field(p, d), draw(digits), draw(digits), draw(st.integers(0, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_raw_case())
+def test_scalar_arithmetic_matches_digit_reference(case):
+    ctx, a, b, n = case
+    p, f = ctx.p, ctx.modulus
+    x, y = ctx.scalar(a), ctx.scalar(b)
+    assert ctx.unpack(ctx.pack(a)) == x.digits == a
+    assert (x + y).digits == digit_add(p, a, b)
+    assert (-x).digits == digit_neg(p, a)
+    assert (x - y).digits == digit_add(p, a, digit_neg(p, b))
+    assert (x * y).digits == digit_mul(p, f, a, b)
+    assert (x**n).digits == digit_pow(p, f, a, n)
+    if any(b):
+        assert y.inverse().digits == digit_inv(p, f, b)
+        assert (x / y).digits == digit_mul(p, f, a, digit_inv(p, f, b))
+    else:
+        with pytest.raises(DivisionByZero):
+            y.inverse()
+
+
+@pytest.mark.parametrize("p,d", RAW_FIELDS)
+def test_lazy_sum_at_its_width_bound_is_exact(p, d):
+    # every digit p - 1: one reduced value plus `lazy` products of it fill
+    # each convolution digit as far as the width allows (a prime field has
+    # one digit and no bound)
+    ctx = _field(p, d)
+    top = (p - 1,) * d
+    x = ctx.pack(top)
+    count = ctx.lazy if d > 1 else 1000
+    if d > 1:
+        assert (count + 1) * d * (p - 1) ** 2 < 1 << ctx.width
+    square = digit_mul(p, ctx.modulus, top, top)
+    want = digit_add(p, top, tuple(count * v % p for v in square))
+    assert ctx.unpack(ctx.reduce(x + count * (x * x))) == want
+    assert ctx.unpack(ctx.reduce(x + sum(x * x for _ in range(count)))) == want

@@ -18,6 +18,7 @@ from hsderiv.linalg import (
     rref,
     solve,
 )
+from oracles import digit_add, digit_inv, digit_mul
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -33,7 +34,7 @@ def _ctx(p, d):
 def _ref_eliminate(ctx, m, row, col):
     p = ctx.p
     pivot = tuple(int(v) for v in m[row, col])
-    inv = ctx.s_inv(pivot)
+    inv = digit_inv(ctx.p, ctx.modulus, pivot)
     m[row] = ctx.arr_scale(inv, m[row])
     factors = m[:, col].copy()
     factors[row] = 0
@@ -317,7 +318,8 @@ def test_preimage_solve_matches_restricted_solve(case, seed, target):
 def _scalar_entry(ctx, a, b, i, j):
     acc = (0,) * ctx.d
     for t in range(a.shape[1]):
-        acc = ctx.s_add(acc, ctx.s_mul(tuple(a[i, t]), tuple(b[t, j])))
+        prod = digit_mul(ctx.p, ctx.modulus, tuple(a[i, t]), tuple(b[t, j]))
+        acc = digit_add(ctx.p, acc, prod)
     return acc
 
 

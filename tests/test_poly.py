@@ -1,10 +1,11 @@
 """Sparse polynomials, rational functions, and the shared text syntax."""
 
+import functools
 import random
 import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsderiv.errors import DivisionByZero, UnknownVariable
@@ -21,7 +22,13 @@ from hsderiv.textform import (
     parse_trunc,
 )
 from hsderiv.truncated import TruncatedPoly, TruncatedRing
-from oracles import random_scalar
+from oracles import (
+    digit_add,
+    digit_inv,
+    digit_mul,
+    digit_neg,
+    random_scalar,
+)
 
 
 def _rand_poly(ctx, vars, rng, deg=3, nterms=5):
@@ -244,7 +251,8 @@ def _trunc_texts(draw):
 @given(_trunc_texts())
 def test_parse_trunc_is_the_truncated_parse_poly(case):
     ring, text = case
-    want = TruncatedPoly(ring, parse_poly(ring.ctx, ring.vars, text).terms)
+    f = parse_poly(ring.ctx, ring.vars, text)
+    want = TruncatedPoly(ring, {e: f.coeff(e) for e in f.terms})
     assert parse_trunc(ring, text) == want
 
 
@@ -257,3 +265,110 @@ def test_parse_trunc_truncates_as_it_goes():
     assert time.perf_counter() - start < 1.0
     assert f == parse_trunc(ring, "(x1 + x2 + 1)^6")
     assert len(f.terms) == 28
+
+
+# -- polynomial and rational arithmetic against the digit-tuple reference --
+
+RAW_FIELDS = [(p, d) for p in (2, 3, 5, 7, 251, 65521) for d in (1, 2, 3, 4)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, d):
+    return FqContext(p, d)
+
+
+def _digits(f):
+    return {e: f.coeff(e).digits for e in f.terms}
+
+
+def _ref_add(p, a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = digit_add(p, out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def _ref_mul(p, f, a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = digit_mul(p, f, c1, c2)
+            out[e] = digit_add(p, out[e], c) if e in out else c
+    return {e: c for e, c in out.items() if any(c)}
+
+
+def _ref_scale(p, f, a, c):
+    return {e: digit_mul(p, f, v, c) for e, v in a.items()}
+
+
+def _ref_normal(p, f, num, den):
+    """(num, den) with den's last term in canonical order made one."""
+    one = (1,) + (0,) * (len(f) - 2)
+    if not num:
+        return {}, {(0, 0): one}
+    inv = digit_inv(p, f, den[max(den, key=term_key)])
+    return _ref_scale(p, f, num, inv), _ref_scale(p, f, den, inv)
+
+
+@st.composite
+def _poly_pair(draw):
+    p, d = draw(st.sampled_from(RAW_FIELDS))
+    ctx = _field(p, d)
+    digit = st.tuples(*[st.integers(0, p - 1)] * d)
+    terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), digit,
+                            max_size=6)
+    f, g = (MultiPoly(ctx, ("x", "y"), draw(terms)) for _ in range(2))
+    return ctx, f, g, draw(st.integers(0, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pair())
+def test_poly_arithmetic_matches_digit_reference(case):
+    ctx, f, g, n = case
+    p, mod = ctx.p, ctx.modulus
+    a, b = _digits(f), _digits(g)
+    neg_b = {e: digit_neg(p, c) for e, c in b.items()}
+    assert _digits(f + g) == _ref_add(p, a, b)
+    assert _digits(-g) == neg_b
+    assert _digits(f - g) == _ref_add(p, a, neg_b)
+    assert _digits(f * g) == _ref_mul(p, mod, a, b)
+    want = {(0, 0): (1,) + (0,) * (ctx.d - 1)}
+    for _ in range(n):
+        want = _ref_mul(p, mod, want, a)
+    assert _digits(f**n) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pair())
+def test_ratfunc_normalisation_and_inverse_match_digit_reference(case):
+    ctx, f, g, _ = case
+    if not g:
+        g = MultiPoly.one(ctx, g.vars)
+    p, mod = ctx.p, ctx.modulus
+    r = RationalFunc(f, g)
+    num, den = _ref_normal(p, mod, _digits(f), _digits(g))
+    assert (_digits(r.num), _digits(r.den)) == (num, den)
+    if not f:
+        with pytest.raises(DivisionByZero):
+            r.inverse()
+        return
+    inv = r.inverse()
+    assert (_digits(inv.num), _digits(inv.den)) == _ref_normal(p, mod, den, num)
+    assert r * inv == 1
+
+
+@pytest.mark.parametrize("p,d", RAW_FIELDS)
+def test_square_whose_terms_collect_hundreds_of_products(p, d):
+    # c*(1 + x + ... + x^k) squared: the coefficient of x^j is n_j c^2 with
+    # n_j = min(j, 2k - j) + 1 products, up to k + 1 = 201 > ctx.lazy (d > 1)
+    ctx, k = _field(p, d), 200
+    top = (p - 1,) * d
+    f = MultiPoly(ctx, ("x",), {(j,): top for j in range(k + 1)})
+    square = digit_mul(p, ctx.modulus, top, top)
+    want = {}
+    for j in range(2 * k + 1):
+        c = tuple((min(j, 2 * k - j) + 1) * v % p for v in square)
+        if any(c):
+            want[(j,)] = c
+    assert _digits(f * f) == want
