@@ -163,7 +163,7 @@ def h_n(p: int, n: int) -> MultiPoly:
     lam = lambda_coeffs(p)
     terms = {}
     for i in range(1, p):
-        terms[(i * p**n, (p - i) * p**n)] = lam[i - 1]
+        terms[(i * p**n, (p - i) * p**n)] = ctx.raw(lam[i - 1])
     return MultiPoly(ctx, ("x", "y"), terms)
 
 

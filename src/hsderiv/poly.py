@@ -4,10 +4,14 @@ Terms map exponent tuples to nonzero coefficients, each held as the field's
 raw value: one int with digit i at bit offset ``ctx.width * i`` (for d = 1
 the int in [0, p) itself). A product f*g sums the unreduced coefficient
 products for each exponent and reduces once per output term. An output
-term collects at most min(|f|, |g|) products, and a plain sum of up to
-``ctx.lazy`` of them is exact; a larger product reduces its sums every
-``ctx.lazy`` terms of f as well. FqScalar views are made only at the
-boundary (``coeff``, and formatting in textform).
+term collects at most one product per term of f, and a plain sum of a
+reduced value and up to ``ctx.lazy`` products is exact, so the sums are
+also reduced after every ``ctx.lazy`` terms of f (never over a prime
+field, whose ``lazy`` is unbounded). When both factors have at least
+PACKED_MIN_TERMS terms, each exponent tuple is packed into one int, wide
+enough per variable for the largest exponent sum, so adding exponents is
+one int addition. FqScalar views are made only at the boundary (``coeff``,
+and formatting in textform).
 
 The canonical term order used everywhere (printing, leading terms, matrix
 bases) is ascending total degree with ties broken by descending lexicographic
@@ -17,17 +21,17 @@ the highest power first.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from operator import add, neg
+from itertools import chain
+from operator import add, lshift, mul, neg
 
 from .errors import ContextMismatch, DivisionByZero
 from .gf import FqContext, FqScalar
 
-# products of at least this many term pairs add exponents packed into ints,
-# which repays packing every input exponent and unpacking every output one;
-# it is below gf.LAZY_PRODUCTS ** 2, so a smaller product sums exactly
-PACKED_EXPONENTS_MIN = 1024
-
+# a product whose factors both have at least this many terms adds exponents
+# packed into ints: an output term then tends to collect several products,
+# and the cheaper sum per pair repays packing each input exponent and
+# unpacking each output one; with a smaller factor the tuple sums win
+PACKED_MIN_TERMS = 8
 
 def term_key(exps: tuple[int, ...]):
     """Sort key of the canonical term order."""
@@ -36,6 +40,19 @@ def term_key(exps: tuple[int, ...]):
 
 def sorted_terms(terms: dict):
     return sorted(terms.items(), key=lambda kv: term_key(kv[0]))
+
+
+def power(one, base, n: int, times=mul):
+    """base**n for n >= 0 by square and multiply, starting from one; every
+    product is times(a, b)."""
+    out = one
+    while n:
+        if n & 1:
+            out = times(out, base)
+        if n > 1:
+            base = times(base, base)
+        n >>= 1
+    return out
 
 
 class FqDomain:
@@ -119,40 +136,34 @@ class MultiPoly:
     __slots__ = ("ctx", "vars", "terms")
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...], terms: dict):
-        """terms maps exponent tuples to field elements: FqScalar, int or
-        digit sequence, as FqContext.raw takes them."""
+        """terms maps exponent tuples to nonzero reduced raw values (see
+        gf); field elements in other forms go through ctx.raw first."""
         self.ctx = ctx
         self.vars = tuple(vars)
-        raw = ctx.raw
-        self.terms = {e: v for e, c in terms.items() if (v := raw(c))}
-
-    @classmethod
-    def _of_raw(cls, ctx, vars, terms: dict) -> "MultiPoly":
-        """Wrap terms already holding nonzero reduced raw values."""
-        f = object.__new__(cls)
-        f.ctx, f.vars, f.terms = ctx, vars, terms
-        return f
+        self.terms = terms
 
     @classmethod
     def zero(cls, ctx, vars) -> "MultiPoly":
-        return cls._of_raw(ctx, tuple(vars), {})
+        return cls(ctx, vars, {})
 
     @classmethod
     def one(cls, ctx, vars) -> "MultiPoly":
         vars = tuple(vars)
-        return cls._of_raw(ctx, vars, {(0,) * len(vars): 1})
+        return cls(ctx, vars, {(0,) * len(vars): 1})
 
     @classmethod
     def const(cls, ctx, vars, c) -> "MultiPoly":
+        """Constant polynomial of a field element: FqScalar, int or digits."""
         vars = tuple(vars)
-        return cls(ctx, vars, {(0,) * len(vars): c})
+        v = ctx.raw(c)
+        return cls(ctx, vars, {(0,) * len(vars): v} if v else {})
 
     @classmethod
     def var(cls, ctx, vars, name: str, exp: int = 1) -> "MultiPoly":
         vars = tuple(vars)
         i = vars.index(name)
         e = tuple(exp if j == i else 0 for j in range(len(vars)))
-        return cls._of_raw(ctx, vars, {e: 1})
+        return cls(ctx, vars, {e: 1})
 
     def _check(self, other: "MultiPoly"):
         if (other.ctx is not self.ctx and other.ctx != self.ctx) or other.vars != self.vars:
@@ -175,13 +186,13 @@ class MultiPoly:
         for e, c in o.terms.items():
             s = out.get(e)
             out[e] = c if s is None else reduce(s + c)
-        return MultiPoly._of_raw(self.ctx, self.vars, {e: c for e, c in out.items() if c})
+        return MultiPoly(self.ctx, self.vars, {e: c for e, c in out.items() if c})
 
     __radd__ = __add__
 
     def __neg__(self):
         neg = self.ctx.neg
-        return MultiPoly._of_raw(
+        return MultiPoly(
             self.ctx, self.vars, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
@@ -202,56 +213,54 @@ class MultiPoly:
             return self
         if self._is_one():
             return o
-        if self.vars and len(self.terms) * len(o.terms) >= PACKED_EXPONENTS_MIN:
+        if min(len(self.terms), len(o.terms)) >= PACKED_MIN_TERMS:
             return self._mul_packed(o)
-        # an output term collects at most min(|f|, |g|) < 32 products, fewer
-        # than ctx.lazy, so one reduction per output term is enough
+        ctx = self.ctx
+        reduce, lazy = ctx.reduce, ctx.lazy
         out: dict = {}
         get = out.get
         right = o.terms.items()
+        rows = 0
         for e1, c1 in self.terms.items():
+            if rows == lazy:
+                for e, c in out.items():
+                    out[e] = reduce(c)
+                rows = 0
+            rows += 1
             for e2, c2 in right:
                 e = tuple(map(add, e1, e2))
                 out[e] = get(e, 0) + c1 * c2
-        reduce = self.ctx.reduce
-        return MultiPoly._of_raw(
-            self.ctx, self.vars, {e: v for e, c in out.items() if (v := reduce(c))})
+        return MultiPoly(ctx, self.vars, {e: v for e, c in out.items() if (v := reduce(c))})
 
     __rmul__ = __mul__
 
     def _mul_packed(self, o: "MultiPoly") -> "MultiPoly":
         """__mul__ with each exponent tuple packed into one int, `width`
         bits per variable, so an exponent sum is one int addition. Same
-        products in the same order, so the same terms in the same order.
-        Every ctx.lazy rows of self the sums are reduced, since an output
-        term may collect more products than a plain sum holds exactly."""
+        products in the same order, so the same terms in the same order."""
         ctx = self.ctx
         reduce, lazy = ctx.reduce, ctx.lazy
-        width = (max(map(max, self.terms)) + max(map(max, o.terms))).bit_length()
+        top = max(chain.from_iterable(self.terms)) + max(chain.from_iterable(o.terms))
+        width = top.bit_length()
         shifts = [width * i for i in range(len(self.vars))]
-
-        def packed(terms):
-            codes = [0] * len(terms)
-            for s, col in zip(shifts, zip(*terms)):
-                codes = [c | (x << s) for c, x in zip(codes, col)]
-            return list(zip(codes, terms.values()))
-
-        out = defaultdict(int)
-        right = packed(o.terms)
+        out: dict = {}
+        get = out.get
+        right = [(sum(map(lshift, e, shifts)), c) for e, c in o.terms.items()]
         rows = 0
-        for k1, c1 in packed(self.terms):
+        for e1, c1 in self.terms.items():
             if rows == lazy:
                 for k, c in out.items():
                     out[k] = reduce(c)
                 rows = 0
             rows += 1
+            k1 = sum(map(lshift, e1, shifts))
             for k2, c2 in right:
-                out[k1 + k2] += c1 * c2
-        raws = [reduce(c) for c in out.values()]
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
         mask = (1 << width) - 1
-        cols = [[(k >> s) & mask for k in out] for s in shifts]
-        return MultiPoly._of_raw(
-            ctx, self.vars, {e: v for e, v in zip(zip(*cols), raws) if v})
+        cols = [[k >> s & mask for k in out] for s in shifts]
+        return MultiPoly(
+            ctx, self.vars, {e: v for e, c in zip(zip(*cols), out.values()) if (v := reduce(c))})
 
     def _is_one(self) -> bool:
         terms = self.terms
@@ -260,20 +269,13 @@ class MultiPoly:
     def scale(self, c: int) -> "MultiPoly":
         """Product with a nonzero raw value."""
         reduce = self.ctx.reduce
-        return MultiPoly._of_raw(
+        return MultiPoly(
             self.ctx, self.vars, {e: reduce(v * c) for e, v in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.one(self.ctx, self.vars)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(MultiPoly.one(self.ctx, self.vars), self, n)
 
     def __eq__(self, other):
         if isinstance(other, (int, FqScalar)):
@@ -407,14 +409,8 @@ class RationalFunc:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        out = RationalFunc.from_poly(MultiPoly.one(self.ctx, self.vars))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        one = RationalFunc.from_poly(MultiPoly.one(self.ctx, self.vars))
+        return power(one, self, n)
 
     def __eq__(self, other):
         o = self._coerce(other)

@@ -12,7 +12,7 @@ import re
 from .artinian import TABLE_BUDGET
 from .errors import ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
-from .poly import FqDomain, MultiPoly, RationalFunc, sorted_terms
+from .poly import FqDomain, MultiPoly, RationalFunc, power, sorted_terms
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()^*+/-]))")
 
@@ -107,8 +107,9 @@ class _Parser:
     truncated ring on vars, the ring's elements: every product truncates.
 
     A MultiPoly product does not truncate, so before each one (a power is
-    its square-and-multiply chain) ResourceGuard is raised when the two
-    term counts times d exceed TABLE_BUDGET."""
+    poly.power's square-and-multiply chain, product by product)
+    ResourceGuard is raised when the two term counts times d exceed
+    TABLE_BUDGET."""
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...], text: str, ring):
         self.ctx = ctx
@@ -174,7 +175,10 @@ class _Parser:
             e = self.take()
             if e is None or not e.isdigit():
                 raise ValueError("exponent must be a nonnegative integer")
-            base = self._pow(base, int(e))
+            if self.ring is None:
+                base = power(self._const(1), base, int(e), self._mul)
+            else:
+                base = base ** int(e)
         return base
 
     def _mul(self, f, g):
@@ -186,17 +190,6 @@ class _Parser:
                     f"the budget of {TABLE_BUDGET} digits"
                 )
         return f * g
-
-    def _pow(self, f, n: int):
-        # the square-and-multiply chain of __pow__, one product at a time
-        out = self._const(1)
-        while n:
-            if n & 1:
-                out = self._mul(out, f)
-            if n > 1:
-                f = self._mul(f, f)
-            n >>= 1
-        return out
 
     def _const(self, c):
         if self.ring is None:

@@ -16,7 +16,7 @@ from .errors import (
     UnknownVariable,
 )
 from .gf import FqContext
-from .poly import FqDomain, sorted_terms
+from .poly import FqDomain, power, sorted_terms
 
 
 class TruncatedRing:
@@ -146,14 +146,7 @@ class TruncatedPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power in a truncated ring")
-        out = self.ring.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self.ring.one, self, n)
 
     def scale(self, c) -> "TruncatedPoly":
         c = self.ring.dom.coerce(c)

@@ -11,6 +11,7 @@ import numpy as np
 
 from hsderiv.derivation import HSDerivation
 from hsderiv.gf import FqScalar, is_prime
+from hsderiv.poly import MultiPoly
 from hsderiv.truncated import TruncatedPoly
 
 
@@ -29,6 +30,12 @@ def binom_mod_p(n: int, k: int, p: int) -> int:
         n //= p
         k //= p
     return out
+
+
+def poly_of(ctx, vars, terms) -> MultiPoly:
+    """MultiPoly of terms whose coefficients are field elements in any form
+    ctx.raw takes (FqScalar, int, digits); zero terms are dropped."""
+    return MultiPoly(ctx, vars, {e: v for e, c in terms.items() if (v := ctx.raw(c))})
 
 
 def elements(ctx):

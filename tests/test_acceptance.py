@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import pfold_by_repeated_composition
+from oracles import pfold_by_repeated_composition, poly_of
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import (
     assemble_product_basis,
@@ -350,7 +350,7 @@ def _rand_constant(fctx, rng):
             terms[exps] = ctx.scalar(rng.randrange(1, p))
     if not terms:
         terms[(0,) * e] = ctx.one
-    return fctx.dom.coerce(MultiPoly(ctx, fctx.xvars, terms))
+    return fctx.dom.coerce(poly_of(ctx, fctx.xvars, terms))
 
 
 def _assert_witness(fctx, elements, witness):

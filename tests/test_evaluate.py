@@ -26,6 +26,7 @@ from hsderiv.truncated import (
     invert_unit,
     substitute,
 )
+from oracles import poly_of
 
 
 def _reference(terms, images, target):
@@ -128,7 +129,7 @@ def _multipoly(draw, ctx, vars, nonzero=False):
     for _ in range(draw(st.integers(1 if nonzero else 0, 3))):
         e = tuple(draw(st.integers(0, 2)) for _ in vars)
         terms[e] = ctx.scalar(tuple(draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d)))
-    f = MultiPoly(ctx, vars, terms)
+    f = poly_of(ctx, vars, terms)
     if nonzero and not f:
         f = MultiPoly.one(ctx, vars)
     return f
@@ -344,13 +345,24 @@ _WRONSKIAN = [
       "elements": ["x1 + g*x2^3", "x2 + (g + 1)*x1^3"],
       "test": "p-independence"},
      "e9db6c75b84c5a2e0e2d2cc0892ebed1b45440a2aa20bab18ad811d8077f1b38"),
+    # rows with a common monomial content, which rank_over_field strips
+    ({"command": "wronskian", "context": {"p": 2, "d": 2, "m": 1},
+      "law": {"type": "additive", "e": 1},
+      "elements": ["g*x1", "x1"],
+      "test": "dependence"},
+     "acb3772d5f36e6e865da25d0e085ac8906a3e876786840badaa6e5a0f8ef7f49"),
+    ({"command": "wronskian", "context": {"p": 2, "d": 2, "m": 1},
+      "law": {"type": "additive", "e": 2},
+      "elements": ["g*x1*x2", "x1^2*x2"],
+      "test": "p-independence"},
+     "d5610f9d8f1b061d980750fb3f46fa29090a171464975e3b9ca389217c141002"),
 ]
 
 
 @pytest.mark.parametrize("config,digest", _WRONSKIAN,
                          ids=["mult", "witt2", "additive-d2", "add-x-mult",
                               "additive-q4", "mult-q8", "additive2-q9",
-                              "pindep-q9"])
+                              "pindep-q9", "content-q4", "pindep-content-q4"])
 def test_rational_witness_report_bytes(config, digest):
     report, code = run(config)
     assert code == 0

@@ -5,9 +5,10 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hsderiv import poly
 from hsderiv.errors import DivisionByZero, UnknownVariable
 from hsderiv.gf import FqContext
 from hsderiv.poly import MultiPoly, RationalFunc, term_key
@@ -27,6 +28,7 @@ from oracles import (
     digit_inv,
     digit_mul,
     digit_neg,
+    poly_of,
     random_scalar,
 )
 
@@ -36,7 +38,7 @@ def _rand_poly(ctx, vars, rng, deg=3, nterms=5):
     for _ in range(nterms):
         e = tuple(rng.randrange(deg) for _ in vars)
         terms[e] = random_scalar(ctx, rng)
-    return MultiPoly(ctx, vars, terms)
+    return poly_of(ctx, vars, terms)
 
 
 def test_term_order_is_degree_then_first_variable_heavy():
@@ -128,6 +130,14 @@ def test_monomial_content_and_shift():
     assert f.monomial_content() == (1, 1)
     g = f.shift_down((1, 1))
     assert g == x + 2 * y
+    # over GF(9) the coefficients keep their digits at g^1
+    ctx = FqContext(3, 2)
+    x = MultiPoly.var(ctx, vars, "x")
+    y = MultiPoly.var(ctx, vars, "y")
+    c = MultiPoly.const(ctx, vars, ctx.gen)
+    f = c * x**2 * y + (c + 1) * x * y**3
+    assert f.monomial_content() == (1, 1)
+    assert f.shift_down((1, 1)) == c * x + (c + 1) * y**2
 
 
 def test_ratfunc_normalization_and_equality():
@@ -198,10 +208,10 @@ def _printed_values(draw):
 
     if kind == "trunc":
         return TruncatedPoly(ring, terms(6)), lambda s: parse_trunc(ring, s)
-    num = MultiPoly(ctx, vars, terms(6))
+    num = poly_of(ctx, vars, terms(6))
     if kind == "poly":
         return num, lambda s: parse_poly(ctx, vars, s)
-    den = MultiPoly(ctx, vars, terms(3))
+    den = poly_of(ctx, vars, terms(3))
     if not den:
         den = MultiPoly.one(ctx, vars)
     return RationalFunc(num, den), lambda s: parse_ratfunc(ctx, vars, s)
@@ -316,9 +326,10 @@ def _poly_pair(draw):
     p, d = draw(st.sampled_from(RAW_FIELDS))
     ctx = _field(p, d)
     digit = st.tuples(*[st.integers(0, p - 1)] * d)
+    # up to 12 terms, so products fall on both sides of poly.PACKED_MIN_TERMS
     terms = st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), digit,
-                            max_size=6)
-    f, g = (MultiPoly(ctx, ("x", "y"), draw(terms)) for _ in range(2))
+                            max_size=12)
+    f, g = (poly_of(ctx, ("x", "y"), draw(terms)) for _ in range(2))
     return ctx, f, g, draw(st.integers(0, 3))
 
 
@@ -337,6 +348,21 @@ def test_poly_arithmetic_matches_digit_reference(case):
     for _ in range(n):
         want = _ref_mul(p, mod, want, a)
     assert _digits(f**n) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(_poly_pair())
+def test_packed_product_gives_the_tuple_loop_terms_in_order(case):
+    ctx, f, g, _ = case
+    assume(f and g)
+    packed = f._mul_packed(g)
+    saved = poly.PACKED_MIN_TERMS
+    poly.PACKED_MIN_TERMS = float("inf")
+    try:
+        plain = f * g
+    finally:
+        poly.PACKED_MIN_TERMS = saved
+    assert list(packed.terms.items()) == list(plain.terms.items())
 
 
 @settings(max_examples=150, deadline=None)
@@ -364,7 +390,7 @@ def test_square_whose_terms_collect_hundreds_of_products(p, d):
     # n_j = min(j, 2k - j) + 1 products, up to k + 1 = 201 > ctx.lazy (d > 1)
     ctx, k = _field(p, d), 200
     top = (p - 1,) * d
-    f = MultiPoly(ctx, ("x",), {(j,): top for j in range(k + 1)})
+    f = poly_of(ctx, ("x",), {(j,): top for j in range(k + 1)})
     square = digit_mul(p, ctx.modulus, top, top)
     want = {}
     for j in range(2 * k + 1):

@@ -21,6 +21,7 @@ from hsderiv.gf import FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2
 from hsderiv.lattice import constants
 from hsderiv.poly import MultiPoly
+from oracles import poly_of
 
 
 def _fctx(law):
@@ -39,7 +40,7 @@ def _poly(fctx, coeffs):
         s = fctx.ctx.scalar(c)
         if s:
             terms[(k,) + (0,) * (width - 1)] = s
-    return fctx.dom.coerce(MultiPoly(fctx.ctx, fctx.xvars, terms))
+    return fctx.dom.coerce(poly_of(fctx.ctx, fctx.xvars, terms))
 
 
 def test_identity_column():
