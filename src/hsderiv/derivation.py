@@ -399,9 +399,15 @@ def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
     table's dim^3 * d digits pass through a few whole-array steps, so the
     estimate grows with every term count. Conjugation is two dense products
     of dim^4 multiply-adds per pair of digit planes, whatever the sparsity
-    of Phi and Phi^-1. The weights are nanoseconds fitted with numpy int64
-    arithmetic on a 2-vCPU x86-64 host, rounded in the ladder's favour so
-    that conjugation is chosen only where it clearly wins.
+    of Phi and Phi^-1. The weights are nanoseconds fitted on a 2-vCPU x86-64
+    host when every product ran on numpy int64, rounded in the ladder's
+    favour so that conjugation is chosen only where it clearly wins. Those
+    products now run on float64 BLAS at a sixth of that cost or less
+    (4096 x 64 by 64 x 64 at p = 2: 14-24 ms on int64, 1.8-3.8 ms), so the
+    conjugation weight overstates it: where the estimate keeps the ladder
+    (near-monomial twists at dims 64-343), conjugation now takes about the
+    ladder's time or less. The weights are kept as fitted, so the side
+    each twist takes is unchanged.
     """
     n, dim, d = model.n, model.dim, model.ctx.d
     work = sum(n**t * (n - 1) * k for t, k in enumerate(terms))

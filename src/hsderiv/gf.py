@@ -12,7 +12,11 @@ a reduced raw value once. FqScalar is a view of one raw value.
 
 All numpy arrays carrying field elements use a trailing axis of length d
 holding the digits; every kernel is exact integer arithmetic reduced mod p.
-No floats anywhere.
+The one place floats enter is the matrix product (``FqContext.mat_mul``):
+a large product runs on float64 BLAS while every partial sum stays below
+2^53, where float64 holds integers exactly, and is cast back to int64
+before it is reduced. A product past that bound, or too small to repay
+the casts, stays on int64.
 """
 
 from __future__ import annotations
@@ -28,6 +32,29 @@ from .errors import ContextMismatch, DivisionByZero
 # unreduced products a lazy sum over an extension field may hold before it
 # is reduced (FqContext.width is sized for it)
 LAZY_PRODUCTS = 128
+
+# temporary entries (float64 operand and result, int64 quotient) one row
+# block of a float64 product may hold
+FLOAT_BLOCK = 1 << 16
+
+# the least n*m*(k+8)*d^2 of a product that goes to float64 BLAS: numpy's
+# int64 product costs about a multiply-add per unit, the k+8 counting each
+# output's own overhead, against a fixed cost of the casts and calls
+FLOAT_MIN_WORK = 1 << 15
+
+
+def exact_in_float64(k: int, p: int) -> bool:
+    """Whether a float64 matrix product with inner dimension k of integers in
+    [0, p) is exact: every partial sum stays below 2^53."""
+    return k * (p - 1) ** 2 < 2**53
+
+
+def float_pays(n: int, k: int, m: int, d: int) -> bool:
+    """Whether an n x k by k x m product of F_{p^d} matrices (n counting the
+    rows of a whole stack) is large enough for float64 BLAS to repay the
+    casts. Vectors and rank-1 products never are. Set from per-shape
+    timings; the table is in CHANGES.md."""
+    return n > 1 and k > 1 and m > 1 and n * m * (k + 8) * d * d >= FLOAT_MIN_WORK
 
 
 def is_prime(n: int) -> bool:
@@ -171,7 +198,8 @@ class FqContext:
         for r in range(d):
             for s in range(d):
                 red[r, s] = gpow[r + s]
-        self._red = red
+        # _red_planes[s, r*d + t] = digit t of g^r * g^s
+        self._red_planes = red.transpose(1, 0, 2).reshape(d, d * d)
         # a product of reduced values puts at most d*(p-1)^2 in each of its
         # 2d-1 convolution digits; a prime field has one digit, which no
         # sum overflows
@@ -293,15 +321,33 @@ class FqContext:
         return (a @ self.mul_matrix(c).T) % self.p
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Field matrix product, a (..., n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
+        """Field matrix product, a (..., n, k, d) @ b (k, m, d) -> (..., n, m, d),
+        or a (n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
 
         The one product kernel: every field matrix product in the package
-        goes through it. Digits are int64 in [0, p). For d = 1 it is one
-        plain ``@``. For d > 1 it is d*d plain ``@`` products of digit
-        planes, a[..., r] @ b[..., s], each reduced mod p and then scaled
-        by the digits of g^r * g^s (``_red``) and summed. A partial product
-        adds k terms below (p-1)^2, so it is exact while k*(p-1)^2 < 2^63;
-        after its reduction mod p the d*d scaled terms stay below d*d*p^2.
+        goes through it. Contract: every digit of a and b is an int64 in
+        [0, p), and at most one of them is a stack. The result's digits
+        are in [0, p).
+
+        It is one matrix product of plain numbers. The d digit planes of a
+        stand side by side, n x (d*k); b's planes are folded through the
+        modulus into one (d*k) x (d*m) matrix whose block (r, t) is
+        sum_s b_s * (digit t of g^r * g^s) mod p. Their product holds the
+        d digits of the field product side by side, each a sum of d*k
+        terms below (p-1)^2, and one reduction mod p finishes it.
+
+        That product runs on float64 BLAS where it is exact, that is while
+        every partial sum stays below 2^53: d*k*(p-1)^2 < 2^53
+        (``exact_in_float64``; FFLAS-FFPACK, Dumas, Giorgi, Pernet, ACM
+        TOMS 2008). Under the CLI's guards that always holds. It also has to
+        be large enough to repay the casts (``float_pays``). The float
+        result is cast to int64 before it is reduced, since reducing
+        float64 costs several times the product itself. The stacked or
+        taller operand goes through in row blocks written into the
+        preallocated result, so the float copies never span a whole
+        operand. Otherwise, for products that are too small or too long for
+        float64, the same product runs on int64 with one plain ``@``: numpy
+        hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63.
 
         The body is ``_product``, which the per-pivot row updates inside one
         elimination block (``linalg._eliminate``) call directly, so a call
@@ -310,14 +356,65 @@ class FqContext:
         return self._product(a, b)
 
     def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        if a.ndim > 3 and b.ndim > 3:
+            raise ValueError("mat_mul takes at most one stack of matrices")
         p, d = self.p, self.d
+        n, k = a.shape[-3], a.shape[-2]
+        m = b.shape[-2]
+        lead = a.shape[:-3] or b.shape[:-3]
+        stack = math.prod(lead)
+        if not (float_pays(stack * n, k, m, d) and exact_in_float64(d * k, p)):
+            if d == 1:
+                return ((a[..., 0] @ b[..., 0]) % p)[..., None]
+            c = self._planes(a) @ self._folded(b)
+            out = np.empty(c.shape[:-1] + (m, d), dtype=np.int64)
+            return np.remainder(c.reshape(out.shape[:-2] + (d, m)).swapaxes(-1, -2), p, out=out)
+        out = np.empty(lead + (n, m, d), dtype=np.int64)
+        if b.ndim == 3:
+            # the rows of a against one matrix b
+            rows = stack * n
+            self._blocks(a.reshape(rows, 1, k, d), b, out.reshape(rows, 1, m, d))
+        else:
+            # one matrix a against a stack: the transposed product, whose
+            # rows are the columns of b, in blocks along the stack
+            left = b.reshape(stack, k, m, d).swapaxes(1, 2)
+            self._blocks(left, a.swapaxes(0, 1), out.reshape(stack, n, m, d).swapaxes(1, 2))
+        return out
+
+    def _blocks(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+        """out = left @ right on float64, for left (N, r, k, d), right
+        (k, m, d) and out (N, r, m, d), in blocks along the first axis of
+        about FLOAT_BLOCK temporary entries each."""
+        p, d = self.p, self.d
+        r, k = left.shape[1], left.shape[2]
+        m = right.shape[1]
+        step = max(1, FLOAT_BLOCK // (r * d * (k + 2 * m)))
+        rhs = self._folded(right).astype(np.float64)
+        for i in range(0, left.shape[0], step):
+            lhs = self._planes(left[i : i + step], np.float64)
+            c = lhs.reshape(lhs.shape[0] * r, d * k) @ rhs
+            o = out[i : i + step]
+            np.copyto(o.swapaxes(-1, -2), c.reshape(o.shape[:-2] + (d, m)), casting="unsafe")
+            q = o // p
+            q *= p
+            o -= q
+
+    def _planes(self, a: np.ndarray, dtype=np.int64) -> np.ndarray:
+        """a (..., n, k, d) as (..., n, d*k): its digit planes side by side."""
+        x = np.ascontiguousarray(a.swapaxes(-1, -2), dtype)
+        return x.reshape(a.shape[:-2] + (self.d * a.shape[-2],))
+
+    def _folded(self, b: np.ndarray) -> np.ndarray:
+        """b (..., k, m, d) as (..., d*k, d*m) whose block (r, t) is
+        sum_s b_s * (digit t of g^r * g^s) mod p: the map a -> a*b on
+        side-by-side digit planes."""
+        d = self.d
         if d == 1:
-            return (a[..., 0] @ b[..., 0])[..., None] % p
-        out = 0
-        for r in range(d):
-            for s in range(d):
-                out = out + ((a[..., r] @ b[..., s]) % p)[..., None] * self._red[r, s]
-        return out % p
+            return b[..., 0]
+        lead, (k, m) = b.shape[:-3], b.shape[-3:-1]
+        f = ((b @ self._red_planes) % self.p).reshape(lead + (k, m, d, d))
+        f = np.moveaxis(f, (-4, -3, -2, -1), (-3, -1, -4, -2))
+        return np.ascontiguousarray(f).reshape(lead + (d * k, d * m))
 
     def mat_vec(self, m: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Field matrix-vector product, m (n,k,d) @ v (k,d) -> (n,d)."""

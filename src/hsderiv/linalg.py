@@ -12,7 +12,12 @@ clears the old pivot columns. Gauss-Jordan on the residual (``_eliminate``)
 gives its new pivots. One more product clears those columns from the old
 basis, and the rows are merged in pivot order. Elimination stops once the
 rank equals the column count, so a tall stack costs a few block products
-instead of a rank-1 update of the whole stack per pivot.
+instead of a rank-1 update of the whole stack per pivot. The block products
+go through ``FqContext.mat_mul``, which runs a large product on float64
+BLAS as FFLAS-FFPACK does: exact while every partial sum stays below 2^53,
+and cast to int64 before the reduction mod p, since reducing float64 costs
+several times the product. Small products, the rank-1 updates inside
+``_eliminate`` among them, and products past that bound stay on int64.
 
 The bytes do not depend on the blocking: the merged rows span the row space
 of the rows seen so far and are in reduced echelon form, and that form of a

@@ -64,17 +64,49 @@ def digit_neg(p, a):
     return tuple(-x % p for x in a)
 
 
+def _fold_convolution(p, modulus, conv):
+    """The d digits mod p of the 2d-1 convolution digits conv (ints, or
+    object arrays of them) after the remainder by the monic modulus."""
+    d = len(modulus) - 1
+    conv = list(conv)
+    for k in range(2 * d - 2, d - 1, -1):
+        lead, conv[k] = conv[k], 0
+        for i in range(d):
+            conv[k - d + i] = conv[k - d + i] - lead * modulus[i]
+    return [c % p for c in conv[:d]]
+
+
 def digit_mul(p, modulus, a, b):
     d = len(modulus) - 1
     conv = [0] * (2 * d - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] += x * y
-    for k in range(2 * d - 2, d - 1, -1):
-        lead, conv[k] = conv[k], 0
-        for i in range(d):
-            conv[k - d + i] -= lead * modulus[i]
-    return tuple(c % p for c in conv[:d])
+    return tuple(_fold_convolution(p, modulus, conv))
+
+
+def digit_mat_mul(p, modulus, a, b):
+    """Field matrix product a (..., n, k, d) @ b (..., k, m, d) on Python ints:
+    object-dtype digit planes, convolved and then reduced as digit_mul
+    reduces one product."""
+    d = len(modulus) - 1
+    pa = [a[..., r].astype(object) for r in range(d)]
+    pb = [b[..., s].astype(object) for s in range(d)]
+    conv = [0] * (2 * d - 1)
+    for r in range(d):
+        for s in range(d):
+            conv[r + s] = conv[r + s] + pa[r] @ pb[s]
+    return np.stack(_fold_convolution(p, modulus, conv), axis=-1).astype(np.int64)
+
+
+def digit_basis_products(p, modulus):
+    """red[r, s, t] = digit t of g^r * g^s, for r, s < d."""
+    d = len(modulus) - 1
+    unit = [tuple(int(i == r) for i in range(d)) for r in range(d)]
+    return np.array(
+        [[digit_mul(p, modulus, unit[r], unit[s]) for s in range(d)] for r in range(d)],
+        dtype=np.int64,
+    )
 
 
 def digit_pow(p, modulus, a, n):

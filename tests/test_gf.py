@@ -15,6 +15,8 @@ from hsderiv.errors import DivisionByZero
 from hsderiv.gf import (
     FqContext,
     default_modulus,
+    exact_in_float64,
+    float_pays,
     lambda_coeffs,
     multinomial_mod_p,
 )
@@ -22,6 +24,7 @@ from oracles import (
     binom_mod_p,
     digit_add,
     digit_inv,
+    digit_mat_mul,
     digit_mul,
     digit_neg,
     digit_pow,
@@ -288,3 +291,103 @@ def test_lazy_sum_at_its_width_bound_is_exact(p, d):
     want = digit_add(p, top, tuple(count * v % p for v in square))
     assert ctx.unpack(ctx.reduce(x + count * (x * x))) == want
     assert ctx.unpack(ctx.reduce(x + sum(x * x for _ in range(count)))) == want
+
+
+# (n, k, m) on both sides of the size rule: tiny, vectors and rank-1 updates
+# on int64, and shapes whose n*m*(k+8)*d^2 is past FLOAT_MIN_WORK even at
+# d = 1, on float64 (drawn twice as often)
+MAT_SHAPES = {
+    "tiny": st.tuples(st.integers(1, 6), st.integers(0, 6), st.integers(1, 6)),
+    "row": st.tuples(st.just(1), st.integers(1, 40), st.integers(1, 80)),
+    "column": st.tuples(st.integers(1, 80), st.integers(1, 40), st.just(1)),
+    "rank-1": st.tuples(st.integers(2, 80), st.just(1), st.integers(2, 80)),
+    "large": st.tuples(st.integers(48, 90), st.integers(8, 40), st.integers(48, 70)),
+}
+
+
+@st.composite
+def _mat_case(draw):
+    p, d = draw(st.sampled_from(RAW_FIELDS))
+    kind = draw(st.sampled_from(["tiny", "row", "column", "rank-1", "large", "large"]))
+    n, k, m = draw(MAT_SHAPES[kind])
+    # a stack of left matrices (rows of a tall product) or of right ones
+    # (the conjugation's layout)
+    stack = draw(st.sampled_from([None, "left", "right"]))
+    depth = draw(st.integers(1, 4))
+    sa, sb = (n, k, d), (k, m, d)
+    if stack == "left":
+        sa = (depth,) + sa
+    elif stack == "right":
+        sb = (depth,) + sb
+    fill = draw(st.sampled_from(["random", "random", "top"]))
+    if fill == "top":
+        # every digit p - 1: every partial sum at its largest
+        return _field(p, d), np.full(sa, p - 1), np.full(sb, p - 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _field(p, d), rng.integers(0, p, sa), rng.integers(0, p, sb)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mat_case())
+def test_mat_mul_matches_python_int_reference(case):
+    ctx, a, b = case
+    got = ctx.mat_mul(a, b)
+    assert got.dtype == np.int64 and got.flags.c_contiguous
+    assert np.array_equal(got, digit_mat_mul(ctx.p, ctx.modulus, a, b))
+
+
+def test_float_path_bound_at_its_edge():
+    # (p-1)^2 = 4,292,870,400 for p = 65521, and 2^53 lies between 2,098,176
+    # and 2,098,177 times it; the size rule passes both, so the bound decides
+    top = 65520**2
+    assert 2098176 * top < 2**53 <= 2098177 * top
+    assert float_pays(64, 2098176, 64, 1) and float_pays(64, 2098177, 64, 1)
+    assert exact_in_float64(2098176, 65521)
+    assert not exact_in_float64(2098177, 65521)
+
+
+def test_mat_mul_takes_both_paths(monkeypatch):
+    calls = []
+    blocks = FqContext._blocks
+    monkeypatch.setattr(
+        FqContext, "_blocks", lambda self, *args: calls.append(1) or blocks(self, *args)
+    )
+    ctx = FqContext(7)
+    rng = np.random.default_rng(1)
+    cases = [
+        ((64, 32), (32, 64), True),
+        ((49, 49), (3, 49, 49), True),  # one matrix against a stack
+        ((3, 64, 32), (32, 64), True),
+        ((16, 16), (16, 16), False),
+        ((4096, 64), (64, 1), False),
+        ((256, 1), (1, 256), False),
+    ]
+    for sa, sb, float_side in cases:
+        a, b = rng.integers(0, 7, sa + (1,)), rng.integers(0, 7, sb + (1,))
+        calls.clear()
+        assert np.array_equal(ctx.mat_mul(a, b), digit_mat_mul(7, ctx.modulus, a, b))
+        assert bool(calls) == float_side
+
+
+def test_row_blocked_product_peaks_below_the_int64_product():
+    # the int64 product and its reduction each hold one full result; the
+    # blocked float64 product holds the result and one block of temporaries
+    import tracemalloc
+
+    ctx = FqContext(7)
+    rng = np.random.default_rng(2)
+    a, b = rng.integers(0, 7, (8192, 64, 1)), rng.integers(0, 7, (64, 64, 1))
+
+    def peak(product):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = product()
+            return out, tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    want, int64_peak = peak(lambda: ((a[..., 0] @ b[..., 0]) % 7)[..., None])
+    got, float_peak = peak(lambda: ctx.mat_mul(a, b))
+    assert np.array_equal(got, want)
+    assert float_peak <= int64_peak

@@ -18,7 +18,7 @@ from hsderiv.linalg import (
     rref,
     solve,
 )
-from oracles import digit_add, digit_inv, digit_mul
+from oracles import digit_add, digit_basis_products, digit_inv, digit_mul
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -42,7 +42,8 @@ def _ref_eliminate(ctx, m, row, col):
         update = factors[:, 0][:, None] * m[row][None, :, 0]
         m[:, :, 0] = (m[:, :, 0] - update) % p
     else:
-        update = np.einsum("rs,ct,stu->rcu", factors, m[row], ctx._red)
+        red = digit_basis_products(ctx.p, ctx.modulus)
+        update = np.einsum("rs,ct,stu->rcu", factors, m[row], red)
         m[...] = (m - update) % p
 
 
