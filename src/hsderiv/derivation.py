@@ -5,10 +5,9 @@ the model generators, stored as elements of the model ring with the v-block
 adjoined. One dense table D(x^a) over the whole exponent cube holds every
 component D_i as a matrix on the graded monomial basis. The table comes from
 matrices already in hand whenever there are any: a canonical derivation
-shares its law's power table, a twist conjugates the table it twists when
-that is estimated cheaper, and a reconstruction keeps the stack it rebuilt.
-Otherwise it is built from the images by repeated multiplication
-(ArtinianModel.power_table).
+shares its law's power table, a twist conjugates the table it twists, and a
+reconstruction keeps the stack it rebuilt. Otherwise it is built from the
+images by repeated multiplication (ArtinianModel.power_table).
 
 A reader that needs only the axis components D_{j e_l}, j < n (the
 p-power and unit components among them), takes the e per-axis stacks of
@@ -389,34 +388,6 @@ def witt2_pfold_expansion(law: FormalGroupLaw, j: int) -> dict:
     return {s: c for s, c in out.items() if c}
 
 
-def _conjugation_is_cheaper(model: ArtinianModel, terms) -> bool:
-    """Whether conjugating D's table is estimated cheaper than the ladder on
-    images T(x_t) of terms[t] terms each.
-
-    The ladder (DenseRing.product_table on T's images) multiplies by image t
-    exactly n^t (n-1) times; each product pays a call per term of the image
-    plus a shifted add over the dim^2 * d digits of the (x, v) box, and the
-    table's dim^3 * d digits pass through a few whole-array steps, so the
-    estimate grows with every term count. Conjugation is two dense products
-    of dim^4 multiply-adds per pair of digit planes, whatever the sparsity
-    of Phi and Phi^-1. The weights are nanoseconds fitted on a 2-vCPU x86-64
-    host when every product ran on numpy int64, rounded in the ladder's
-    favour so that conjugation is chosen only where it clearly wins. Those
-    products now run on float64 BLAS at a sixth of that cost or less
-    (4096 x 64 by 64 x 64 at p = 2: 14-24 ms on int64, 1.8-3.8 ms), so the
-    conjugation weight overstates it: where the estimate keeps the ladder
-    (near-monomial twists at dims 64-343), conjugation now takes about the
-    ladder's time or less. The weights are kept as fitted, so the side
-    each twist takes is unchanged.
-    """
-    n, dim, d = model.n, model.dim, model.ctx.d
-    work = sum(n**t * (n - 1) * k for t, k in enumerate(terms))
-    shift = 1.0 if d == 1 else 2.3
-    ladder = 30 * dim**3 * d + work * (5000 + shift * dim**2 * d)
-    conjugation = 2 * dim**4 * (1.1 if d == 1 else 1.6 * d * d)
-    return conjugation < ladder
-
-
 def _conjugation(model: ArtinianModel, phimat, phiinv):
     """Maps a C-contiguous stack of D's matrices S to Phi S Phi^-1, in its
     layout: one tall product with Phi^-1, then one batched product with
@@ -440,13 +411,10 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     its columns at x_t. The twist T = phi* D psi* has the images
     T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
 
-    T's table comes from whichever source a cost estimate over dim, d and
-    the term counts of T's images favours: conjugating D's table (one
-    product of the dim^2 x dim stack with Phi^-1, then one batched product
-    with Phi), or the product ladder on T's images. Both give the same
-    bytes. T's axis stacks take the same side: Phi D_{j e_l} Phi^-1 from
-    D's axis stack, or the ladder on T's images restricted to the axis.
-    T is known iterative when D is.
+    T's table is D's table conjugated: one product of the dim^2 x dim
+    stack with Phi^-1, then one batched product with Phi. T's axis stacks
+    are Phi D_{j e_l} Phi^-1 from D's axis stacks. Both give the bytes of
+    the product ladder on T's images. T is known iterative when D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e
@@ -474,10 +442,9 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     ]
     T = HSDerivation(model, D.law, imgs)
     T.known_iterative = D.known_iterative
-    if _conjugation_is_cheaper(model, [len(f.terms) for f in imgs]):
-        conjugate = _conjugation(model, phimat, phiinv)
-        T._source = lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3)
-        T._axis_source = lambda l: conjugate(D.axis_stack(l))
+    conjugate = _conjugation(model, phimat, phiinv)
+    T._source = lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3)
+    T._axis_source = lambda l: conjugate(D.axis_stack(l))
     return T
 
 

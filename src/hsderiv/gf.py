@@ -348,6 +348,9 @@ class FqContext:
         operand. Otherwise, for products that are too small or too long for
         float64, the same product runs on int64 with one plain ``@``: numpy
         hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63.
+        There the fold, d^3 steps per entry, goes to the operand with fewer
+        entries, which for a row vector is a: a b = (b^T a^T)^T, since the
+        field is commutative.
 
         The body is ``_product``, which the per-pivot row updates inside one
         elimination block (``linalg._eliminate``) call directly, so a call
@@ -366,9 +369,14 @@ class FqContext:
         if not (float_pays(stack * n, k, m, d) and exact_in_float64(d * k, p)):
             if d == 1:
                 return ((a[..., 0] @ b[..., 0]) % p)[..., None]
-            c = self._planes(a) @ self._folded(b)
-            out = np.empty(c.shape[:-1] + (m, d), dtype=np.int64)
-            return np.remainder(c.reshape(out.shape[:-2] + (d, m)).swapaxes(-1, -2), p, out=out)
+            if a.size < b.size:
+                # fold the operand with fewer entries: a b = (b^T a^T)^T
+                c = self._planes(b.swapaxes(-2, -3)) @ self._folded(a.swapaxes(-2, -3))
+                c = np.moveaxis(c.reshape(c.shape[:-1] + (d, n)), -1, -3)
+            else:
+                c = self._planes(a) @ self._folded(b)
+                c = c.reshape(c.shape[:-1] + (d, m)).swapaxes(-1, -2)
+            return np.remainder(c, p, out=np.empty(c.shape, dtype=np.int64))
         out = np.empty(lead + (n, m, d), dtype=np.int64)
         if b.ndim == 3:
             # the rows of a against one matrix b

@@ -3,13 +3,10 @@ a reconstructed stack) against the generic product ladder, byte for byte;
 per-axis stacks against the full table; the p-power shortcut for the
 constants of a derivation known to be iterative."""
 
-from unittest import mock
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hsderiv.derivation as derivation_mod
 import hsderiv.lattice as lattice_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import _View
@@ -90,30 +87,52 @@ def test_twist_table_matches_ladder(case):
     _assert_tables(twist_by_automorphism(D, phi))
 
 
-def test_dense_twist_conjugates():
-    # dim 25: T's images are dense, so T's table is D's conjugated
-    D = canonical_derivation(ArtinianModel(FqContext(5, 1), 1, 2),
-                             make_multiplicative(FqContext(5, 1), 2))
+def _dense_dim25():
+    ctx = FqContext(5, 1)
+    D = canonical_derivation(ArtinianModel(ctx, 1, 2), make_multiplicative(ctx, 2))
     x = D.model.ring.var("x1")
-    T = twist_by_automorphism(D, [x + 2 * x**3 + x**5 + 3 * x**7 + 4 * x**11])
-    assert T._source is not None
-    _assert_tables(T)
+    return D, [x + 2 * x**3 + x**5 + 3 * x**7 + 4 * x**11]
 
 
-def test_near_monomial_twist_keeps_the_ladder():
-    # dim 125: T's images are nearly monomials, so the ladder is cheaper
+def _near_monomial_dim125():
     ctx = FqContext(5, 1)
     D = canonical_derivation(ArtinianModel(ctx, 1, 3), make_additive(ctx, 1, 3))
     x = D.model.ring.var("x1")
-    T = twist_by_automorphism(D, [x + 3 * x**25])
-    assert T._source is None
+    return D, [x + 3 * x**25]
+
+
+def _witt2_dim64():
+    # p = 2, d = 2, m = 3
+    ctx = FqContext(2, 2)
+    law = make_witt2(ctx, 3, [ctx.gen, ctx.one, ctx.zero])
+    D = canonical_derivation(ArtinianModel(ctx, 2, 3), law)
+    x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
+    return D, [x1 + x2**4, ctx.gen * x2 + x1**2 * x2]
+
+
+def _additive2_dim81():
+    # p = 3, d = 2, m = 2
+    ctx = FqContext(3, 2)
+    D = canonical_derivation(ArtinianModel(ctx, 2, 2), make_additive(ctx, 2, 2))
+    x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
+    return D, [x1 + ctx.gen * x2**3, ctx.gen * x2 + x1**3]
+
+
+@pytest.mark.parametrize("case", [_dense_dim25, _near_monomial_dim125, _witt2_dim64,
+                                  _additive2_dim81], ids=lambda f: f.__name__[1:])
+def test_twist_conjugates_to_the_ladder(case):
+    # dense and nearly monomial images, over prime and extension fields:
+    # T's table and axis stacks, D's conjugated, are the ladder's
+    D, phi = case()
+    T = twist_by_automorphism(D, phi)
+    for l in range(T.model.e):
+        assert T.axis_stack(l).tobytes() == T._axis_ladder(l).tobytes()
     _assert_tables(T)
 
 
 # laws of dimension e >= 2, for the per-axis stacks
 _WIDE = ("additive2", "witt2", "addxmult")
-_KINDS = ("canonical", "twist-ladder", "twist-conjugate", "reconstructed",
-          "images", "images-perturbed")
+_KINDS = ("canonical", "twist", "reconstructed", "images", "images-perturbed")
 
 
 def _perturbed(D, scalar, draw):
@@ -136,7 +155,7 @@ def _perturbed(D, scalar, draw):
 def _derivations(draw):
     """(kind, factory): each call of factory makes a fresh derivation of the
     drawn kind, so one copy can build only its axis stacks and another its
-    full table. Twists take the drawn side, conjugation or the ladder."""
+    full table."""
     name = draw(st.sampled_from(_WIDE))
     e, build = _LAWS[name]
     p, d = draw(st.sampled_from(sorted(_CTX)))
@@ -168,10 +187,7 @@ def _derivations(draw):
             return HSDerivation(model, law, D.images)
         if kind == "images-perturbed":
             return HSDerivation(model, law, extra.images)
-        side = kind == "twist-conjugate"
-        with mock.patch.object(derivation_mod, "_conjugation_is_cheaper",
-                               lambda model, terms: side):
-            T = twist_by_automorphism(D, phi)
+        T = twist_by_automorphism(D, phi)
         if kind == "reconstructed":
             return reconstruct_from_ppowers(T)
         return T
@@ -193,6 +209,7 @@ def test_axis_stacks_match_the_table(case):
         stack = A.axis_stack(l)
         assert stack.shape == (n, model.dim, model.dim, model.ctx.d)
         assert stack.flags["C_CONTIGUOUS"]
+        assert stack.tobytes() == A._axis_ladder(l).tobytes()
         for j in range(n):
             full = F.component(tuple(j if t == l else 0 for t in range(e))).mat
             assert stack[j].dtype == full.dtype
