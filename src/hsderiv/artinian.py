@@ -89,16 +89,14 @@ class ArtinianModel:
             f = convert(f, self.ring)
         out = self.ctx.zeros((self.dim,))
         for e, c in f.terms.items():
-            out[self.xidx.rank[e]] = c.digits
+            out[self.xidx.rank[e]] = self.ctx.unpack(c)
         return out
 
     def poly_from_vec(self, vec: np.ndarray) -> TruncatedPoly:
-        terms = {}
-        for i in np.flatnonzero(vec.any(axis=1)):
-            terms[self.xidx.monomials[int(i)]] = self.ctx.scalar(
-                tuple(int(v) for v in vec[int(i)])
-            )
-        return TruncatedPoly(self.ring, terms)
+        pack, monos = self.ctx.pack, self.xidx.monomials
+        nz = np.flatnonzero(vec.any(axis=1))
+        return TruncatedPoly(self.ring, {
+            monos[i]: pack(row) for i, row in zip(nz.tolist(), vec[nz].tolist())})
 
     def cube_from_vec(self, vec: np.ndarray) -> np.ndarray:
         flat = self.ctx.zeros((self.dim,))

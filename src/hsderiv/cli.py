@@ -231,7 +231,7 @@ def _cmd_pseries(config):
         for nidx, a in enumerate(law.alphas):
             expo = p ** (nidx + 1)
             if expo < p ** law.m and a:
-                terms[(0, expo)] = -a
+                terms[(0, expo)] = law.ctx.raw(-a)
         expected = TruncatedPoly(vring, terms)
         ok = comps[0] == expected and comps[1] == vring.zero
         checks.append(_check(
@@ -404,7 +404,7 @@ def _cmd_selftest(config):
             law = make_witt2(ctx, 2, [1, 0])
             comps = n_series(law, p)
             vring = comps[0].ring
-            expected = TruncatedPoly(vring, {(0, p): -ctx.one})
+            expected = vring.monomial((0, p), -1)
             add(f"pseries-p{p}",
                 comps[0] == expected and comps[1] == vring.zero,
                 expected=format_trunc(expected), actual=format_trunc(comps[0]))
@@ -528,6 +528,9 @@ def run(config) -> tuple[dict, int]:
     except (KeyError, TypeError, ValueError) as ex:
         message = f"{type(ex).__name__}: {ex}"
         return _report(config, command, error=("malformed-config", message)), 2
+    except Exception as ex:
+        message = f"{type(ex).__name__}: {ex}"
+        return _report(config, command, error=("internal-error", message)), 1
     report = _report(config, command, checks)
     return report, 0 if report["pass"] else 1
 

@@ -37,7 +37,7 @@ class DenseRing:
             raise ValueError("ring bounds mismatch")
         out = self.zeros()
         for e, c in f.terms.items():
-            out[e] = c.digits
+            out[e] = self.ctx.unpack(c)
         return out
 
     def terms_of(self, arr: np.ndarray):

@@ -123,7 +123,7 @@ class HSDerivation:
                 ex[:e]: c for ex, c in f.terms.items() if not any(ex[e:])
             }
             unit = tuple(1 if i == t else 0 for i in range(e))
-            if vfree != {unit: model.ctx.one}:
+            if vfree != {unit: 1}:
                 raise LawAxiomFailure(
                     "the weight-zero component must act as the identity"
                 )
@@ -225,11 +225,11 @@ class HSDerivation:
     def _poly_from_bi(self, cube: np.ndarray) -> TruncatedPoly:
         model = self.model
         flat = cube.reshape(model.dim * model.dim, model.ctx.d)
+        nz = np.flatnonzero(flat.any(axis=1))
         terms = {}
-        for pos in np.flatnonzero(flat.any(axis=1)):
-            b, i = divmod(int(pos), model.dim)
-            exps = model.xidx.monomials[b] + model.vidx.monomials[i]
-            terms[exps] = model.ctx.scalar(tuple(int(x) for x in flat[pos]))
+        for pos, row in zip(nz.tolist(), flat[nz].tolist()):
+            b, i = divmod(pos, model.dim)
+            terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = model.ctx.pack(row)
         return TruncatedPoly(model.ring_xv, terms)
 
     def _image_cube(self, vec: np.ndarray) -> np.ndarray:
@@ -314,7 +314,7 @@ def evp_point(law: FormalGroupLaw):
         for ex, c in f.terms.items():
             tot = tuple(sum(ex[t * e + l] for t in range(p)) for l in range(e))
             acc = merged.get(tot)
-            merged[tot] = c if acc is None else acc + c
+            merged[tot] = c if acc is None else ctx.reduce(acc + c)
         terms = {}
         for tot, c in merged.items():
             if not c:
@@ -429,7 +429,7 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
         if f.constant_term():
             raise NotInvertible("twist must fix the origin")
         for l, unit in enumerate(units):
-            lin[t, l] = f.coeff(unit).digits
+            lin[t, l] = ctx.unpack(f.coeff(unit))
     inv_matrix(ctx, lin)  # NotInvertible for a singular linear part
     # the guard on D's table comes before any elimination on Phi
     D.table()

@@ -14,7 +14,6 @@ dependence and p-independence classifications.
 
 from .artinian import GradedIndexing
 from .errors import HypothesisFailure, IndexRange, TooManyElements
-from .gf import FqScalar
 from .grouplaw import FormalGroupLaw, make_additive
 from .poly import MultiPoly, RatFuncDomain, RationalFunc
 from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, evaluate, invert_unit
@@ -61,10 +60,10 @@ class FieldDerivationContext:
             imgs = self.generator_images()
             self._ladders = [PowerLadder(x, g) for x, g in zip(self.xvars, imgs)]
         g = self.dom.coerce(f)
-        num = evaluate(_scalar_terms(g.num), self._ladders, self.ring)
+        num = evaluate(g.num.terms, self._ladders, self.ring)
         if g.den == 1:
             return num
-        return num * invert_unit(evaluate(_scalar_terms(g.den), self._ladders, self.ring))
+        return num * invert_unit(evaluate(g.den.terms, self._ladders, self.ring))
 
     def component(self, f, index) -> RationalFunc:
         """D_index(f) as a rational function."""
@@ -76,11 +75,6 @@ class FieldDerivationContext:
     def box_indices(self) -> list[tuple[int, ...]]:
         """The [p)-box indices in graded order; these index matrix rows."""
         return list(GradedIndexing([self.ctx.p] * self.e).monomials)
-
-
-def _scalar_terms(f: MultiPoly) -> dict:
-    """f's terms with FqScalar coefficients, as the field ring's constants take them."""
-    return {e: FqScalar(f.ctx, c) for e, c in f.terms.items()}
 
 
 def wronskian_matrix(fctx: FieldDerivationContext, elements) -> list[list[RationalFunc]]:

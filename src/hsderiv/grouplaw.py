@@ -12,7 +12,7 @@ import numpy as np
 
 from .artinian import ArtinianModel
 from .errors import ContextMismatch, LawAxiomFailure, TruncationOrder
-from .gf import FqContext, lambda_coeffs
+from .gf import FqContext, FqScalar, lambda_coeffs
 from .poly import MultiPoly
 from .truncated import TruncatedRing, rename, substitute
 
@@ -307,6 +307,6 @@ def structure_constants(law: FormalGroupLaw, i, j) -> dict:
     table, index = law._power_table()
     col = table[:, index.rank[i], index.rank[j]]
     return {
-        index.monomials[int(r)]: law.ctx.scalar(tuple(int(v) for v in col[r]))
+        index.monomials[int(r)]: FqScalar(law.ctx, law.ctx.pack(col[r]))
         for r in np.flatnonzero(col.any(axis=1))
     }

@@ -7,11 +7,12 @@ products for each exponent and reduces once per output term. An output
 term collects at most one product per term of f, and a plain sum of a
 reduced value and up to ``ctx.lazy`` products is exact, so the sums are
 also reduced after every ``ctx.lazy`` terms of f (never over a prime
-field, whose ``lazy`` is unbounded). When both factors have at least
+field, whose ``lazy`` is unbounded). That loop, ``product_terms``, is
+also the truncated rings' product. When both factors have at least
 PACKED_MIN_TERMS terms, each exponent tuple is packed into one int, wide
 enough per variable for the largest exponent sum, so adding exponents is
 one int addition. FqScalar views are made only at the boundary (``coeff``,
-and formatting in textform).
+and each printed coefficient in textform).
 
 The canonical term order used everywhere (printing, leading terms, matrix
 bases) is ascending total degree with ties broken by descending lexicographic
@@ -21,8 +22,9 @@ the highest power first.
 
 from __future__ import annotations
 
+import sys
 from itertools import chain
-from operator import add, lshift, mul, neg
+from operator import add, lshift, lt, mul, neg
 
 from .errors import ContextMismatch, DivisionByZero
 from .gf import FqContext, FqScalar
@@ -42,6 +44,28 @@ def sorted_terms(terms: dict):
     return sorted(terms.items(), key=lambda kv: term_key(kv[0]))
 
 
+def product_terms(left: dict, right: dict, reduce, lazy: int, bounds=None) -> dict:
+    """Nonzero reduced terms of the product of two term dicts, left's terms
+    outermost: each output term sums its products in order, reduced after
+    every lazy rows and at the end. With bounds, exponents past them drop."""
+    out: dict = {}
+    get = out.get
+    right = right.items()
+    rows = 0
+    for e1, c1 in left.items():
+        if rows == lazy:
+            for e, c in out.items():
+                out[e] = reduce(c)
+            rows = 0
+        rows += 1
+        for e2, c2 in right:
+            e = tuple(map(add, e1, e2))
+            if bounds is None or all(map(lt, e, bounds)):
+                s = get(e)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+    return {e: v for e, c in out.items() if (v := reduce(c))}
+
+
 def power(one, base, n: int, times=mul):
     """base**n for n >= 0 by square and multiply, starting from one; every
     product is times(a, b)."""
@@ -56,10 +80,14 @@ def power(one, base, n: int, times=mul):
 
 
 class FqDomain:
-    """Coefficient domain adapter for plain field scalars."""
+    """Coefficient domain of raw field values; ``coerce`` takes public ones."""
+
+    zero, one = 0, 1
 
     def __init__(self, ctx: FqContext):
         self.ctx = ctx
+        self.reduce, self.lazy = ctx.reduce, ctx.lazy
+        self.neg, self.inverse = ctx.neg, ctx.inv
 
     def __eq__(self, other):
         return isinstance(other, FqDomain) and self.ctx == other.ctx
@@ -67,28 +95,24 @@ class FqDomain:
     def __hash__(self):
         return hash(("FqDomain", self.ctx))
 
-    @property
-    def zero(self):
-        return self.ctx.zero
+    def coerce(self, v) -> int:
+        return self.ctx.raw(v)
 
-    @property
-    def one(self):
-        return self.ctx.one
-
-    def coerce(self, v):
-        return self.ctx.scalar(v)
+    @staticmethod
+    def from_raw(x: int) -> int:
+        return x
 
     @staticmethod
     def is_zero(c) -> bool:
         return not c
 
-    @staticmethod
-    def inverse(c):
-        return c.inverse()
-
 
 class RatFuncDomain:
-    """Coefficient domain adapter for rational functions in fixed variables."""
+    """Coefficient domain of rational functions in fixed variables (exact)."""
+
+    lazy = sys.maxsize
+    reduce = staticmethod(lambda c: c)
+    neg = staticmethod(neg)
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...]):
         self.ctx = ctx
@@ -120,6 +144,10 @@ class RatFuncDomain:
         if isinstance(v, MultiPoly):
             return RationalFunc.from_poly(v)
         return RationalFunc.from_poly(MultiPoly.const(self.ctx, self.vars, v))
+
+    def from_raw(self, x: int) -> "RationalFunc":
+        return RationalFunc.from_poly(
+            MultiPoly(self.ctx, self.vars, {(0,) * len(self.vars): x} if x else {}))
 
     @staticmethod
     def is_zero(c) -> bool:
@@ -216,21 +244,8 @@ class MultiPoly:
         if min(len(self.terms), len(o.terms)) >= PACKED_MIN_TERMS:
             return self._mul_packed(o)
         ctx = self.ctx
-        reduce, lazy = ctx.reduce, ctx.lazy
-        out: dict = {}
-        get = out.get
-        right = o.terms.items()
-        rows = 0
-        for e1, c1 in self.terms.items():
-            if rows == lazy:
-                for e, c in out.items():
-                    out[e] = reduce(c)
-                rows = 0
-            rows += 1
-            for e2, c2 in right:
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return MultiPoly(ctx, self.vars, {e: v for e, c in out.items() if (v := reduce(c))})
+        return MultiPoly(
+            ctx, self.vars, product_terms(self.terms, o.terms, ctx.reduce, ctx.lazy))
 
     __rmul__ = __mul__
 

@@ -68,13 +68,13 @@ def _format_terms(vars, terms, dom) -> str:
 
 def _coeff_standalone(c, dom) -> str:
     if isinstance(dom, FqDomain):
-        return format_scalar(c)
+        return format_scalar(FqScalar(dom.ctx, c))
     return format_ratfunc(c)
 
 
 def _coeff_factor(c, dom) -> str:
     if isinstance(dom, FqDomain):
-        return _scalar_factor(c)
+        return _scalar_factor(FqScalar(dom.ctx, c))
     if isinstance(c, RationalFunc) and len(c.num.terms) == 1 and c.den == 1:
         (exps, raw), = c.num.terms.items()
         mono = _monomial_str(c.num.vars, exps)
@@ -87,8 +87,7 @@ def _coeff_factor(c, dom) -> str:
 
 
 def format_poly(f: MultiPoly) -> str:
-    views = {e: FqScalar(f.ctx, c) for e, c in f.terms.items()}
-    return _format_terms(f.vars, views, FqDomain(f.ctx))
+    return _format_terms(f.vars, f.terms, FqDomain(f.ctx))
 
 
 def format_trunc(f) -> str:
@@ -201,7 +200,7 @@ class _Parser:
         if t is None:
             raise ValueError("unexpected end of input")
         if t.isdigit():
-            return self._const(self.ctx.scalar(int(t)))
+            return self._const(int(t))
         if t == "(":
             inner = self.expression()
             self.expect(")")

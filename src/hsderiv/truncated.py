@@ -2,9 +2,10 @@
 
 A ring with block (vars, n) satisfies v^n = 0 for each v in the block. Terms with
 any exponent at or above its bound are dropped on construction, which is exactly
-reduction in the quotient ring. Coefficients come from a pluggable domain (field
-scalars or rational functions), so the same ring machinery serves both the
-artinian model and the rational function field model.
+reduction in the quotient ring. Coefficients are values of a pluggable domain
+(raw field values as in MultiPoly, or rational functions), so the same ring
+machinery serves both the artinian model and the rational function field
+model. A product is poly.product_terms with the ring's bounds as its filter.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from .errors import (
     UnknownVariable,
 )
 from .gf import FqContext
-from .poly import FqDomain, power, sorted_terms
+from .poly import FqDomain, power, product_terms, sorted_terms
 
 
 class TruncatedRing:
@@ -85,7 +86,8 @@ class TruncatedRing:
 
 
 class TruncatedPoly:
-    """Element of a TruncatedRing; terms hold no zero coefficients."""
+    """Element of a TruncatedRing; terms map exponents to nonzero values of
+    ring.dom, taken as given (public field elements go through ring.const)."""
 
     __slots__ = ("ring", "terms")
 
@@ -107,16 +109,18 @@ class TruncatedPoly:
 
     def __add__(self, other):
         o = self._coerce(other)
+        reduce = self.ring.dom.reduce
         out = dict(self.terms)
         for e, c in o.terms.items():
             s = out.get(e)
-            out[e] = c if s is None else s + c
+            out[e] = c if s is None else reduce(s + c)
         return TruncatedPoly(self.ring, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        neg = self.ring.dom.neg
+        return TruncatedPoly(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -126,20 +130,12 @@ class TruncatedPoly:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        bounds = self.ring.bounds
-        out: dict = {}
+        ring, dom = self.ring, self.ring.dom
         # iterate the sparser factor outside
         a, b = (self.terms, o.terms)
         if len(a) > len(b):
             a, b = b, a
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                if all(x < bb for x, bb in zip(e, bounds)):
-                    c = c1 * c2
-                    s = out.get(e)
-                    out[e] = c if s is None else s + c
-        return TruncatedPoly(self.ring, out)
+        return TruncatedPoly(ring, product_terms(a, b, dom.reduce, dom.lazy, ring.bounds))
 
     __rmul__ = __mul__
 
@@ -149,8 +145,9 @@ class TruncatedPoly:
         return power(self.ring.one, self, n)
 
     def scale(self, c) -> "TruncatedPoly":
-        c = self.ring.dom.coerce(c)
-        return TruncatedPoly(self.ring, {e: v * c for e, v in self.terms.items()})
+        """Product with a domain value, taken as given (over the field, raw)."""
+        reduce = self.ring.dom.reduce
+        return TruncatedPoly(self.ring, {e: reduce(v * c) for e, v in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, TruncatedPoly):
@@ -202,7 +199,7 @@ def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedP
                 ne[p_i] = x
         ne = tuple(ne)
         s = out.get(ne)
-        out[ne] = c if s is None else s + c
+        out[ne] = c if s is None else f.ring.dom.reduce(s + c)
     return TruncatedPoly(target, out)
 
 
@@ -242,21 +239,23 @@ class PowerLadder:
 def evaluate(terms: dict, ladders, target: TruncatedRing) -> TruncatedPoly:
     """Sum of c * prod_i ladders[i][e_i] over terms {e: c}, inside target.
 
+    The c are raw field values, made constants by target.dom.from_raw.
     Plain evaluation: images may have constant terms. Each term is summed
     into one dict in place, and a key is deleted the moment its sum cancels,
     so keys come out in the order of a term-by-term sum of TruncatedPolys.
     """
     dom = target.dom
+    origin = (0,) * len(target.vars)
     out: dict = {}
     for e, c in terms.items():
-        term = target.const(c)
+        term = TruncatedPoly(target, {origin: dom.from_raw(c)})
         for lad, x in zip(ladders, e):
             if x:
                 term = term * lad[x]
         for k, v in term.terms.items():
             s = out.get(k)
             if s is not None:
-                v = s + v
+                v = dom.reduce(s + v)
                 if dom.is_zero(v):
                     del out[k]
                     continue

@@ -38,6 +38,18 @@ def poly_of(ctx, vars, terms) -> MultiPoly:
     return MultiPoly(ctx, vars, {e: v for e, c in terms.items() if (v := ctx.raw(c))})
 
 
+def trunc_of(ring, terms) -> TruncatedPoly:
+    """poly_of for a truncated ring over the field: TruncatedPoly of terms
+    whose coefficients are field elements in any form ctx.raw takes."""
+    ctx = ring.ctx
+    return TruncatedPoly(ring, {e: v for e, c in terms.items() if (v := ctx.raw(c))})
+
+
+def all_raw(f) -> bool:
+    """Every stored coefficient of f, an element over the field, is a raw int."""
+    return all(type(c) is int for c in f.terms.values())
+
+
 def elements(ctx):
     """All q field elements, iteration order fixed by digit odometer."""
     for n in range(ctx.q):
@@ -183,5 +195,5 @@ def pfold_by_repeated_composition(D: HSDerivation) -> HSDerivation:
                     terms[cexps[bf] + cexps[vf]] = ctx.scalar(
                         tuple(int(x) for x in flat[bf, vf])
                     )
-        imgs.append(TruncatedPoly(model.ring_xv, terms))
+        imgs.append(trunc_of(model.ring_xv, terms))
     return HSDerivation(model, D.law, imgs)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oracles import pfold_by_repeated_composition, poly_of
+from oracles import pfold_by_repeated_composition, poly_of, trunc_of
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import (
     assemble_product_basis,
@@ -51,7 +51,7 @@ from hsderiv.grouplaw import (
 )
 from hsderiv.lattice import tower
 from hsderiv.poly import MultiPoly
-from hsderiv.truncated import TruncatedPoly, convert
+from hsderiv.truncated import convert
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -108,7 +108,7 @@ def _random_twist(D, rng):
             exps = tuple(rng.randrange(n) for _ in range(e))
             if sum(exps) >= 2:
                 terms[exps] = _rand_scalar(ctx, rng, nonzero=True)
-        phis.append(TruncatedPoly(model.ring, terms))
+        phis.append(trunc_of(model.ring, terms))
     return twist_by_automorphism(D, phis)
 
 
@@ -156,7 +156,7 @@ def test_criterion_02():
                 ee = p ** (lvl + 1)
                 if ee < p**m and a:
                     terms[(0, ee)] = -a
-            assert comps[0] == TruncatedPoly(vring, terms), (p, m, d, alphas)
+            assert comps[0] == trunc_of(vring, terms), (p, m, d, alphas)
             assert comps[1] == vring.zero, (p, m, d, alphas)
 
 
@@ -313,7 +313,7 @@ def test_criterion_07():
                     for i in range(1, p):
                         mono = ring.var(model.vvars[1], (p - i) * p**lvl)
                         expect_x = expect_x + (yim ** (i * p**lvl) * mono
-                                               ).scale(a * ctx.scalar(lam[i - 1]))
+                                               ).scale(ctx.raw(a * lam[i - 1]))
                 assert T.apply(x) == expect_x, (p, m, avec)
                 assert verify_canonical_basis(T, law, [x, y]).passed, (
                     p, m, avec)

@@ -66,7 +66,7 @@ def _random_twist(D, rng):
             for s in range(model.e):
                 c = tuple(int(rng.integers(0, ctx.p)) for _ in range(ctx.d))
                 if any(c):
-                    f = f + xs[s].scale(ctx.scalar(c))
+                    f = f + xs[s].scale(ctx.raw(c))
             for _ in range(int(rng.integers(0, 3))):
                 exps = tuple(int(rng.integers(0, model.n)) for _ in range(model.e))
                 c = tuple(int(rng.integers(0, ctx.p)) for _ in range(ctx.d))
@@ -162,7 +162,8 @@ def test_found_pair_component_tables():
                     j //= p
                     l += 1
                 if j < p and law.alphas[l]:
-                    expect = (y ** ((p - j) * p**l)).scale(law.alphas[l] * lam[j - 1])
+                    expect = (y ** ((p - j) * p**l)).scale(
+                        model.ctx.raw(law.alphas[l] * lam[j - 1]))
                     assert got_x == expect
                 else:
                     assert got_x.is_zero()

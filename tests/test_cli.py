@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
+from hsderiv import cli
 from hsderiv.cli import render_report, run
+from hsderiv.poly import MultiPoly
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -307,15 +308,44 @@ def test_wronskian_powers_inside_the_parse_budget(elements, digest):
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest
 
 
-def test_wronskian_parse_guard_exit_3():
+def test_wronskian_parse_guard_exit_3(monkeypatch):
     # over GF(7) (x1 + x2 + 1)^16806 has about 17M terms; its square-and-
     # multiply chain reaches a 28224-term square, a product past the budget
     job = {"command": "wronskian", "context": {"p": 7, "m": 1},
            "law": {"type": "additive", "e": 2},
            "elements": ["(x1 + x2 + 1)^16806", "x1", "x2"], "test": "dependence"}
-    start = time.process_time()
+    # the guard stops the chain before its next square (about 796M term
+    # pairs); count the pairs of every product made before it
+    pairs = []
+    mul = MultiPoly.__mul__
+
+    def counting(f, g):
+        if isinstance(g, MultiPoly):
+            pairs.append(len(f.terms) * len(g.terms))
+        return mul(f, g)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
     report, code = run(job)
-    assert time.process_time() - start < 1.0
+    assert sum(pairs) < 4_000_000
     assert code == 3
     assert report["errors"][0]["kind"] == "resource-guard"
     assert "28224 and 28224 terms" in report["errors"][0]["message"]
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    def broken(config):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setitem(cli._HANDLERS, "hn", broken)
+    job = {"command": "hn", "context": {"p": 3}, "n": 0}
+    report, code = run(job)
+    assert code == 1
+    assert report["pass"] is False
+    assert report["checks"] == []
+    assert report["errors"] == [
+        {"kind": "internal-error", "message": "ZeroDivisionError: division by zero"}]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(job))
+    assert cli.main(["run", str(path), "--quiet"]) == 1
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["errors"] == report["errors"]

@@ -14,23 +14,23 @@ from hsderiv.cli import render_report, run
 from hsderiv.derivation import canonical_derivation, twist_by_automorphism
 from hsderiv.errors import NonNilpotentImage
 from hsderiv.fieldmodel import FieldDerivationContext
-from hsderiv.gf import FqContext
+from hsderiv.gf import FqContext, FqScalar
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, product_law
 from hsderiv.poly import MultiPoly, RationalFunc
 from hsderiv.textform import format_ratfunc, format_trunc, parse_trunc
 from hsderiv.truncated import (
     PowerLadder,
-    TruncatedPoly,
     TruncatedRing,
     evaluate,
     invert_unit,
     substitute,
 )
-from oracles import poly_of
+from oracles import all_raw, poly_of, trunc_of
 
 
 def _reference(terms, images, target):
-    """Term-by-term evaluation with fresh power ladders and `out = out + term`."""
+    """Term-by-term evaluation with fresh power ladders and `out = out + term`;
+    the coefficients of terms are public field elements (FqScalar)."""
     powers = [[target.one, im] for im in images]
 
     def power(i, n):
@@ -54,6 +54,11 @@ def _same(a, b):
     return list(a.terms) == list(b.terms) and format_trunc(a) == format_trunc(b)
 
 
+def _scalars(f):
+    """f's stored raw values as FqScalar views."""
+    return {e: FqScalar(f.ring.ctx, c) for e, c in f.terms.items()}
+
+
 FIELDS = st.sampled_from([(p, d) for p in (2, 3, 5) for d in (1, 2)])
 
 
@@ -66,7 +71,7 @@ def _element(draw, ring, zero_const=False, max_terms=5):
         if zero_const and not any(e):
             continue
         terms[e] = ctx.scalar(tuple(draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d)))
-    return TruncatedPoly(ring, terms)
+    return trunc_of(ring, terms)
 
 
 @st.composite
@@ -91,7 +96,8 @@ def test_evaluate_matches_reference(data):
     images = [data.draw(_element(target)) for _ in source.vars]
     ladders = [PowerLadder(v, im) for v, im in zip(source.vars, images)]
     got = evaluate(f.terms, ladders, target)
-    assert _same(got, _reference(f.terms, images, target))
+    assert _same(got, _reference(_scalars(f), images, target))
+    assert all_raw(got)
     # a kept ladder gives the same answer again
     assert _same(evaluate(f.terms, ladders, target), got)
 
@@ -109,10 +115,12 @@ def test_substitute_is_a_ring_map(data):
             substitute(f, images, target)
         return
     sub = lambda h: substitute(h, images, target)  # noqa: E731
-    assert _same(sub(f), _reference(f.terms, list(images.values()), target))
+    assert _same(sub(f), _reference(_scalars(f), list(images.values()), target))
     assert sub(f + g) == sub(f) + sub(g)
     assert sub(f * g) == sub(f) * sub(g)
     assert sub(source.one) == target.one
+    for h in (sub(f), sub(f + g), sub(f * g), f - g, -f):
+        assert all_raw(h)
 
 
 _LAWS = {

@@ -30,6 +30,7 @@ from oracles import (
     digit_neg,
     poly_of,
     random_scalar,
+    trunc_of,
 )
 
 
@@ -207,7 +208,7 @@ def _printed_values(draw):
         return out
 
     if kind == "trunc":
-        return TruncatedPoly(ring, terms(6)), lambda s: parse_trunc(ring, s)
+        return trunc_of(ring, terms(6)), lambda s: parse_trunc(ring, s)
     num = poly_of(ctx, vars, terms(6))
     if kind == "poly":
         return num, lambda s: parse_poly(ctx, vars, s)
@@ -262,7 +263,7 @@ def _trunc_texts(draw):
 def test_parse_trunc_is_the_truncated_parse_poly(case):
     ring, text = case
     f = parse_poly(ring.ctx, ring.vars, text)
-    want = TruncatedPoly(ring, {e: f.coeff(e) for e in f.terms})
+    want = trunc_of(ring, {e: f.coeff(e) for e in f.terms})
     assert parse_trunc(ring, text) == want
 
 
@@ -387,10 +388,13 @@ def test_ratfunc_normalisation_and_inverse_match_digit_reference(case):
 @pytest.mark.parametrize("p,d", RAW_FIELDS)
 def test_square_whose_terms_collect_hundreds_of_products(p, d):
     # c*(1 + x + ... + x^k) squared: the coefficient of x^j is n_j c^2 with
-    # n_j = min(j, 2k - j) + 1 products, up to k + 1 = 201 > ctx.lazy (d > 1)
-    ctx, k = _field(p, d), 200
+    # n_j = min(j, 2k - j) + 1 products, up to k + 1 = 201 > ctx.lazy (d > 1);
+    # the same square in x^<301 runs the truncated product, cut at the bound
+    ctx, k, bound = _field(p, d), 200, 301
     top = (p - 1,) * d
-    f = poly_of(ctx, ("x",), {(j,): top for j in range(k + 1)})
+    terms = {(j,): top for j in range(k + 1)}
+    f = poly_of(ctx, ("x",), terms)
+    t = trunc_of(TruncatedRing(ctx, [(("x",), bound)]), terms)
     square = digit_mul(p, ctx.modulus, top, top)
     want = {}
     for j in range(2 * k + 1):
@@ -398,3 +402,5 @@ def test_square_whose_terms_collect_hundreds_of_products(p, d):
         if any(c):
             want[(j,)] = c
     assert _digits(f * f) == want
+    got = {e: ctx.unpack(c) for e, c in (t * t).terms.items()}
+    assert got == {e: c for e, c in want.items() if e[0] < bound}

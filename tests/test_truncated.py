@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hsderiv.artinian import ArtinianModel
 from hsderiv.errors import (
     NonNilpotentImage,
     NotAUnit,
@@ -18,7 +19,7 @@ from hsderiv.truncated import (
     substitute,
 )
 from hsderiv.textform import format_trunc, parse_trunc
-from oracles import random_scalar
+from oracles import all_raw, random_scalar, trunc_of
 
 
 def _ring(p, d, blocks):
@@ -32,7 +33,7 @@ def _rand_elem(ring, rng, nterms=5, zero_const=False):
         if zero_const and not any(e):
             continue
         terms[e] = random_scalar(ring.ctx, rng)
-    return TruncatedPoly(ring, terms)
+    return trunc_of(ring, terms)
 
 
 def test_truncation_drops_overflow():
@@ -104,6 +105,7 @@ def test_substitute_is_a_ring_hom_random():
             sg = substitute(g, images, target)
             assert substitute(f + g, images, target) == sf + sg
             assert substitute(f * g, images, target) == sf * sg
+            assert all(map(all_raw, (sf, sg, sf + sg, sf * sg, -sf)))
 
 
 def test_nilpotents_vanish_at_q_power():
@@ -129,16 +131,46 @@ def test_invert_unit_known_values():
 
 def test_invert_unit_round_trip_random():
     rng = random.Random(909)
-    for p in (2, 3, 5):
+    for p, d in ((2, 1), (3, 1), (5, 1), (2, 2), (3, 2)):
         for m in (1, 2):
             for e in (1, 2):
                 names = tuple(f"v{i+1}" for i in range(e))
-                r = _ring(p, 1, [(names, p**m)])
+                r = _ring(p, d, [(names, p**m)])
                 for _ in range(6):
                     f = _rand_elem(r, rng)
                     if not f.constant_term():
                         f = f + r.one
-                    assert f * invert_unit(f) == r.one
+                    inv = invert_unit(f)
+                    assert f * inv == r.one
+                    assert all_raw(inv)
+
+
+def test_invert_unit_with_g_valued_coefficients():
+    # the constant's inverse is a raw value that scale must not read as an
+    # integer mod p: read so, the nilpotent part keeps a constant term and
+    # the geometric series never ends
+    r = _ring(2, 2, [(("x",), 4)])
+    f = parse_trunc(r, "g + x")
+    inv = invert_unit(f)
+    assert inv == parse_trunc(r, "g + 1 + g*x + x^2 + (g + 1)*x^3")
+    assert format_trunc(inv) == "g + 1 + g*x + x^2 + (g + 1)*x^3"
+    assert f * inv == r.one
+    assert all_raw(inv)
+
+
+def test_coordinate_vectors_round_trip_g_valued_coefficients():
+    model = ArtinianModel(FqContext(3, 2), 2, 1)
+    ctx = model.ctx
+    f = parse_trunc(model.ring, "g + (2*g + 1)*x1 + 2*g*x1*x2^2 + x2^2")
+    vec = model.vec_from_poly(f)
+    assert tuple(vec[model.xidx.rank[(0, 0)]]) == (0, 1)
+    assert tuple(vec[model.xidx.rank[(1, 0)]]) == (1, 2)
+    assert tuple(vec[model.xidx.rank[(1, 2)]]) == (0, 2)
+    assert tuple(vec[model.xidx.rank[(0, 2)]]) == (1, 0)
+    back = model.poly_from_vec(vec)
+    assert back == f and all_raw(back)
+    assert {e: ctx.unpack(c) for e, c in back.terms.items()} == {
+        (0, 0): (0, 1), (1, 0): (1, 2), (1, 2): (0, 2), (0, 2): (1, 0)}
 
 
 def test_convert_between_rings():
@@ -160,4 +192,5 @@ def test_trunc_format_parse_round_trip():
         for _ in range(15):
             f = _rand_elem(r, rng)
             assert parse_trunc(r, format_trunc(f)) == f
+            assert all_raw(parse_trunc(r, format_trunc(f)))
     assert format_trunc(r.zero) == "0"
