@@ -230,7 +230,7 @@ class HSDerivation:
         for pos, row in zip(nz.tolist(), flat[nz].tolist()):
             b, i = divmod(pos, model.dim)
             terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = model.ctx.pack(row)
-        return TruncatedPoly(model.ring_xv, terms)
+        return TruncatedPoly.from_clean(model.ring_xv, terms)
 
     def _image_cube(self, vec: np.ndarray) -> np.ndarray:
         """cube[b, i] = coefficient of x^b v^i in D(r), r given by its vector."""

@@ -82,4 +82,5 @@ class MalformedConfig(HsderivError):
 
 
 class ResourceGuard(HsderivError):
-    """A job config exceeds the guard bounds (m out of range or p^(e*m) too large)."""
+    """A job config exceeds the guard bounds (m out of range, p^(e*m) too
+    large, or a prime p past the int64 kernels)."""

@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ContextMismatch, DivisionByZero
+from .errors import ContextMismatch, DivisionByZero, ResourceGuard
 
 # unreduced products a lazy sum over an extension field may hold before it
 # is reduced (FqContext.width is sized for it)
@@ -170,6 +170,11 @@ class FqContext:
             raise ValueError("d must be >= 1")
         if d > 4:
             raise ValueError("extension degree d > 4 is not supported")
+        if d * (p - 1) ** 2 > 2**62 - p:
+            # one unreduced rank-1 update in linalg._eliminate adds up to
+            # d*(p-1)^2 to an entry in [0, p), which must stay below 2^62
+            raise ResourceGuard(
+                f"p = {p}, d = {d}: d*(p-1)^2 exceeds 2^62 - p, past the int64 kernels")
         if modulus is None:
             modulus = default_modulus(p, d)
         modulus = tuple(c % p for c in modulus)
@@ -324,8 +329,10 @@ class FqContext:
         """Field matrix product, a (..., n, k, d) @ b (k, m, d) -> (..., n, m, d),
         or a (n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
 
-        The one product kernel: every field matrix product in the package
-        goes through it. Contract: every digit of a and b is an int64 in
+        The one product kernel: every reduced field matrix product in the
+        package goes through it. (The rank-1 updates inside
+        ``linalg._eliminate`` stay unreduced; they use the fold, ``_folded``,
+        directly.) Contract: every digit of a and b is an int64 in
         [0, p), and at most one of them is a stack. The result's digits
         are in [0, p).
 
@@ -347,18 +354,11 @@ class FqContext:
         preallocated result, so the float copies never span a whole
         operand. Otherwise, for products that are too small or too long for
         float64, the same product runs on int64 with one plain ``@``: numpy
-        hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63.
-        There the fold, d^3 steps per entry, goes to the operand with fewer
-        entries, which for a row vector is a: a b = (b^T a^T)^T, since the
-        field is commutative.
-
-        The body is ``_product``, which the per-pivot row updates inside one
-        elimination block (``linalg._eliminate``) call directly, so a call
-        here is one real matrix product.
+        hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63;
+        past that bound it raises OverflowError. There the fold, d^3 steps
+        per entry, goes to the operand with fewer entries, which for a row
+        vector is a: a b = (b^T a^T)^T, since the field is commutative.
         """
-        return self._product(a, b)
-
-    def _product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.ndim > 3 and b.ndim > 3:
             raise ValueError("mat_mul takes at most one stack of matrices")
         p, d = self.p, self.d
@@ -367,6 +367,9 @@ class FqContext:
         lead = a.shape[:-3] or b.shape[:-3]
         stack = math.prod(lead)
         if not (float_pays(stack * n, k, m, d) and exact_in_float64(d * k, p)):
+            if d * k * (p - 1) ** 2 >= 2**63:
+                raise OverflowError(
+                    f"int64 product of inner dimension {k} over {self} would wrap")
             if d == 1:
                 return ((a[..., 0] @ b[..., 0]) % p)[..., None]
             if a.size < b.size:

@@ -16,8 +16,10 @@ instead of a rank-1 update of the whole stack per pivot. The block products
 go through ``FqContext.mat_mul``, which runs a large product on float64
 BLAS as FFLAS-FFPACK does: exact while every partial sum stays below 2^53,
 and cast to int64 before the reduction mod p, since reducing float64 costs
-several times the product. Small products, the rank-1 updates inside
-``_eliminate`` among them, and products past that bound stay on int64.
+several times the product. Small products and products past that bound
+stay on int64. ``_eliminate`` delays the reduction as FFLAS-FFPACK does: its
+rank-1 updates go in unreduced on int64, and the whole block is reduced
+only every (2^62 - p) // (d*(p-1)^2) pivots and at the end.
 
 The bytes do not depend on the blocking: the merged rows span the row space
 of the rows seen so far and are in reduced echelon form, and that form of a
@@ -39,34 +41,50 @@ from .gf import FqContext
 
 
 def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
-    """Gauss-Jordan on one block in place; returns its pivot columns.
+    """Gauss-Jordan on one block of digits in [0, p), in place; returns its
+    pivot columns.
 
     The pivot is the first nonzero entry, column by column, among the rows
-    not yet used, found with one vectorised ``any`` over those rows. Rows
-    past the rank end up zero. The rank-1 update per pivot calls the kernel
-    body ``FqContext._product``, so ``mat_mul`` sees only whole products.
+    not yet used. Rows past the rank end up zero.
+
+    The reduction mod p is delayed, after FFLAS-FFPACK: a pivot reduces only
+    the column it searches and its own row before scaling it. The rank-1
+    update goes in unreduced, as one product of the column's digits with
+    the row folded through the modulus, and each adds at most d*(p-1)^2 to
+    an entry's magnitude. So the block is reduced whole only every
+    (2^62 - p) // (d*(p-1)^2) pivots, and once at the end; ``FqContext``
+    refuses a p for which that interval would be zero. The pivots, and so
+    the bytes, are those of an elimination that reduces after every pivot.
     """
-    p = ctx.p
+    p, d = ctx.p, ctx.d
     rows, cols = m.shape[0], m.shape[1]
+    every = (2**62 - p) // (d * (p - 1) ** 2)
     pivots: list[int] = []
-    r = c = 0
-    while r < rows and c < cols:
-        live = m[r:, c:].any(axis=2).T
-        k = int(np.argmax(live))
-        if not live.flat[k]:
+    r = 0
+    for c in range(cols):
+        if r == rows:
             break
-        c += k // live.shape[1]
-        hit = r + k % live.shape[1]
+        col = m[:, c] % p
+        live = np.flatnonzero(col[r:])
+        if not live.size:
+            continue
+        hit = r + int(live[0]) // d
         if hit != r:
-            m[[r, hit]] = m[[hit, r]]
-        inv = ctx.unpack(ctx.inv(ctx.pack(m[r, c])))
-        m[r, c:] = ctx.arr_scale(inv, m[r, c:])
-        factors = m[:, c].copy()
-        factors[r] = 0
-        m[:, c:] = (m[:, c:] - ctx._product(factors[:, None], m[None, r, c:])) % p
+            m[r], m[hit] = m[hit], m[r].copy()
+            col[r], col[hit] = col[hit], col[r].copy()
+        row = m[r, c:] % p
+        pivot = ctx.pack(col[r])
+        if pivot != 1:
+            row = ctx.arr_scale(ctx.unpack(ctx.inv(pivot)), row)
+        m[r, c:] = row
+        col[r] = 0
+        update = col @ ctx._folded(row[None])
+        m[:, c:] -= update.reshape(rows, d, cols - c).swapaxes(1, 2)
         pivots.append(c)
         r += 1
-        c += 1
+        if r % every == 0:
+            m %= p
+    m %= p
     return pivots
 
 

@@ -100,6 +100,16 @@ class TruncatedPoly:
             if not dom.is_zero(c) and ring.in_bounds(e)
         }
 
+    @classmethod
+    def from_clean(cls, ring: TruncatedRing, terms: dict) -> "TruncatedPoly":
+        """Element holding terms as they are, for a producer whose terms are
+        already nonzero and inside the ring's bounds; the constructor
+        filters, this does not."""
+        f = cls.__new__(cls)
+        f.ring = ring
+        f.terms = terms
+        return f
+
     def _coerce(self, other):
         if isinstance(other, TruncatedPoly):
             if other.ring != self.ring:
@@ -120,7 +130,7 @@ class TruncatedPoly:
 
     def __neg__(self):
         neg = self.ring.dom.neg
-        return TruncatedPoly(self.ring, {e: neg(c) for e, c in self.terms.items()})
+        return TruncatedPoly.from_clean(self.ring, {e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -135,7 +145,8 @@ class TruncatedPoly:
         a, b = (self.terms, o.terms)
         if len(a) > len(b):
             a, b = b, a
-        return TruncatedPoly(ring, product_terms(a, b, dom.reduce, dom.lazy, ring.bounds))
+        return TruncatedPoly.from_clean(
+            ring, product_terms(a, b, dom.reduce, dom.lazy, ring.bounds))
 
     __rmul__ = __mul__
 
@@ -146,8 +157,13 @@ class TruncatedPoly:
 
     def scale(self, c) -> "TruncatedPoly":
         """Product with a domain value, taken as given (over the field, raw)."""
-        reduce = self.ring.dom.reduce
-        return TruncatedPoly(self.ring, {e: reduce(v * c) for e, v in self.terms.items()})
+        dom = self.ring.dom
+        if dom.is_zero(c):
+            return self.ring.zero
+        # a product of nonzero values of a field is nonzero
+        reduce = dom.reduce
+        return TruncatedPoly.from_clean(
+            self.ring, {e: reduce(v * c) for e, v in self.terms.items()})
 
     def __eq__(self, other):
         if isinstance(other, TruncatedPoly):

@@ -157,6 +157,18 @@ def test_resource_guard_exit_3(tmp_path):
     assert report["errors"][0]["kind"] == "resource-guard"
 
 
+@pytest.mark.parametrize(
+    "path", [c for c in CONFIGS if "context" in json.loads(c.read_text())],
+    ids=lambda p: p.stem)
+def test_prime_past_the_int64_bound_exit_3(path):
+    # p = 4294967311 is prime, and d*(p-1)^2 > 2^62 - p; the command's own
+    # guard or the field context refuses it, with exit 3 either way
+    config = json.loads(path.read_text())
+    config["context"]["p"] = 4294967311
+    report, code = run(config)
+    assert code == 3 and report["errors"][0]["kind"] == "resource-guard"
+
+
 def test_tower_admission_stays_at_the_table_size(tmp_path):
     # dim 625: the tower builds axis stacks of 625^2 * 25 digits, within the
     # budget, but is admitted only when the dim^3 table would fit

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsderiv.errors import DivisionByZero
+from hsderiv.errors import DivisionByZero, ResourceGuard
 from hsderiv.gf import (
     FqContext,
     default_modulus,
@@ -344,6 +344,31 @@ def test_float_path_bound_at_its_edge():
     assert float_pays(64, 2098176, 64, 1) and float_pays(64, 2098177, 64, 1)
     assert exact_in_float64(2098176, 65521)
     assert not exact_in_float64(2098177, 65521)
+
+
+def test_context_refuses_a_prime_past_the_int64_bound():
+    # an unreduced rank-1 update in elimination adds up to d*(p-1)^2 to an
+    # entry in [0, p); past 2^62 the int64 kernels would wrap silently
+    for p, d in ((4294967311, 1), (2147483647, 2)):
+        assert d * (p - 1) ** 2 > 2**62 - p
+        with pytest.raises(ResourceGuard):
+            FqContext(p, d)
+    for p, d in ((2147483647, 1), (1073741789, 2)):
+        assert FqContext(p, d).q == p**d
+
+
+def test_int64_product_past_2_63_raises_overflow():
+    # 3 * (p-1)^2 >= 2^63 > 2 * (p-1)^2 at p = 2^31 - 1: inner dimension 3
+    # would wrap on int64, inner dimension 2 is still exact
+    p = 2147483647
+    ctx = FqContext(p)
+    rng = np.random.default_rng(3)
+    a = rng.integers(p - 8, p, (4, 3, 1))
+    b = rng.integers(p - 8, p, (3, 5, 1))
+    with pytest.raises(OverflowError):
+        ctx.mat_mul(a, b)
+    got = ctx.mat_mul(a[:, :2], b[:2])
+    assert np.array_equal(got, digit_mat_mul(p, ctx.modulus, a[:, :2], b[:2]))
 
 
 def test_mat_mul_takes_both_paths(monkeypatch):

@@ -1,5 +1,6 @@
 """Exact linear algebra: the blocked echelon form against a per-pivot reference."""
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,7 @@ from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
 from hsderiv.linalg import (
     Subspace,
+    _eliminate,
     inv_matrix,
     kernel_space,
     nullspace,
@@ -18,7 +20,7 @@ from hsderiv.linalg import (
     rref,
     solve,
 )
-from oracles import digit_add, digit_basis_products, digit_inv, digit_mul
+from oracles import digit_add, digit_basis_products, digit_inv, digit_mul, digit_neg
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -311,6 +313,102 @@ def test_preimage_solve_matches_restricted_solve(case, seed, target):
             preimage_solve(ctx, [(T, b)], within=V)
         return
     assert np.array_equal(preimage_solve(ctx, [(T, b)], within=V), want)
+
+
+# -- one elimination block against Python ints -----------------------------
+
+# _eliminate reduces the whole block every (2^62 - p) // (d*(p-1)^2) pivots:
+# after every pivot at p = 2^31 - 1, every 2 pivots at p = 1073741789 over
+# F_{p^2}, and never within a block at the small primes. An int64 product
+# of such digits can wrap, so inputs and reference stay on Python ints.
+ELIMINATE_FIELDS = [(2, 1), (3, 2), (7, 3), (2, 4), (65521, 1),
+                    (2147483647, 1), (1073741789, 2)]
+
+
+def _py_eliminate(p, modulus, rows, ncols):
+    """Gauss-Jordan on rows of digit tuples, one pivot at a time, every
+    entry reduced after every step."""
+    m = [list(row) for row in rows]
+    zero = (0,) * (len(modulus) - 1)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        hit = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = digit_inv(p, modulus, m[r][c])
+        m[r] = [digit_mul(p, modulus, inv, x) for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f != zero:
+                m[i] = [digit_add(p, x, digit_neg(p, digit_mul(p, modulus, f, y)))
+                        for x, y in zip(row, m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@st.composite
+def _blocks(draw):
+    """(ctx, rows of digit tuples, column count): random, rank-deficient
+    (rows combined from fewer rows) and zero-column blocks, wide and tall."""
+    ctx = _ctx(*draw(st.sampled_from(ELIMINATE_FIELDS)))
+    p, d = ctx.p, ctx.d
+    nrows, ncols = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    kind = draw(st.sampled_from(("random", "low", "zero-columns")))
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def element():
+        return tuple(rnd.randrange(p) for _ in range(d))
+
+    rows = [[element() for _ in range(ncols)] for _ in range(nrows)]
+    if kind == "low" and nrows > 1:
+        rank = rnd.randrange(nrows)
+        for i in range(rank, nrows):
+            row = [(0,) * d] * ncols
+            for base in rows[:rank]:
+                f = element()
+                row = [digit_add(p, x, digit_mul(p, ctx.modulus, f, y))
+                       for x, y in zip(row, base)]
+            rows[i] = row
+        rnd.shuffle(rows)
+    elif kind == "zero-columns":
+        for c in rnd.sample(range(ncols), rnd.randrange(ncols + 1)):
+            for row in rows:
+                row[c] = (0,) * d
+    return ctx, rows, ncols
+
+
+@given(_blocks())
+def test_eliminate_matches_one_pivot_at_a_time(case):
+    ctx, rows, ncols = case
+    m = np.array(rows, dtype=np.int64).reshape(len(rows), ncols, ctx.d)
+    pivots = _eliminate(ctx, m)
+    want, want_pivots = _py_eliminate(ctx.p, ctx.modulus, rows, ncols)
+    assert pivots == want_pivots
+    assert m.tolist() == [[list(x) for x in row] for row in want]
+
+
+@pytest.mark.parametrize("field", [(2147483647, 1), (1073741789, 2)])
+def test_eliminate_reduces_on_its_interval(field):
+    # an identity block beside entries (p-1, ..., p-1): the first k pivots
+    # need no scaling and leave their rows as they are, so each of them adds
+    # at least (p-1)^2 to the last row's entry in column k, past 2^63 after
+    # k of them unless the block is reduced in between. That entry is the
+    # last pivot, and column k + 1 is divided by it.
+    ctx = _ctx(*field)
+    p, d, k = ctx.p, ctx.d, 10
+    one, zero, top = (1,) + (0,) * (d - 1), (0,) * d, (p - 1,) * d
+    rows = [[one if j == i else zero for j in range(k)] + [top, one] for i in range(k)]
+    rows.append([top] * k + [zero, zero])
+    m = np.array(rows, dtype=np.int64)
+    pivots = _eliminate(ctx, m)
+    want, want_pivots = _py_eliminate(p, ctx.modulus, rows, k + 2)
+    assert pivots == want_pivots == list(range(k + 1))
+    assert m.tolist() == [[list(x) for x in row] for row in want]
 
 
 # -- the one product kernel --------------------------------------------------
