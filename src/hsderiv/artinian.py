@@ -9,14 +9,18 @@ Every dense table in the package is checked against the one memory budget
 in ArtinianModel.guard_table, at the digit count of the array about to be
 allocated. Substitution tables (law power tables, derivation tables and
 per-axis derivation stacks from images, twist and p-fold matrices) are built
-and put into graded order by ArtinianModel.power_table; a derivation table
-obtained from matrices already in hand (a conjugated twist, a reconstructed
-stack) passes the same guard.
+by ArtinianModel.power_table: a ladder over the base-p digits of the
+exponents (DenseRing.product_table), e*m*(p-1) batched products by the
+Frobenius powers of the images, put into graded order at the end. A
+derivation table obtained from matrices already in hand (a conjugated
+twist, a reconstructed stack) passes the same guard.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from types import MappingProxyType
 
 import numpy as np
 
@@ -31,14 +35,17 @@ TABLE_BUDGET = 50_000_000
 
 
 class GradedIndexing:
-    """Monomial enumeration for exponent boxes [0,n_1) x ... x [0,n_k)."""
+    """Monomial enumeration for exponent boxes [0,n_1) x ... x [0,n_k).
+
+    Read-only, so one instance per box serves every caller
+    (graded_indexing)."""
 
     def __init__(self, bounds):
         self.bounds = tuple(int(b) for b in bounds)
         self.size = int(np.prod(self.bounds)) if self.bounds else 1
         exps = sorted(np.ndindex(*self.bounds), key=term_key) if self.bounds else [()]
-        self.monomials = [tuple(int(x) for x in e) for e in exps]
-        self.rank = {e: i for i, e in enumerate(self.monomials)}
+        self.monomials = tuple(tuple(int(x) for x in e) for e in exps)
+        self.rank = MappingProxyType({e: i for i, e in enumerate(self.monomials)})
         if self.bounds:
             flats = [
                 int(np.ravel_multi_index(e, self.bounds)) for e in self.monomials
@@ -46,6 +53,15 @@ class GradedIndexing:
         else:
             flats = [0]
         self.flat_of_graded = np.array(flats, dtype=np.intp)
+        self.flat_of_graded.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=64)
+def graded_indexing(bounds: tuple[int, ...]) -> GradedIndexing:
+    """The GradedIndexing of a box, built once per bounds tuple and shared
+    by every model and law table on that box. A process uses a handful of
+    boxes; the bound only keeps a long-lived one from holding them all."""
+    return GradedIndexing(bounds)
 
 
 class ArtinianModel:
@@ -64,7 +80,7 @@ class ArtinianModel:
         self.vvars = tuple(f"v{i+1}" for i in range(e))
         self.ring = TruncatedRing(ctx, [(self.xvars, self.n)])
         self.ring_xv = TruncatedRing(ctx, [(self.xvars, self.n), (self.vvars, self.n)])
-        self.xidx = GradedIndexing(self.bounds)
+        self.xidx = graded_indexing(self.bounds)
         self.vidx = self.xidx
         self.dense = DenseRing(ctx, self.bounds)
 
@@ -141,8 +157,7 @@ class ArtinianModel:
         k = (len(bounds) - extra) // self.e
         shape = (self.dim,) * (k + 1) + tail
         self.guard_table(shape)
-        dense = DenseRing(self.ctx, bounds)
-        flat = dense.product_table([dense.from_trunc(f) for f in images], self.bounds)
+        flat = DenseRing(self.ctx, bounds).product_table(images, self.m)
         rev = tuple(range(len(shape) - 1, -1, -1)) + (len(shape),)
         cube = flat.reshape(shape + (self.ctx.d,)).transpose(rev)
         perm = self.xidx.flat_of_graded

@@ -2,9 +2,12 @@
 
 Elements of a truncated ring with bounds (n_1, ..., n_k) are stored as integer
 digit arrays of shape (n_1, ..., n_k, d), axis order matching the variable
-order, C-order flattening. Multiplication is shift-and-add over the nonzero
-terms of the sparser factor, which keeps the cost proportional to sparsity.
-All arithmetic is exact integers mod p.
+order, C-order flattening. One kernel multiplies: ``DenseRing.mul_terms``
+shifts a dense element, or a stack of them along a leading axis, by each
+term of a sparse term list, scales it and adds it in, so the cost is
+proportional to the sparse side. ``mul`` takes the terms of the sparser
+factor; ``product_table`` multiplies whole blocks of its table by the
+Frobenius powers of its bases. All arithmetic is exact integers mod p.
 """
 
 from __future__ import annotations
@@ -32,14 +35,6 @@ class DenseRing:
         out[(0,) * len(self.bounds) + (0,)] = 1
         return out
 
-    def from_trunc(self, f: TruncatedPoly) -> np.ndarray:
-        if f.ring.bounds != self.bounds:
-            raise ValueError("ring bounds mismatch")
-        out = self.zeros()
-        for e, c in f.terms.items():
-            out[e] = self.ctx.unpack(c)
-        return out
-
     def terms_of(self, arr: np.ndarray):
         """Nonzero (exponent tuple, digit tuple) pairs of a dense element."""
         flat = arr.reshape(self.size, self.ctx.d)
@@ -50,54 +45,67 @@ class DenseRing:
     def nnz(self, arr: np.ndarray) -> int:
         return int(np.count_nonzero(arr.reshape(self.size, self.ctx.d).any(axis=1)))
 
-    def mul_terms(self, a: np.ndarray, terms) -> np.ndarray:
-        """Product of a dense element with a sparse term list."""
+    def frobenius_terms(self, f: TruncatedPoly, q: int) -> list:
+        """Term list of f^q for q a power of p: the ring has characteristic
+        p, so f^q = sum c^q x^(q a) over the terms c x^a of f, kept where
+        q a is inside the bounds."""
+        ctx, bounds = self.ctx, self.bounds
+        out = []
+        for exps, c in f.terms.items():
+            shifted = tuple(q * a for a in exps)
+            if all(s < b for s, b in zip(shifted, bounds)):
+                out.append((shifted, ctx.unpack(ctx.pow(c, q))))
+        return out
+
+    def mul_terms(self, a: np.ndarray, terms, out: np.ndarray | None = None) -> np.ndarray:
+        """Product of a dense element with a sparse term list of (exponent
+        tuple, digit tuple) pairs. a may carry one leading batch axis, a
+        stack of elements each multiplied by the same terms. The product is
+        added into out, zeros unless given, which is returned reduced.
+        Each term's piece is reduced before it is added, so a sum of them
+        stays far inside int64 for every p the field admits."""
         ctx = self.ctx
-        out = np.zeros(self.shape, dtype=np.int64)
-        k = len(self.bounds)
+        if out is None:
+            out = np.zeros(a.shape, dtype=np.int64)
+        batch = (slice(None),) * (a.ndim - len(self.shape))
+        one = (1,) + (0,) * (ctx.d - 1)
         for exps, cdig in terms:
-            src = tuple(slice(0, b - e) for e, b in zip(exps, self.bounds))
-            dst = tuple(slice(e, b) for e, b in zip(exps, self.bounds))
-            piece = a[src + (slice(None),)]
-            if cdig == (1,) + (0,) * (ctx.d - 1):
-                out[dst + (slice(None),)] += piece
+            src = batch + tuple(slice(0, b - e) for e, b in zip(exps, self.bounds))
+            dst = batch + tuple(slice(e, b) for e, b in zip(exps, self.bounds))
+            piece = a[src]
+            if cdig == one:
+                out[dst] += piece
             else:
-                out[dst + (slice(None),)] += ctx.arr_scale(cdig, piece)
-        return out % ctx.p
+                out[dst] += ctx.arr_scale(cdig, piece)
+        return np.remainder(out, ctx.p, out=out)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if self.nnz(a) <= self.nnz(b):
             return self.mul_terms(b, self.terms_of(a))
         return self.mul_terms(a, self.terms_of(b))
 
-    def iter_products(self, bases: list[np.ndarray], maxexps):
-        """Yield (j, prod_l bases[l]^j_l) for j in C-order over maxexps ranges.
+    def product_table(self, bases: list[TruncatedPoly], m: int) -> np.ndarray:
+        """Matrix (n^k, size, d), n = p^m and k = len(bases): row j, for j
+        in C-order over [0, n)^k, is the flattened prod_l bases[l]^j_l.
 
-        Incremental ladder: each step costs one multiplication by a base.
+        A ladder over the base-p digits of j. Row 0 is one. The digits are
+        taken from the fastest-varying up: the last base's digits q = 1,
+        p, .., p^(m-1), then the base before it, and so on. With the first
+        B rows filled, the digit of place value B runs through t = 1..p-1,
+        and rows [t B, (t+1) B) are rows [(t-1) B, t B) times base^q, one
+        batched product by the short term list of base^q written into the
+        table itself. So a table costs k m (p-1) batched products.
         """
-        e = len(bases)
-        idx = [0] * e
-
-        def rec(k: int, cur: np.ndarray):
-            if k == e:
-                yield tuple(idx), cur
-                return
-            acc = cur
-            for j in range(maxexps[k]):
-                idx[k] = j
-                if j > 0:
-                    acc = self.mul(acc, bases[k])
-                yield from rec(k + 1, acc)
-            idx[k] = 0
-
-        yield from rec(0, self.one())
-
-    def product_table(self, bases: list[np.ndarray], maxexps) -> np.ndarray:
-        """Matrix (prod maxexps, size, d): flattened products in C-order."""
-        total = int(np.prod(maxexps))
-        out = np.zeros((total, self.size, self.ctx.d), dtype=np.int64)
-        row = 0
-        for _, arr in self.iter_products(bases, maxexps):
-            out[row] = arr.reshape(self.size, self.ctx.d)
-            row += 1
-        return out
+        p = self.ctx.p
+        total = p ** (m * len(bases))
+        out = np.zeros((total,) + self.shape, dtype=np.int64)
+        out[0] = self.one()
+        filled = 1
+        for f in reversed(bases):
+            for i in range(m):
+                terms = self.frobenius_terms(f, p**i)
+                for t in range(1, p):
+                    self.mul_terms(out[(t - 1) * filled : t * filled], terms,
+                                   out[t * filled : (t + 1) * filled])
+                filled *= p
+        return out.reshape(total, self.size, self.ctx.d)

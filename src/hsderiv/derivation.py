@@ -7,7 +7,7 @@ component D_i as a matrix on the graded monomial basis. The table comes from
 matrices already in hand whenever there are any: a canonical derivation
 shares its law's power table, a twist conjugates the table it twists, and a
 reconstruction keeps the stack it rebuilt. Otherwise it is built from the
-images by repeated multiplication (ArtinianModel.power_table).
+images by the Frobenius ladder of ArtinianModel.power_table.
 
 A reader that needs only the axis components D_{j e_l}, j < n (the
 p-power and unit components among them), takes the e per-axis stacks of

@@ -12,7 +12,7 @@ matrix of a family over the [p)-box, its rank over K, and the derived
 dependence and p-independence classifications.
 """
 
-from .artinian import GradedIndexing
+from .artinian import graded_indexing
 from .errors import HypothesisFailure, IndexRange, TooManyElements
 from .grouplaw import FormalGroupLaw, make_additive
 from .poly import MultiPoly, RatFuncDomain, RationalFunc
@@ -74,7 +74,7 @@ class FieldDerivationContext:
 
     def box_indices(self) -> list[tuple[int, ...]]:
         """The [p)-box indices in graded order; these index matrix rows."""
-        return list(GradedIndexing([self.ctx.p] * self.e).monomials)
+        return list(graded_indexing((self.ctx.p,) * self.e).monomials)
 
 
 def wronskian_matrix(fctx: FieldDerivationContext, elements) -> list[list[RationalFunc]]:
@@ -208,7 +208,7 @@ def p_independence_test(fctx: FieldDerivationContext, elements) -> bool:
         )
     base = FieldDerivationContext(make_additive(fctx.ctx, fctx.e, 1))
     fam = []
-    for a in GradedIndexing([fctx.ctx.p] * n).monomials:
+    for a in graded_indexing((fctx.ctx.p,) * n).monomials:
         g = base.dom.one
         for t, k in enumerate(a):
             if k:

@@ -321,9 +321,8 @@ class FqContext:
         return (-a) % self.p
 
     def arr_scale(self, c: tuple[int, ...], a: np.ndarray) -> np.ndarray:
-        if self.d == 1:
-            return (a * c[0]) % self.p
-        return (a @ self.mul_matrix(c).T) % self.p
+        out = a * c[0] if self.d == 1 else a @ self.mul_matrix(c).T
+        return np.remainder(out, self.p, out=out)
 
     def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Field matrix product, a (..., n, k, d) @ b (k, m, d) -> (..., n, m, d),
@@ -354,10 +353,12 @@ class FqContext:
         preallocated result, so the float copies never span a whole
         operand. Otherwise, for products that are too small or too long for
         float64, the same product runs on int64 with one plain ``@``: numpy
-        hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63;
-        past that bound it raises OverflowError. There the fold, d^3 steps
-        per entry, goes to the operand with fewer entries, which for a row
-        vector is a: a b = (b^T a^T)^T, since the field is commutative.
+        hands int64 to no BLAS, and it is exact while d*k*(p-1)^2 < 2^63.
+        There the fold, d^3 steps per entry, goes to the operand with fewer
+        entries, which for a row vector is a: a b = (b^T a^T)^T, since the
+        field is commutative. Past that bound (only for p near 2^31) the
+        inner dimension is split into chunks of (2^63 - 1) // (d*(p-1)^2),
+        and each chunk's product is reduced before the next is added.
         """
         if a.ndim > 3 and b.ndim > 3:
             raise ValueError("mat_mul takes at most one stack of matrices")
@@ -367,9 +368,13 @@ class FqContext:
         lead = a.shape[:-3] or b.shape[:-3]
         stack = math.prod(lead)
         if not (float_pays(stack * n, k, m, d) and exact_in_float64(d * k, p)):
-            if d * k * (p - 1) ** 2 >= 2**63:
-                raise OverflowError(
-                    f"int64 product of inner dimension {k} over {self} would wrap")
+            step = (2**63 - 1) // (d * (p - 1) ** 2)
+            if k > step:
+                out = self.mat_mul(a[..., :step, :], b[..., :step, :, :])
+                for s in range(step, k, step):
+                    out += self.mat_mul(a[..., s : s + step, :], b[..., s : s + step, :, :])
+                    np.remainder(out, p, out=out)
+                return out
             if d == 1:
                 return ((a[..., 0] @ b[..., 0]) % p)[..., None]
             if a.size < b.size:

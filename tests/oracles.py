@@ -5,13 +5,15 @@ Everything here recomputes results along a different route than the library
 than a tautology.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import HSDerivation
 from hsderiv.gf import FqScalar, is_prime
-from hsderiv.poly import MultiPoly
+from hsderiv.poly import MultiPoly, term_key
 from hsderiv.truncated import TruncatedPoly
 
 
@@ -140,6 +142,67 @@ def digit_inv(p, modulus, a):
         n >>= 1
     assert digit_mul(p, modulus, out, a) == one
     return out
+
+
+def digit_eliminate(p, modulus, rows, ncols):
+    """Gauss-Jordan on rows of digit tuples, one pivot at a time, every
+    entry reduced after every step."""
+    m = [list(row) for row in rows]
+    zero = (0,) * (len(modulus) - 1)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == len(m):
+            break
+        hit = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
+        if hit is None:
+            continue
+        m[r], m[hit] = m[hit], m[r]
+        inv = digit_inv(p, modulus, m[r][c])
+        m[r] = [digit_mul(p, modulus, inv, x) for x in m[r]]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and f != zero:
+                m[i] = [digit_add(p, x, digit_neg(p, digit_mul(p, modulus, f, y)))
+                        for x, y in zip(row, m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def power_table_by_products(model, images, extra=0):
+    """ArtinianModel.power_table one product at a time: a ladder over the
+    model box in C-order that multiplies by one image per step
+    (DenseRing.mul, one product per monomial), then every box axis put into
+    graded order by sorting the box's exponents with term_key."""
+    ctx = model.ctx
+    bounds = images[0].ring.bounds
+    dense = DenseRing(ctx, bounds)
+    bases = []
+    for f in images:
+        base = dense.zeros()
+        for ex, c in f.terms.items():
+            base[ex] = ctx.unpack(c)
+        bases.append(base)
+    rows = []
+
+    def ladder(l, cur):
+        if l == model.e:
+            rows.append(cur)
+            return
+        for j in range(model.n):
+            if j:
+                cur = dense.mul(cur, bases[l])
+            ladder(l + 1, cur)
+
+    ladder(0, dense.one())
+    tail = bounds[len(bounds) - extra:]
+    k = (len(bounds) - extra) // model.e
+    graded = sorted(itertools.product(range(model.n), repeat=model.e), key=term_key)
+    order = [int(np.ravel_multi_index(ex, model.bounds)) for ex in graded]
+    flat = np.stack(rows).reshape((model.dim,) * (k + 1) + tail + (ctx.d,))
+    keep = [order] * (k + 1) + [range(b) for b in tail] + [range(ctx.d)]
+    return flat[np.ix_(*keep)]
 
 
 def _mm(ctx, a, b):

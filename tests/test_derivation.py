@@ -390,7 +390,7 @@ def test_p_fold_additive_collapses():
         ctx = FqContext(p, 1)
         D = _canon(make_additive(ctx, 1, 2))
         ev = p_fold_evP(D)
-        assert list(ev.keys()) == D.model.xidx.monomials
+        assert tuple(ev.keys()) == D.model.xidx.monomials
         assert np.array_equal(ev[(0,)].mat, ctx.mat_eye(D.model.dim))
         assert all(v.is_zero() for k, v in ev.items() if k != (0,))
 

@@ -357,18 +357,22 @@ def test_context_refuses_a_prime_past_the_int64_bound():
         assert FqContext(p, d).q == p**d
 
 
-def test_int64_product_past_2_63_raises_overflow():
-    # 3 * (p-1)^2 >= 2^63 > 2 * (p-1)^2 at p = 2^31 - 1: inner dimension 3
-    # would wrap on int64, inner dimension 2 is still exact
-    p = 2147483647
-    ctx = FqContext(p)
+def test_int64_product_past_2_63_splits_the_inner_dimension():
+    # one int64 product holds (2^63 - 1) // (d*(p-1)^2) inner terms: 2 at
+    # p = 2^31 - 1 and 4 at p = 1073741789 over F_{p^2}. Entries near p - 1
+    # wrap any longer unsplit sum; the split products must still be exact,
+    # for a single matrix, a stack on either side and a wide product
     rng = np.random.default_rng(3)
-    a = rng.integers(p - 8, p, (4, 3, 1))
-    b = rng.integers(p - 8, p, (3, 5, 1))
-    with pytest.raises(OverflowError):
-        ctx.mat_mul(a, b)
-    got = ctx.mat_mul(a[:, :2], b[:2])
-    assert np.array_equal(got, digit_mat_mul(p, ctx.modulus, a[:, :2], b[:2]))
+    for p, d in [(2147483647, 1), (1073741789, 2)]:
+        ctx = FqContext(p, d)
+        top = np.full((1, 3, d), p - 1)
+        got = ctx.mat_mul(top, top.reshape(3, 1, d))
+        assert np.array_equal(got, digit_mat_mul(p, ctx.modulus, top, top.reshape(3, 1, d)))
+        for sa, sb in [((4, 3), (3, 5)), ((2, 4, 7), (7, 3)), ((4, 9), (3, 9, 2)),
+                       ((3, 41), (41, 64))]:
+            a = rng.integers(p - 8, p, sa + (d,))
+            b = rng.integers(p - 8, p, sb + (d,))
+            assert np.array_equal(ctx.mat_mul(a, b), digit_mat_mul(p, ctx.modulus, a, b))
 
 
 def test_mat_mul_takes_both_paths(monkeypatch):

@@ -20,7 +20,14 @@ from hsderiv.linalg import (
     rref,
     solve,
 )
-from oracles import digit_add, digit_basis_products, digit_inv, digit_mul, digit_neg
+from oracles import (
+    digit_add,
+    digit_basis_products,
+    digit_eliminate,
+    digit_inv,
+    digit_mul,
+    digit_neg,
+)
 
 FIELDS = [(p, d) for p in (2, 3, 5, 7, 367) for d in (1, 2, 3, 4)]
 
@@ -325,32 +332,6 @@ ELIMINATE_FIELDS = [(2, 1), (3, 2), (7, 3), (2, 4), (65521, 1),
                     (2147483647, 1), (1073741789, 2)]
 
 
-def _py_eliminate(p, modulus, rows, ncols):
-    """Gauss-Jordan on rows of digit tuples, one pivot at a time, every
-    entry reduced after every step."""
-    m = [list(row) for row in rows]
-    zero = (0,) * (len(modulus) - 1)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == len(m):
-            break
-        hit = next((i for i in range(r, len(m)) if m[i][c] != zero), None)
-        if hit is None:
-            continue
-        m[r], m[hit] = m[hit], m[r]
-        inv = digit_inv(p, modulus, m[r][c])
-        m[r] = [digit_mul(p, modulus, inv, x) for x in m[r]]
-        for i, row in enumerate(m):
-            f = row[c]
-            if i != r and f != zero:
-                m[i] = [digit_add(p, x, digit_neg(p, digit_mul(p, modulus, f, y)))
-                        for x, y in zip(row, m[r])]
-        pivots.append(c)
-        r += 1
-    return m, pivots
-
-
 @st.composite
 def _blocks(draw):
     """(ctx, rows of digit tuples, column count): random, rank-deficient
@@ -387,7 +368,7 @@ def test_eliminate_matches_one_pivot_at_a_time(case):
     ctx, rows, ncols = case
     m = np.array(rows, dtype=np.int64).reshape(len(rows), ncols, ctx.d)
     pivots = _eliminate(ctx, m)
-    want, want_pivots = _py_eliminate(ctx.p, ctx.modulus, rows, ncols)
+    want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, ncols)
     assert pivots == want_pivots
     assert m.tolist() == [[list(x) for x in row] for row in want]
 
@@ -406,9 +387,33 @@ def test_eliminate_reduces_on_its_interval(field):
     rows.append([top] * k + [zero, zero])
     m = np.array(rows, dtype=np.int64)
     pivots = _eliminate(ctx, m)
-    want, want_pivots = _py_eliminate(p, ctx.modulus, rows, k + 2)
+    want, want_pivots = digit_eliminate(p, ctx.modulus, rows, k + 2)
     assert pivots == want_pivots == list(range(k + 1))
     assert m.tolist() == [[list(x) for x in row] for row in want]
+
+
+def test_rref_of_a_tall_stack_at_the_largest_prime():
+    # 12 x 5 stacks of rank 4 at p = 2^31 - 1: after the first row block,
+    # rref takes each later block off the basis by a product whose inner
+    # dimension is the pivot count so far, up to 4, where one int64 product
+    # holds only 2 terms of (p-1)^2
+    ctx = _ctx(2147483647, 1)
+    p = ctx.p
+    rnd = random.Random(12)
+    for _ in range(10):
+        base = [[(rnd.randrange(p),) for _ in range(5)] for _ in range(4)]
+        rows = list(base)
+        for _ in range(8):
+            row = [(0,)] * 5
+            for b in base:
+                f = (rnd.randrange(p),)
+                row = [digit_add(p, x, digit_mul(p, ctx.modulus, f, y)) for x, y in zip(row, b)]
+            rows.append(row)
+        rnd.shuffle(rows)
+        m, pivots = rref(ctx, np.array(rows, dtype=np.int64))
+        want, want_pivots = digit_eliminate(p, ctx.modulus, rows, 5)
+        assert pivots == want_pivots and len(pivots) == 4
+        assert m.tolist() == [[list(x) for x in row] for row in want]
 
 
 # -- the one product kernel --------------------------------------------------

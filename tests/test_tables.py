@@ -1,7 +1,12 @@
 """Derivation tables taken from matrices already in hand (a conjugated twist,
 a reconstructed stack) against the generic product ladder, byte for byte;
 per-axis stacks against the full table; the p-power shortcut for the
-constants of a derivation known to be iterative."""
+constants of a derivation known to be iterative; the Frobenius ladder of
+every power table against one product per monomial."""
+
+import functools
+import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +15,7 @@ from hypothesis import strategies as st
 import hsderiv.lattice as lattice_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import _View
+from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import (
     HSDerivation,
     canonical_derivation,
@@ -26,6 +32,8 @@ from hsderiv.lattice import (
     ppower_indices,
     tower,
 )
+from hsderiv.truncated import TruncatedPoly, TruncatedRing
+from oracles import power_table_by_products
 
 _CTX = {(p, d): FqContext(p, d) for p in (2, 3, 5) for d in (1, 2)}
 
@@ -291,3 +299,75 @@ def test_axis_stack_index_range():
     D = canonical_derivation(ArtinianModel(ctx, 2, 1), make_additive(ctx, 2, 1))
     with pytest.raises(IndexRange):
         D.axis_stack(2)
+
+
+# -- power tables: the Frobenius ladder against one product per monomial ---
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_ctx(p, d):
+    return FqContext(p, d)
+
+
+@st.composite
+def _ladder_inputs(draw):
+    """(model, images, extra) over GF(2), GF(4), GF(5), GF(9) or GF(25),
+    e = 1..3 and dim <= 125: a twist-style phi on the model box, images
+    with the v-block adjoined (dim <= 27), or images with one v-axis
+    (extra = 1, an axis ladder). Each image is x_t plus a few terms or
+    plus up to 60 (every term of a small box), its coefficients in F_p or
+    anywhere in F_q."""
+    p, d = draw(st.sampled_from([(2, 1), (2, 2), (5, 1), (3, 2), (5, 2)]))
+    ctx = _ladder_ctx(p, d)
+    kind = draw(st.sampled_from(("twist", "xv", "axis")))
+    cap = 27 if kind == "xv" else 125
+    e, m = draw(st.sampled_from(
+        [(e, m) for e in (1, 2, 3) for m in range(1, 7) if p ** (e * m) <= cap]))
+    model = ArtinianModel(ctx, e, m)
+    extra = int(kind == "axis")
+    ring = {"twist": model.ring, "xv": model.ring_xv,
+            "axis": TruncatedRing(ctx, [(model.xvars, model.n), (("v1",), model.n)])}[kind]
+    outside = draw(st.booleans())
+    rnd = random.Random(draw(st.integers(0, 2**32 - 1)))
+    box = list(itertools.product(*(range(b) for b in ring.bounds)))
+
+    def coeff():
+        if outside:
+            return ctx.pack(rnd.randrange(p) for _ in range(d))
+        return rnd.randrange(p)
+
+    images = []
+    for t in range(e):
+        count = min(len(box), 60 if draw(st.booleans()) else rnd.randrange(4))
+        terms = {ex: coeff() for ex in rnd.sample(box, count)}
+        terms[tuple(int(i == t) for i in range(len(ring.bounds)))] = 1
+        images.append(TruncatedPoly(ring, terms))
+    return model, images, extra
+
+
+@settings(max_examples=150)
+@given(_ladder_inputs())
+def test_power_table_matches_one_product_per_monomial(case):
+    model, images, extra = case
+    got = model.power_table(images, extra)
+    want = power_table_by_products(model, images, extra)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_frobenius_terms_raise_coefficients_to_q(monkeypatch):
+    # over GF(4), g^2 != g: base^2 of g x + x^2 + g x^3 is g^2 x^2 inside
+    # the box x^8 = 0, and a ladder that kept g there would be wrong
+    ctx = _ladder_ctx(2, 2)
+    model = ArtinianModel(ctx, 1, 3)
+    g = ctx.pack((0, 1))
+    phi = [TruncatedPoly(model.ring, {(1,): g, (2,): 1, (3,): g})]
+    want = power_table_by_products(model, phi).tobytes()
+    assert model.power_table(phi).tobytes() == want
+
+    def coefficients_kept(self, f, q):
+        return [(tuple(q * a for a in ex), ctx.unpack(c)) for ex, c in f.terms.items()
+                if all(q * a < b for a, b in zip(ex, self.bounds))]
+
+    monkeypatch.setattr(DenseRing, "frobenius_terms", coefficients_kept)
+    assert model.power_table(phi).tobytes() != want
