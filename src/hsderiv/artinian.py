@@ -27,7 +27,7 @@ import numpy as np
 from .densepoly import DenseRing
 from .errors import IndexRange, ResourceGuard
 from .gf import FqContext
-from .poly import term_key
+from .poly import power, term_key
 from .truncated import TruncatedPoly, TruncatedRing, convert
 
 # digits (int64 entries) one dense table may hold
@@ -115,13 +115,15 @@ class ArtinianModel:
             monos[i]: pack(row) for i, row in zip(nz.tolist(), vec[nz].tolist())})
 
     def cube_from_vec(self, vec: np.ndarray) -> np.ndarray:
-        flat = self.ctx.zeros((self.dim,))
-        flat[self.xidx.flat_of_graded] = vec
-        return flat.reshape(self.bounds + (self.ctx.d,))
+        """Dense cube of a coordinate vector, or of each row of a stack."""
+        flat = self.ctx.zeros(vec.shape[:-1])
+        flat[..., self.xidx.flat_of_graded, :] = vec
+        return flat.reshape(vec.shape[:-2] + self.bounds + (self.ctx.d,))
 
     def vec_from_cube(self, cube: np.ndarray) -> np.ndarray:
-        flat = cube.reshape(self.dim, self.ctx.d)
-        return flat[self.xidx.flat_of_graded].copy()
+        lead = cube.shape[: cube.ndim - self.e - 1]
+        flat = cube.reshape(lead + (self.dim, self.ctx.d))
+        return flat[..., self.xidx.flat_of_graded, :]
 
     def axis_ranks(self, l: int) -> list:
         """Graded ranks of the axis exponents j e_l, j < n."""
@@ -170,12 +172,11 @@ class ArtinianModel:
         return out
 
     def vec_mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Product in A of two coordinate vectors."""
+        """Product in A of two coordinate vectors, or of each row of a stack
+        u with v."""
         cube = self.dense.mul(self.cube_from_vec(u), self.cube_from_vec(v))
         return self.vec_from_cube(cube)
 
     def vec_pow(self, u: np.ndarray, k: int) -> np.ndarray:
-        out = self.one_vec()
-        for _ in range(k):
-            out = self.vec_mul(out, u)
-        return out
+        """u^k by square and multiply."""
+        return power(self.one_vec(), u, k, self.vec_mul)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .grouplaw import FormalGroupLaw, make_additive
 from .lattice import constants_indices, divisible_restriction, joint_kernel, \
-    ppower_indices, restrict_matrix
+    restrict_matrix
 from .linalg import Subspace, kernel_space, preimage_solve
 from .poly import term_key
 from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
@@ -159,11 +159,8 @@ def _monomials_independent(model, con, zs) -> bool:
         prev = list(a)
         prev[t] -= 1
         monos[a] = model.vec_mul(monos[tuple(prev)], vecs[t])
-    rows = []
-    for a in sorted(monos, key=term_key):
-        for r in range(con.dim):
-            rows.append(model.vec_mul(con.basis[r], monos[a]))
-    rank = Subspace.from_vectors(ctx, model.dim, np.array(rows)).dim
+    rows = [model.vec_mul(con.basis, monos[a]) for a in sorted(monos, key=term_key)]
+    rank = Subspace.from_vectors(ctx, model.dim, np.concatenate(rows)).dim
     return rank == con.dim * p**e
 
 
@@ -213,26 +210,38 @@ class _View:
                 self.D, self.embed(local), space)
         return self._restricted[key]
 
-    def _kernel(self, idxs) -> Subspace:
-        """joint_kernel of the components at idxs inside within, taken once
-        per index list: for a derivation known to be iterative the box
-        constants are level 0 and the absolute constants level m-1."""
-        key = tuple(idxs)
+    def _constants(self, absolute: bool) -> Subspace:
+        """The block's constants inside within, taken once. For a derivation
+        known to be iterative they are level 0 (box) and level m-1
+        (absolute), as constants_indices shows; otherwise the joint kernel
+        of constants_indices."""
+        if self.D.known_iterative:
+            return self.level(self.model.m - 1 if absolute else 0)
+        key = ("constants", absolute)
         if key not in self._spaces:
+            idxs = constants_indices(self.D, self.coords, absolute)
             self._spaces[key] = joint_kernel(self.D, idxs, self.within)
         return self._spaces[key]
 
     def box_constants(self) -> Subspace:
         """Joint kernel over the nonzero indices below p, inside within."""
-        return self._kernel(constants_indices(self.D, self.coords, absolute=False))
+        return self._constants(absolute=False)
 
     def abs_constants(self) -> Subspace:
         """Joint kernel over every nonzero index of the block, inside within."""
-        return self._kernel(constants_indices(self.D, self.coords, absolute=True))
+        return self._constants(absolute=True)
 
     def level(self, l) -> Subspace:
-        """Joint kernel of the unit p-power components up to exponent p^l."""
-        return self._kernel(ppower_indices(self.model, self.coords, l + 1))
+        """Joint kernel of the unit p-power components up to exponent p^l,
+        inside within, by descent: the block's p^l units inside level l-1,
+        starting from within. Each level is taken once."""
+        key = ("level", l)
+        if key not in self._spaces:
+            above = self.within if l == 0 else self.level(l - 1)
+            units = [self.embed(self.unit(slot, self.ctx.p**l))
+                     for slot in range(len(self.coords))]
+            self._spaces[key] = joint_kernel(self.D, units, above)
+        return self._spaces[key]
 
     def correction(self, l) -> Subspace:
         """Level l-1 cut down to the kernel of the first-direction p^l component."""

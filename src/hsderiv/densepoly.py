@@ -6,8 +6,9 @@ order, C-order flattening. One kernel multiplies: ``DenseRing.mul_terms``
 shifts a dense element, or a stack of them along a leading axis, by each
 term of a sparse term list, scales it and adds it in, so the cost is
 proportional to the sparse side. ``mul`` takes the terms of the sparser
-factor; ``product_table`` multiplies whole blocks of its table by the
-Frobenius powers of its bases. All arithmetic is exact integers mod p.
+factor, or of the second when the first is a stack; ``product_table``
+multiplies whole blocks of its table by the Frobenius powers of its bases.
+All arithmetic is exact integers mod p.
 """
 
 from __future__ import annotations
@@ -80,6 +81,11 @@ class DenseRing:
         return np.remainder(out, ctx.p, out=out)
 
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Product of two elements, or of each element of a stack a (one
+        leading axis) with b. A stack takes its terms from b; otherwise the
+        sparser factor gives them."""
+        if a.ndim > len(self.shape):
+            return self.mul_terms(a, self.terms_of(b))
         if self.nnz(a) <= self.nnz(b):
             return self.mul_terms(b, self.terms_of(a))
         return self.mul_terms(a, self.terms_of(b))

@@ -9,10 +9,13 @@ degrees from the function-field picture turn into k-dimension ratios here;
 reports label them model degrees.
 
 The tower reads only p-power components, so it takes them from the e axis
-stacks of HSDerivation.axis_stack and never builds the dim^3 table. For a
-derivation known to be iterative the constants need only p-power
-components too (constants_indices); the other readers take components from
-the full table.
+stacks of HSDerivation.axis_stack and never builds the dim^3 table. It is
+built by descent, as the paper expands a derivation level by level: level
+s is the joint kernel of the e components p^s e_l inside level s-1, so each
+elimination sees only the new components, on the level above's
+coordinates. For a derivation known to be iterative the constants need
+only p-power components too (constants_indices); the other readers take
+components from the full table.
 """
 
 from __future__ import annotations
@@ -115,14 +118,14 @@ class ConstantsTower:
             prev = V
 
     def _check_closed(self, V: Subspace, s: int) -> None:
+        """Every product of two basis vectors lies in V: one batched product
+        of basis row a with the rows from a on, for each a."""
         model = self.model
         for a in range(V.dim):
-            for b in range(a, V.dim):
-                prod = model.vec_mul(V.basis[a], V.basis[b])
-                if not V.contains(prod):
-                    raise HypothesisFailure(
-                        f"tower level {s} is not closed under multiplication"
-                    )
+            if not V.contains(model.vec_mul(V.basis[a:], V.basis[a])):
+                raise HypothesisFailure(
+                    f"tower level {s} is not closed under multiplication"
+                )
 
     @property
     def dims(self) -> tuple:
@@ -148,14 +151,16 @@ class ConstantsTower:
 
 
 def tower(D: HSDerivation) -> ConstantsTower:
-    """The constants tower, its components read from D's e axis stacks."""
+    """The constants tower by descent, its components read from D's e axis
+    stacks: level s is the joint kernel of the e components at p^s times a
+    unit, taken inside level s-1, so each level eliminates only the new
+    components, on the coordinates of the level above."""
     model = D.model
     p, e, m = model.ctx.p, model.e, model.m
     levels = [Subspace.full(model.ctx, model.dim)]
-    mats = []
     for s in range(m):
-        mats += [D.axis_stack(l)[p**s] for l in range(e)]
-        levels.append(_stacked_kernel(model, mats))
+        mats = [D.axis_stack(l)[p**s] for l in range(e)]
+        levels.append(_stacked_kernel(model, mats, levels[-1]))
     return ConstantsTower(model, levels)
 
 

@@ -10,9 +10,14 @@ import math
 
 import numpy as np
 
+from hsderiv.artinian import ArtinianModel
 from hsderiv.densepoly import DenseRing
-from hsderiv.derivation import HSDerivation
-from hsderiv.gf import FqScalar, is_prime
+from hsderiv.derivation import HSDerivation, canonical_derivation, \
+    twist_by_automorphism
+from hsderiv.gf import FqContext, FqScalar, is_prime
+from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
+    product_law
+from hsderiv.linalg import Subspace, kernel_space
 from hsderiv.poly import MultiPoly, term_key
 from hsderiv.truncated import TruncatedPoly
 
@@ -203,6 +208,53 @@ def power_table_by_products(model, images, extra=0):
     flat = np.stack(rows).reshape((model.dim,) * (k + 1) + tail + (ctx.d,))
     keep = [order] * (k + 1) + [range(b) for b in tail] + [range(ctx.d)]
     return flat[np.ix_(*keep)]
+
+
+def tower_by_cumulative_stacks(D: HSDerivation) -> list:
+    """The levels of lattice.tower, each from scratch: level s is the kernel
+    of every p-power component p^j e_l, j <= s, stacked, taken on the whole
+    model rather than inside the level above."""
+    model = D.model
+    p, e, m = model.ctx.p, model.e, model.m
+    levels = [Subspace.full(model.ctx, model.dim)]
+    mats = []
+    for s in range(m):
+        mats += [D.axis_stack(l)[p**s] for l in range(e)]
+        levels.append(kernel_space(model.ctx, np.concatenate(mats)))
+    return levels
+
+
+def derivation_zoo() -> list:
+    """Derivations of every kind a constants tower meets, as test inputs:
+    canonical ones for additive e = 1, 2, multiplicative, witt2 and product
+    laws at p = 2, 3 and m = 1, 2; a twisted witt2; d = 2; and the trivial
+    derivation x -> x, which is not known to be iterative."""
+
+    def canon(law):
+        return canonical_derivation(ArtinianModel(law.ctx, law.e, law.m), law)
+
+    out = []
+    for p in (2, 3):
+        ctx = FqContext(p, 1)
+        for m in (1, 2):
+            out += [canon(law) for law in (
+                make_additive(ctx, 1, m),
+                make_additive(ctx, 2, m),
+                make_multiplicative(ctx, m),
+                make_witt2(ctx, m, list(range(1, m + 1))),
+                product_law(make_additive(ctx, 1, m), make_multiplicative(ctx, m)),
+            )]
+        D = canon(make_witt2(ctx, 2, [1, p - 1]))
+        xs = [D.model.ring.var(v) for v in D.model.xvars]
+        out.append(twist_by_automorphism(D, [xs[0] + xs[1] ** 2, xs[1]]))
+    ctx = FqContext(2, 2)
+    out += [canon(make_additive(ctx, 2, 1)), canon(make_witt2(ctx, 2, [1, 1])),
+            canon(product_law(make_multiplicative(ctx, 1), make_additive(ctx, 1, 1)))]
+    ctx = FqContext(2, 1)
+    model = ArtinianModel(ctx, 2, 2)
+    out.append(HSDerivation(model, make_additive(ctx, 2, 2),
+                            [model.ring_xv.var(v) for v in model.xvars]))
+    return out
 
 
 def _mm(ctx, a, b):

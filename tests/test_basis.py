@@ -9,6 +9,8 @@ import hsderiv.basis as basis_mod
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import (
     BasisCandidate,
+    _View,
+    _inside_constants,
     assemble_product_basis,
     find_x,
     find_y,
@@ -38,8 +40,10 @@ from hsderiv.grouplaw import (
     make_witt2,
     product_law,
 )
+from hsderiv.lattice import constants_indices, joint_kernel, ppower_indices
 from hsderiv.textform import parse_trunc
 from hsderiv.truncated import TruncatedRing, convert
+from oracles import derivation_zoo
 
 
 def _canon(law):
@@ -329,6 +333,26 @@ def test_assemble_takes_each_correction_space_once(monkeypatch, m):
     monkeypatch.setattr(basis_mod, "joint_kernel", count_kernel)
     assert len(assemble_product_basis(T)) == 2
     assert kernels.count(((2, 0),)) == 1
+
+
+def test_view_levels_by_descent_equal_the_joint_kernels():
+    # a view's level l is the joint kernel of the block's p-power
+    # components up to p^l inside within, on whole-model views and on views
+    # inside the absolute constants of the other coordinates
+    for D in derivation_zoo():
+        model = D.model
+        whole = tuple(range(model.e))
+        view = _View(D, whole, D.law)
+        views = [view]
+        if model.e == 2:
+            views += [_inside_constants(view, (0,), None, (1,)),
+                      _inside_constants(view, (1,), None, (0,))]
+        for v in views:
+            for l in range(model.m):
+                want = joint_kernel(D, ppower_indices(model, v.coords, l + 1), v.within)
+                assert v.level(l) == want, (D.law.kind, v.coords, l)
+        for absolute, got in ((False, view.box_constants()), (True, view.abs_constants())):
+            assert got == joint_kernel(D, constants_indices(D, whole, absolute)), D.law.kind
 
 
 def test_assemble_rejects_unknown_factor():

@@ -25,6 +25,7 @@ from hsderiv.lattice import (
     tower,
 )
 from hsderiv.linalg import Subspace, kernel_space, preimage_solve
+from oracles import derivation_zoo, tower_by_cumulative_stacks
 
 
 def _canon(law):
@@ -122,6 +123,14 @@ def test_tower_degree_hypothesis_for_constructor_zoo():
                 assert tower(_canon(law)).degree_hypothesis_ok, (p, m, law.kind)
 
 
+def test_tower_by_descent_equals_cumulative_stacks():
+    for D in derivation_zoo():
+        got = tower(D).levels
+        want = tower_by_cumulative_stacks(D)
+        assert [V.pivots for V in got] == [V.pivots for V in want], D.law.kind
+        assert got == tuple(want), D.law.kind
+
+
 def test_tower_levels_inside_component_kernels_witt2():
     # model analog of the kernel containment: F_n kills every component
     # with both exponents below p^(n+1)
@@ -154,6 +163,11 @@ def test_tower_rejects_non_closed_level():
     ones = _span(model, [model.ring.one])
     with pytest.raises(HypothesisFailure):
         ConstantsTower(model, [full, ones, full])
+    # {x, x^2}: x*x = x^2 and x^2*x^2 = 0 stay inside, so only the
+    # off-diagonal product x*x^2 = x^3 leaves it
+    xs = _span(model, [model.ring.var("x1"), model.ring.monomial((2,))])
+    with pytest.raises(HypothesisFailure, match="level 0 is not closed"):
+        ConstantsTower(model, [full, xs])
 
 
 def test_zm_check_examples():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
 from hsderiv.linalg import (
+    MIN_BLOCK_ROWS,
     Subspace,
     _eliminate,
     inv_matrix,
@@ -224,6 +225,47 @@ def test_coords_and_coset_representatives(case, seed):
             V.coords_of(vec)
 
 
+# -- stacks taller than one row block -----------------------------------------
+
+
+@st.composite
+def _tall_cases(draw):
+    """(ctx, matrix, V): 65 to 300 rows by 1 to 12 columns, so rref takes a
+    second row block and often more, of every rank kind; V full, zero or a
+    random proper subspace of the columns."""
+    ctx = _ctx(*draw(st.sampled_from(FIELDS)))
+    rows, cols = draw(st.integers(MIN_BLOCK_ROWS + 1, 300)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = _matrix(ctx, rng, rows, cols, draw(st.sampled_from(KINDS)))
+    side = draw(st.sampled_from(("full", "zero", "proper")))
+    if side == "full":
+        V = Subspace.full(ctx, cols)
+    elif side == "zero" or cols == 1:
+        V = Subspace.zero_space(ctx, cols)
+    else:
+        k = int(rng.integers(1, cols))
+        V = Subspace.from_vectors(ctx, cols, _full_rank(ctx, rng, k, cols, k))
+    return ctx, mat, V
+
+
+@given(_tall_cases())
+def test_tall_stacks_match_reference(case):
+    ctx, mat, V = case
+    m, pivots = rref(ctx, mat)
+    want, want_pivots = ref_rref(ctx, mat)
+    assert pivots == want_pivots
+    assert np.array_equal(m, want)
+    assert np.array_equal(nullspace(ctx, mat), ref_nullspace(ctx, mat))
+    # the kernel inside V is the kernel of mat stacked with V's annihilator
+    # (the vectors y with V.basis @ y = 0), in reduced echelon form
+    ann = ref_nullspace(ctx, V.basis)
+    joint = ref_nullspace(ctx, np.concatenate([mat, ann]))
+    want, want_pivots = ref_rref(ctx, joint)
+    got = kernel_space(ctx, mat, within=V)
+    assert got.pivots == want_pivots
+    assert got.basis.tobytes() == want[: len(want_pivots)].tobytes()
+
+
 # -- kernels inside a subspace, and stacks of rows --------------------------
 
 
@@ -393,17 +435,18 @@ def test_eliminate_reduces_on_its_interval(field):
 
 
 def test_rref_of_a_tall_stack_at_the_largest_prime():
-    # 12 x 5 stacks of rank 4 at p = 2^31 - 1: after the first row block,
-    # rref takes each later block off the basis by a product whose inner
-    # dimension is the pivot count so far, up to 4, where one int64 product
-    # holds only 2 terms of (p-1)^2
+    # 140 x 5 stacks of rank 4 at p = 2^31 - 1: rref takes the rows in
+    # three blocks, and takes the second and third off the basis by a
+    # product whose inner dimension is the pivot count so far, up to 4,
+    # where one int64 product holds only 2 terms of (p-1)^2
     ctx = _ctx(2147483647, 1)
     p = ctx.p
     rnd = random.Random(12)
+    assert 2 * MIN_BLOCK_ROWS < 140
     for _ in range(10):
         base = [[(rnd.randrange(p),) for _ in range(5)] for _ in range(4)]
         rows = list(base)
-        for _ in range(8):
+        for _ in range(136):
             row = [(0,)] * 5
             for b in base:
                 f = (rnd.randrange(p),)

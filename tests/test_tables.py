@@ -8,6 +8,7 @@ import functools
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -371,3 +372,44 @@ def test_frobenius_terms_raise_coefficients_to_q(monkeypatch):
 
     monkeypatch.setattr(DenseRing, "frobenius_terms", coefficients_kept)
     assert model.power_table(phi).tobytes() != want
+
+
+# -- ring products of a stack of vectors -----------------------------------
+
+
+@st.composite
+def _vec_stacks(draw):
+    """(model, stack, v): GF(2), GF(4), GF(5) or GF(9), e = 1..3 with dim
+    <= 125; 0 to 5 rows and v each dense, sparse or zero."""
+    p, d = draw(st.sampled_from([(2, 1), (2, 2), (5, 1), (3, 2)]))
+    ctx = _ladder_ctx(p, d)
+    e, m = draw(st.sampled_from(
+        [(e, m) for e in (1, 2, 3) for m in range(1, 7) if p ** (e * m) <= 125]))
+    model = ArtinianModel(ctx, e, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def vectors(k):
+        out = rng.integers(0, p, (k, model.dim, d))
+        kind = draw(st.sampled_from(("dense", "sparse", "zero")))
+        if kind == "sparse":
+            out[:, rng.random(model.dim) < 0.9] = 0
+        elif kind == "zero":
+            out[:] = 0
+        return out
+
+    return model, vectors(draw(st.integers(0, 5))), vectors(1)[0]
+
+
+@given(_vec_stacks(), st.integers(0, 12))
+def test_vec_mul_of_a_stack_matches_row_by_row(case, k):
+    model, stack, v = case
+    got = model.vec_mul(stack, v)
+    assert got.dtype == np.int64 and got.shape == stack.shape
+    for row, want in zip(got, stack):
+        assert np.array_equal(row, model.vec_mul(want, v))
+        assert np.array_equal(model.vec_mul(v, want), row)
+    # vec_pow squares; k products one at a time give the same bytes
+    power = model.one_vec()
+    for _ in range(k):
+        power = model.vec_mul(power, v)
+    assert model.vec_pow(v, k).tobytes() == power.tobytes()
