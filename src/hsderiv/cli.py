@@ -349,6 +349,9 @@ def _cmd_wronskian(config):
     mode = config.get("test", "dependence")
     expect = config.get("expect")
     if mode == "dependence":
+        _require(expect in (None, "dependent", "independent"),
+                 "field 'expect' of a dependence test must be \"dependent\", "
+                 f"\"independent\" or absent; got {expect!r}")
         res = dependence_test(fctx, elements)
         verdict = "independent" if res["independent"] else "dependent"
         ok = True if expect is None else (verdict == expect)
@@ -359,10 +362,13 @@ def _cmd_wronskian(config):
                        expected=expect, actual=verdict,
                        detail={"rank": int(res["rank"]), "witness": witness})]
     if mode == "p-independence":
+        _require(expect is None or isinstance(expect, bool),
+                 "field 'expect' of a p-independence test must be true, false "
+                 f"or absent; got {expect!r}")
         val = p_independence_test(fctx, elements)
-        ok = True if expect is None else (bool(expect) == val)
+        ok = True if expect is None else expect == val
         return [_check("wronskian-p-independence", ok,
-                       expected=None if expect is None else str(bool(expect)),
+                       expected=None if expect is None else str(expect),
                        actual=str(val))]
     raise MalformedConfig(f"unknown wronskian test {mode!r}")
 

@@ -7,25 +7,77 @@ lands in K[v]/(v^(p^m)).  Every nonzero denominator maps to a unit (its
 v-constant term is the denominator itself), so the map extends to all of K
 and the v-coefficients of an image give the component values D_i(f).
 
+A polynomial is evaluated in one flat ring F_q[x, v]/(v^(p^m)) with raw
+field values as coefficients, and the result is lifted once into K[v]/(v^(p^m)):
+each v-exponent's terms become one polynomial in x over denominator one.
+Only a rational element then goes through ``invert_unit`` and a product of
+rational functions.
+
 On top of the context sit three exact linear-algebra tests: the component
 matrix of a family over the [p)-box, its rank over K, and the derived
-dependence and p-independence classifications.
+dependence and p-independence classifications.  A dependence witness is
+checked on polynomials: the witness and each matrix row are cleared of
+their distinct denominators, and each row's cleared sum must vanish.
 """
+
+import sys
+from operator import add
 
 from .artinian import graded_indexing
 from .errors import HypothesisFailure, IndexRange, TooManyElements
 from .grouplaw import FormalGroupLaw, make_additive
 from .poly import MultiPoly, RatFuncDomain, RationalFunc
-from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, evaluate, invert_unit
+from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, invert_unit, rename
+
+# the x block of the flat ring is not truncated: a bound no exponent reaches
+NO_BOUND = sys.maxsize
+
+
+class _Ordered:
+    """A polynomial of the flat ring together with ``order``, the v-exponents
+    of its nonzero terms in the key order the same product takes in
+    K[v]/(v^(p^m)).
+
+    Rational functions are summed without a gcd, so when a partial sum
+    cancels, the order in which a product's terms are visited shows in the
+    denominators it leaves.  The order of a product follows
+    ``poly.product_terms`` on the v-exponents alone: the factor with fewer
+    of them outermost, each sum at its first appearance.  The context's
+    power ladders hold these pairs.
+    """
+
+    __slots__ = ("flat", "order")
+
+    def __init__(self, flat: TruncatedPoly, order: tuple):
+        self.flat = flat
+        self.order = order
+
+    def __mul__(self, other: "_Ordered") -> "_Ordered":
+        flat = self.flat * other.flat
+        e = len(flat.ring.blocks[0][0])
+        support = {k[e:] for k in flat.terms}
+        a, b = self.order, other.order
+        if len(a) > len(b):
+            a, b = b, a
+        order = {}
+        for b1 in a:
+            for b2 in b:
+                s = tuple(map(add, b1, b2))
+                if s in support:
+                    order[s] = None
+        return _Ordered(flat, tuple(order))
 
 
 class FieldDerivationContext:
     """A formal group law acting as a derivation on F_q(x_1..x_e).
 
     The image of x_t is law component t evaluated at (x, v): the term
-    c * v^a * w^b contributes c * x^a * v^b.  Elements evaluate at the images
-    through truncated.evaluate, and the context keeps one power ladder per
-    image, so repeated applications over the same context stay cheap.
+    c * v^a * w^b contributes c * x^a * v^b.  The images live in the flat
+    ring F_q[x, v]/(v^(p^m)), whose x block has no bound, and the context
+    keeps one power ladder per image, so repeated applications over the
+    same context stay cheap.  ``apply`` lifts each flat result into
+    ``ring`` = K[v]/(v^(p^m)) with the key order of a term-by-term
+    evaluation in that ring.
     """
 
     def __init__(self, law: FormalGroupLaw):
@@ -38,32 +90,64 @@ class FieldDerivationContext:
         self.vvars = tuple(f"v{t + 1}" for t in range(self.e))
         self.dom = RatFuncDomain(self.ctx, self.xvars)
         self.ring = TruncatedRing(self.ctx, [(self.vvars, self.n)], dom=self.dom)
-        self._images: tuple[TruncatedPoly, ...] | None = None
-        self._ladders: list[PowerLadder] | None = None
+        self.flat = TruncatedRing(
+            self.ctx, [(self.xvars, NO_BOUND), (self.vvars, self.n)])
+        to_flat = dict(zip(law.ring.vars, self.xvars + self.vvars))
+        self._ladders = []
+        for x, comp in zip(self.xvars, law.components):
+            img = rename(comp, self.flat, to_flat)
+            # distinct terms of a component never cancel within a v-exponent
+            order = tuple(dict.fromkeys(k[self.e:] for k in img.terms))
+            self._ladders.append(PowerLadder(x, _Ordered(img, order)))
 
     def __repr__(self):
         return f"FieldDerivationContext({self.law!r})"
 
-    def generator_images(self) -> tuple[TruncatedPoly, ...]:
-        """Images of x_1..x_e: law component t evaluated at (x, v), cached."""
-        if self._images is None:
-            ring, law = self.ring, self.law
-            xs = [ring.const(MultiPoly.var(self.ctx, self.xvars, x)) for x in self.xvars]
-            vs = [ring.var(v) for v in self.vvars]
-            lads = [PowerLadder(n, g) for n, g in zip(law.ring.vars, xs + vs)]
-            self._images = tuple(evaluate(c.terms, lads, ring) for c in law.components)
-        return self._images
+    def _evaluate(self, terms: dict) -> TruncatedPoly:
+        """The image of the polynomial with raw terms {e: c}, in ``ring``.
+
+        Each term is a product of ladder powers in the flat ring, summed
+        into its v-exponent's x-terms; a v-exponent is dropped the moment
+        its terms cancel, so the v-exponents come out in the order of a
+        term-by-term sum of the images in ``ring``.
+        """
+        e, reduce, flat = self.e, self.ctx.reduce, self.flat
+        origin, v0 = (0,) * (2 * e), (0,) * e
+        out: dict = {}
+        for ex, c in terms.items():
+            term = _Ordered(TruncatedPoly.from_clean(flat, {origin: c}), (v0,))
+            for lad, x in zip(self._ladders, ex):
+                if x:
+                    term = term * lad[x]
+            groups: dict = {b: {} for b in term.order}
+            for k, v in term.flat.terms.items():
+                groups[k[e:]][k[:e]] = v
+            for b, g in groups.items():
+                acc = out.get(b)
+                if acc is None:
+                    out[b] = g
+                    continue
+                for a, v in g.items():
+                    s = acc.get(a)
+                    if s is not None:
+                        v = reduce(s + v)
+                        if not v:
+                            del acc[a]
+                            continue
+                    acc[a] = v
+                if not acc:
+                    del out[b]
+        ctx, xvars = self.ctx, self.xvars
+        return TruncatedPoly.from_clean(self.ring, {
+            b: RationalFunc.from_poly(MultiPoly(ctx, xvars, g)) for b, g in out.items()})
 
     def apply(self, f) -> TruncatedPoly:
         """Image of a field element: a polynomial in v with coefficients in K."""
-        if self._ladders is None:
-            imgs = self.generator_images()
-            self._ladders = [PowerLadder(x, g) for x, g in zip(self.xvars, imgs)]
         g = self.dom.coerce(f)
-        num = evaluate(g.num.terms, self._ladders, self.ring)
-        if g.den == 1:
+        num = self._evaluate(g.num.terms)
+        if g.den._is_one():
             return num
-        return num * invert_unit(evaluate(g.den.terms, self._ladders, self.ring))
+        return num * invert_unit(self._evaluate(g.den.terms))
 
     def component(self, f, index) -> RationalFunc:
         """D_index(f) as a rational function."""
@@ -100,24 +184,44 @@ def _strip_content(row: list[MultiPoly]) -> list[MultiPoly]:
     return [f.shift_down(com) if f else f for f in row]
 
 
+def _cleared(entries) -> list[MultiPoly]:
+    """The entries over one common denominator, the product of their
+    distinct denominators: entry j's numerator times the distinct
+    denominators other than its own.  Each entry is scaled by the same
+    nonzero polynomial, so a linear relation holds for the entries exactly
+    when it holds for the cleared polynomials."""
+    dens: list[MultiPoly] = []
+    own = []
+    for ent in entries:
+        d = ent.den
+        if d._is_one():
+            own.append(-1)
+            continue
+        if d not in dens:
+            dens.append(d)
+        own.append(dens.index(d))
+    out = []
+    for ent, i in zip(entries, own):
+        f = ent.num
+        if f:
+            for k, d in enumerate(dens):
+                if k != i:
+                    f = f * d
+        out.append(f)
+    return out
+
+
 def rank_over_field(matrix) -> int:
     """Rank over K via fraction-free elimination with content stripping."""
     if not matrix or not matrix[0]:
         return 0
     ncols = len(matrix[0])
-    rows = []
-    for row in matrix:
-        # clear denominators row by row; scaling a row by a nonzero
-        # polynomial leaves the rank alone
-        entries = [e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row]
-        cleared = []
-        for j, ent in enumerate(entries):
-            f = ent.num
-            for k, other in enumerate(entries):
-                if k != j:
-                    f = f * other.den
-            cleared.append(f)
-        rows.append(_strip_content(cleared))
+    # clearing scales a row by a nonzero polynomial, which leaves the rank alone
+    rows = [
+        _strip_content(_cleared(
+            [e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row]))
+        for row in matrix
+    ]
     nrows = len(rows)
     r = 0
     for c in range(ncols):
@@ -171,6 +275,23 @@ def _kernel_vector(matrix) -> list[RationalFunc]:
     return w
 
 
+def _check_witness(matrix, w) -> None:
+    """Raise HypothesisFailure unless matrix · w = 0 over K.
+
+    With u the witness cleared of its denominators (w = u / L for the
+    product L of its distinct denominators) and each row cleared of its own,
+    row · w = 0 exactly when the cleared row times u is the zero polynomial.
+    """
+    u = _cleared(w)
+    for row in matrix:
+        acc = MultiPoly.zero(w[0].ctx, w[0].vars)
+        for c, uj in zip(_cleared(row), u):
+            if c and uj:
+                acc = acc + c * uj
+        if acc:
+            raise HypothesisFailure("kernel vector fails a component row")
+
+
 def dependence_test(fctx: FieldDerivationContext, elements) -> dict:
     """Classify a family as independent or dependent over the constants.
 
@@ -183,12 +304,7 @@ def dependence_test(fctx: FieldDerivationContext, elements) -> dict:
     if rank == len(elems):
         return {"independent": True, "rank": rank, "witness": None}
     w = _kernel_vector(mat)
-    for row in mat:
-        acc = fctx.dom.zero
-        for ent, wj in zip(row, w):
-            acc = acc + ent * wj
-        if not acc.is_zero():
-            raise HypothesisFailure("kernel vector fails a component row")
+    _check_witness(mat, w)
     return {"independent": False, "rank": rank, "witness": w}
 
 

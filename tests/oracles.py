@@ -19,7 +19,7 @@ from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
 from hsderiv.linalg import Subspace, kernel_space
 from hsderiv.poly import MultiPoly, term_key
-from hsderiv.truncated import TruncatedPoly
+from hsderiv.truncated import PowerLadder, TruncatedPoly, evaluate, invert_unit
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
@@ -312,3 +312,25 @@ def pfold_by_repeated_composition(D: HSDerivation) -> HSDerivation:
                     )
         imgs.append(trunc_of(model.ring_xv, terms))
     return HSDerivation(model, D.law, imgs)
+
+
+def field_generator_images(fctx) -> tuple:
+    """Images of x_1..x_e in fctx.ring = K[v]/(v^(p^m)), the ring with
+    rational-function coefficients: law component t evaluated at (x, v)."""
+    ring, law = fctx.ring, fctx.law
+    xs = [ring.const(MultiPoly.var(fctx.ctx, fctx.xvars, x)) for x in fctx.xvars]
+    vs = [ring.var(v) for v in fctx.vvars]
+    lads = [PowerLadder(n, g) for n, g in zip(law.ring.vars, xs + vs)]
+    return tuple(evaluate(c.terms, lads, ring) for c in law.components)
+
+
+def nested_field_apply(fctx, f) -> TruncatedPoly:
+    """FieldDerivationContext.apply evaluated term by term in fctx.ring, with
+    rational-function coefficients throughout: the key order and the
+    (num, den) pairs the flat evaluation must reproduce."""
+    ladders = [PowerLadder(x, g) for x, g in zip(fctx.xvars, field_generator_images(fctx))]
+    g = fctx.dom.coerce(f)
+    num = evaluate(g.num.terms, ladders, fctx.ring)
+    if g.den == 1:
+        return num
+    return num * invert_unit(evaluate(g.den.terms, ladders, fctx.ring))

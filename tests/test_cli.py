@@ -134,6 +134,37 @@ def test_malformed_config_exit_2(tmp_path):
     assert res.returncode == 2
 
 
+@pytest.mark.parametrize("test,expect", [
+    ("p-independence", "false"), ("p-independence", "yes"),
+    ("p-independence", "independent"), ("p-independence", 1),
+    ("dependence", True), ("dependence", "yes"), ("dependence", "Dependent"),
+])
+def test_wronskian_expect_outside_its_values_exit_2(tmp_path, test, expect):
+    # a string is never read as a bool: "false" used to pass as True
+    payload = {"command": "wronskian", "context": {"p": 2, "m": 1},
+               "law": {"type": "additive", "e": 2}, "elements": ["x1", "x2"],
+               "test": test, "expect": expect}
+    res = _invoke(payload, "--quiet", tmp_path=tmp_path)
+    assert res.returncode == 2
+    error = json.loads(res.stdout)["errors"][0]
+    assert error["kind"] == "malformed-config" and "expect" in error["message"]
+
+
+@pytest.mark.parametrize("test,expect,passed", [
+    ("p-independence", True, True), ("p-independence", False, False),
+    ("p-independence", None, True), ("dependence", "independent", True),
+    ("dependence", "dependent", False), ("dependence", None, True),
+])
+def test_wronskian_expect_values(test, expect, passed):
+    config = {"command": "wronskian", "context": {"p": 2, "m": 1},
+              "law": {"type": "additive", "e": 2}, "elements": ["x1", "x2"],
+              "test": test}
+    if expect is not None:
+        config["expect"] = expect
+    report, code = run(config)
+    assert (code, report["pass"]) == ((0, True) if passed else (1, False))
+
+
 def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ command:")

@@ -2,6 +2,7 @@
 pins of the outputs that go through it (coordinate targets and wronskian
 witnesses)."""
 
+import functools
 import hashlib
 
 import pytest
@@ -25,7 +26,7 @@ from hsderiv.truncated import (
     invert_unit,
     substitute,
 )
-from oracles import all_raw, poly_of, trunc_of
+from oracles import all_raw, field_generator_images, nested_field_apply, poly_of, trunc_of
 
 
 def _reference(terms, images, target):
@@ -124,10 +125,10 @@ def test_substitute_is_a_ring_map(data):
 
 
 _LAWS = {
-    "additive1": lambda ctx: make_additive(ctx, 1, 1),
-    "additive2": lambda ctx: make_additive(ctx, 2, 1),
-    "multiplicative": lambda ctx: make_multiplicative(ctx, 1),
-    "witt2": lambda ctx: make_witt2(ctx, 1, [1]),
+    "additive1": lambda ctx, m=1: make_additive(ctx, 1, m),
+    "additive2": lambda ctx, m=1: make_additive(ctx, 2, m),
+    "multiplicative": lambda ctx, m=1: make_multiplicative(ctx, m),
+    "witt2": lambda ctx, m=1: make_witt2(ctx, m, [1] * m),
 }
 
 
@@ -151,7 +152,7 @@ def test_field_apply_matches_reference(data):
     fctx = FieldDerivationContext(law)
     num = data.draw(_multipoly(ctx, fctx.xvars))
     den = data.draw(_multipoly(ctx, fctx.xvars, nonzero=True))
-    images = fctx.generator_images()
+    images = field_generator_images(fctx)
     want = _reference({e: num.coeff(e) for e in num.terms}, images, fctx.ring)
     if den != MultiPoly.one(ctx, fctx.xvars):
         want = want * invert_unit(
@@ -160,6 +161,63 @@ def test_field_apply_matches_reference(data):
     assert list(got.terms) == list(want.terms)
     assert [format_ratfunc(c) for c in got.terms.values()] == \
         [format_ratfunc(c) for c in want.terms.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def _apply_context(p, d, name, m):
+    return FieldDerivationContext(_LAWS[name](FqContext(p, d), m))
+
+
+@st.composite
+def _raw_poly(draw, ctx, vars, max_terms, top):
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        e = tuple(draw(st.integers(0, top)) for _ in vars)
+        terms[e] = tuple(draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d))
+    return poly_of(ctx, vars, terms)
+
+
+@settings(max_examples=80)
+@given(st.data())
+def test_field_apply_matches_nested_evaluation(data):
+    # the flat evaluation lifted into K[v] against the term-by-term
+    # evaluation with rational-function coefficients: the same v-keys in
+    # the same order, and the same (num, den) pair in every coefficient
+    p, d = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
+    fctx = _apply_context(p, d, data.draw(st.sampled_from(sorted(_LAWS))),
+                          data.draw(st.integers(1, 2)))
+    ctx, xvars = fctx.ctx, fctx.xvars
+    num = data.draw(_raw_poly(ctx, xvars, 8, data.draw(st.sampled_from([3, fctx.n + p]))))
+    den = MultiPoly.one(ctx, xvars)
+    # the inverse of a denominator costs a geometric series in K[v]; keep
+    # denominators to rings of at most 9 v-monomials
+    if fctx.n**fctx.e <= 9:
+        den = den + data.draw(_raw_poly(ctx, xvars, 3, 2))
+    if not den:
+        den = MultiPoly.one(ctx, xvars)
+    f = RationalFunc(num, den)
+    got, want = fctx.apply(f), nested_field_apply(fctx, f)
+    assert list(got.terms) == list(want.terms)
+    for k, c in want.terms.items():
+        assert got.terms[k].num.terms == c.num.terms
+        assert got.terms[k].den.terms == c.den.terms
+    assert all(all_raw(c.num) and all_raw(c.den) for c in got.terms.values())
+
+
+@pytest.mark.parametrize("terms", [
+    {(1, 0): 1, (2, 0): 1},
+    {(0, 1): 1, (1, 0): 1, (2, 0): 1},
+    {(1, 1): 1, (2, 1): 1, (3, 0): 1},
+])
+def test_field_apply_drops_a_v_exponent_whose_terms_cancel(terms):
+    # under the p = 2 Witt law of depth 2, a partial sum of these terms
+    # cancels a whole v-exponent, which must leave and re-enter the key order
+    # as it does in the term-by-term evaluation
+    fctx = _apply_context(2, 1, "witt2", 2)
+    f = RationalFunc.from_poly(MultiPoly(fctx.ctx, fctx.xvars, terms))
+    got, want = fctx.apply(f), nested_field_apply(fctx, f)
+    assert list(got.terms) == list(want.terms)
+    assert all(got.terms[k].num.terms == c.num.terms for k, c in want.terms.items())
 
 
 # -- golden pins: sha256 of every format_trunc(expected) row of

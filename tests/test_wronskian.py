@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hsderiv import fieldmodel
 from hsderiv.artinian import ArtinianModel
@@ -20,7 +22,7 @@ from hsderiv.fieldmodel import (
 from hsderiv.gf import FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2
 from hsderiv.lattice import constants
-from hsderiv.poly import MultiPoly
+from hsderiv.poly import MultiPoly, RationalFunc
 from oracles import poly_of
 
 
@@ -276,3 +278,51 @@ def test_dependence_witness_is_checked_under_optimize():
     # python -O strips assert statements; the witness check must not be one
     res = subprocess.run([sys.executable, "-O", "-c", _WRONG_WITNESS], capture_output=True)
     assert res.returncode == 0, res.stderr.decode()
+
+
+@st.composite
+def _ratpoly(draw, fctx, top, nonconstant=False):
+    # one to three terms with nonzero coefficients, one of them of degree
+    # at least one when nonconstant
+    ctx = fctx.ctx
+    exps = draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True))
+    if nonconstant and not any(exps):
+        exps.append(draw(st.integers(1, top)))
+    return poly_of(ctx, fctx.xvars, {(k,): (draw(st.integers(1, ctx.p - 1)),) + tuple(
+        draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d - 1)) for k in exps})
+
+
+@st.composite
+def _ratfunc(draw, fctx):
+    return RationalFunc(draw(_ratpoly(fctx, 3)), draw(_ratpoly(fctx, 2, nonconstant=True)))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_witness_check_on_rational_families(data):
+    # f3 = c1 f1 + c2 f2 with c1, c2 in K^p and distinct denominators on f1
+    # and f2: the kernel witness passes the check, and a witness changed in
+    # one entry, by a sum or a scaling, fails it
+    fctx = _fctx(make_additive(FqContext(*data.draw(
+        st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))), 1, 1))
+    p, ctx, xvars = fctx.ctx.p, fctx.ctx, fctx.xvars
+    f1, f2 = data.draw(_ratfunc(fctx)), data.draw(_ratfunc(fctx))
+    assume(f1.den != f2.den)
+    c1, c2 = (fctx.dom.coerce(poly_of(ctx, xvars, {
+        (0,): tuple(data.draw(st.integers(0, p - 1)) for _ in range(ctx.d)),
+        (p,): tuple(data.draw(st.integers(0, p - 1)) for _ in range(ctx.d)),
+    })) for _ in range(2))
+    f3 = c1 * f1 + c2 * f2
+    assume(f3)
+    mat = wronskian_matrix(fctx, [f1, f2, f3])
+    assert rank_over_field(mat) < 3
+    w = fieldmodel._kernel_vector(mat)
+    fieldmodel._check_witness(mat, w)
+    j = data.draw(st.sampled_from([i for i, wi in enumerate(w) if wi]))
+    r = data.draw(_ratfunc(fctx))
+    with pytest.raises(HypothesisFailure):
+        fieldmodel._check_witness(mat, w[:j] + [w[j] + r] + w[j + 1:])
+    s = data.draw(_ratfunc(fctx))
+    assume(s != fctx.dom.one)
+    with pytest.raises(HypothesisFailure):
+        fieldmodel._check_witness(mat, w[:j] + [w[j] * s] + w[j + 1:])
