@@ -11,9 +11,13 @@ allocated. Substitution tables (law power tables, derivation tables and
 per-axis derivation stacks from images, twist and p-fold matrices) are built
 by ArtinianModel.power_table: a ladder over the base-p digits of the
 exponents (DenseRing.product_table), e*m*(p-1) batched products by the
-Frobenius powers of the images, put into graded order at the end. A
-derivation table obtained from matrices already in hand (a conjugated
-twist, a reconstructed stack) passes the same guard.
+Frobenius powers of the images. The ladder keeps 1/p of the table as
+scratch and hands its rows over in blocks, each written once into graded
+order, so no build holds a second table. A derivation table obtained from
+matrices already in hand (a conjugated twist, a reconstructed stack) passes
+the same guard. Table builds and the products on whole tables run in
+blocks sized by TABLE_BLOCK, so their temporaries stay about one block
+(with mat_mul's own float64 block) whatever the size of the table.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from .truncated import TruncatedPoly, TruncatedRing, convert
 
 # digits (int64 entries) one dense table may hold
 TABLE_BUDGET = 50_000_000
+
+# digits of temporaries one step of a table build may hold beyond the
+# arrays it returns (and a power table's ladder scratch): builds and
+# conjugations run in blocks sized to stay within it
+TABLE_BLOCK = 1 << 16
 
 
 class GradedIndexing:
@@ -54,6 +63,8 @@ class GradedIndexing:
             flats = [0]
         self.flat_of_graded = np.array(flats, dtype=np.intp)
         self.flat_of_graded.flags.writeable = False
+        self.graded_of_flat = np.argsort(self.flat_of_graded)
+        self.graded_of_flat.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=64)
@@ -62,6 +73,19 @@ def graded_indexing(bounds: tuple[int, ...]) -> GradedIndexing:
     by every model and law table on that box. A process uses a handful of
     boxes; the bound only keeps a long-lived one from holding them all."""
     return GradedIndexing(bounds)
+
+
+@functools.lru_cache(maxsize=64)
+def _graded_columns(idx: GradedIndexing, k: int, tail: tuple) -> np.ndarray:
+    """Flat C-order positions, in a ring of k model boxes and then the
+    tail axes, of the columns of a power table's storage: every axis
+    reversed, each box in graded order. Shared, as graded_indexing is."""
+    flat = np.arange(idx.size**k * math.prod(tail)).reshape((idx.size,) * k + tail)
+    flat = flat.transpose(tuple(range(flat.ndim - 1, -1, -1)))
+    keep = [np.arange(b) for b in reversed(tail)]
+    out = flat[np.ix_(*keep, *(idx.flat_of_graded,) * k)].ravel()
+    out.flags.writeable = False
+    return out
 
 
 class ArtinianModel:
@@ -153,18 +177,39 @@ class ArtinianModel:
         the last index leaves one contiguous block (for a derivation table,
         each matrix_stack()[r]). ResourceGuard when the table would hold
         more than TABLE_BUDGET digits.
+
+        The ladder (DenseRing.product_table) hands its rows over in
+        blocks of at most TABLE_BLOCK / 4 digits. Each block's columns are
+        put into graded order in one reused buffer, and the block is
+        written once, into the a-positions of its rows. The ladder's spare
+        block, that buffer and a scaled piece inside the ladder's products
+        stay within one TABLE_BLOCK, so a build holds the table, the
+        ladder's scratch of 1/p table and one block: (1 + 1/p) tables,
+        where a ladder kept whole and then gathered into graded order held
+        two.
         """
         bounds = images[0].ring.bounds
         tail = bounds[len(bounds) - extra:]
         k = (len(bounds) - extra) // self.e
         shape = (self.dim,) * (k + 1) + tail
         self.guard_table(shape)
-        flat = DenseRing(self.ctx, bounds).product_table(images, self.m)
+        d = self.ctx.d
+        ring = DenseRing(self.ctx, bounds)
+        cols = _graded_columns(self.xidx, k, tail)
+        ranks = self.xidx.graded_of_flat
+        # out[c, a]: the reversed axes of the result, a fastest
+        out = np.empty((ring.size, self.dim, d), dtype=np.int64)
+        block_rows = TABLE_BLOCK // (4 * ring.size * d)
+        graded = np.empty((min(self.dim, max(1, block_rows)), ring.size, d), dtype=np.int64)
+
+        def sink(start, rows):
+            block = graded[: len(rows)]
+            np.take(rows.reshape(len(rows), ring.size, d), cols, axis=1, out=block, mode="clip")
+            out[:, ranks[start : start + len(rows)]] = block.swapaxes(0, 1)
+
+        ring.product_table(images, self.m, sink, block_rows)
         rev = tuple(range(len(shape) - 1, -1, -1)) + (len(shape),)
-        cube = flat.reshape(shape + (self.ctx.d,)).transpose(rev)
-        perm = self.xidx.flat_of_graded
-        keep = [np.arange(b) for b in reversed(tail)]
-        return cube[np.ix_(*keep, *(perm,) * (k + 1))].transpose(rev)
+        return out.reshape(tuple(reversed(shape)) + (d,)).transpose(rev)
 
     def one_vec(self) -> np.ndarray:
         out = self.ctx.zeros((self.dim,))

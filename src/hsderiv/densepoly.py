@@ -7,7 +7,8 @@ shifts a dense element, or a stack of them along a leading axis, by each
 term of a sparse term list, scales it and adds it in, so the cost is
 proportional to the sparse side. ``mul`` takes the terms of the sparser
 factor, or of the second when the first is a stack; ``product_table``
-multiplies whole blocks of its table by the Frobenius powers of its bases.
+multiplies whole blocks of its rows by the Frobenius powers of its bases and
+hands them on in bounded blocks.
 All arithmetic is exact integers mod p.
 """
 
@@ -90,28 +91,55 @@ class DenseRing:
             return self.mul_terms(b, self.terms_of(a))
         return self.mul_terms(a, self.terms_of(b))
 
-    def product_table(self, bases: list[TruncatedPoly], m: int) -> np.ndarray:
-        """Matrix (n^k, size, d), n = p^m and k = len(bases): row j, for j
-        in C-order over [0, n)^k, is the flattened prod_l bases[l]^j_l.
+    def product_table(self, bases: list[TruncatedPoly], m: int, sink, block_rows: int) -> None:
+        """Rows of the matrix (n^k, size, d), n = p^m and k = len(bases): row
+        j, for j in C-order over [0, n)^k, is the flattened prod_l
+        bases[l]^j_l. Each row goes to sink(start, rows) once, in blocks of
+        consecutive rows from start, and none is kept.
 
         A ladder over the base-p digits of j. Row 0 is one. The digits are
         taken from the fastest-varying up: the last base's digits q = 1,
         p, .., p^(m-1), then the base before it, and so on. With the first
         B rows filled, the digit of place value B runs through t = 1..p-1,
         and rows [t B, (t+1) B) are rows [(t-1) B, t B) times base^q, one
-        batched product by the short term list of base^q written into the
-        table itself. So a table costs k m (p-1) batched products.
+        batched product by the short term list of base^q. So a table costs
+        k m (p-1) batched products.
+
+        Every place but the first base's top digit is filled in a scratch
+        of n^k/p rows, written into itself. The top place runs in blocks of
+        at most block_rows scratch rows: a block goes to the sink, then its
+        p - 1 images under base^q, each made in one buffer of the block's
+        size and handed on before the next overwrites the one before it.
+        So the ladder holds n^k/p rows and one block beyond the sink's. A
+        table of at most block_rows rows is one block: it is filled whole,
+        in place, and handed on at once.
         """
         p = self.ctx.p
         total = p ** (m * len(bases))
-        out = np.zeros((total,) + self.shape, dtype=np.int64)
-        out[0] = self.one()
+        top = total if total <= block_rows else total // p
+        scratch = np.zeros((top,) + self.shape, dtype=np.int64)
+        scratch[0] = self.one()
         filled = 1
         for f in reversed(bases):
             for i in range(m):
+                if filled == top:
+                    break
                 terms = self.frobenius_terms(f, p**i)
                 for t in range(1, p):
-                    self.mul_terms(out[(t - 1) * filled : t * filled], terms,
-                                   out[t * filled : (t + 1) * filled])
+                    self.mul_terms(scratch[(t - 1) * filled : t * filled], terms,
+                                   scratch[t * filled : (t + 1) * filled])
                 filled *= p
-        return out.reshape(total, self.size, self.ctx.d)
+        if top == total:
+            sink(0, scratch)
+            return
+        terms = self.frobenius_terms(bases[0], p ** (m - 1))
+        step = max(1, block_rows)
+        spare = np.empty((min(step, top),) + self.shape, dtype=np.int64)
+        for r in range(0, top, step):
+            cur, nxt = scratch[r : r + step], spare[: min(step, top - r)]
+            sink(r, cur)
+            for t in range(1, p):
+                nxt.fill(0)
+                self.mul_terms(cur, terms, nxt)
+                sink(t * top + r, nxt)
+                cur, nxt = nxt, cur

@@ -15,7 +15,8 @@ axis_stack instead: dim^2 * n digits each, against dim^3 for the table.
 They are read from the table when it is built, and otherwise made from the
 same sources: the ladder on the images with v_k = 0 for k != l, the
 conjugation of the twisted derivation's axis stack, or a slice of a
-reconstructed stack.
+reconstructed stack. An axis stack is not kept: its reader (the tower)
+copies the few matrices it needs and lets the stack go.
 
 Iterativity over a formal group law F is the family of identities
 D_j D_i = sum_k c(k) D_k where c(k) is the coefficient of v^i w^j in F^k.
@@ -30,7 +31,7 @@ import threading
 
 import numpy as np
 
-from .artinian import ArtinianModel
+from .artinian import TABLE_BLOCK, ArtinianModel
 from .errors import (
     ContextMismatch,
     FractionalExponent,
@@ -134,7 +135,6 @@ class HSDerivation:
         self._source = None
         self._axis_source = None
         self._tab = None
-        self._axes = {}
         self._tab_lock = threading.Lock()
 
     def __eq__(self, other):
@@ -193,20 +193,16 @@ class HSDerivation:
 
         The matrices are those of component(), byte for byte. They are read
         from the table when it is built; otherwise only this axis is made,
-        dim^2 * n * d digits. Each axis is made once. For e = 1 the axis
-        stack is the table itself.
+        dim^2 * n * d digits, on every call: a caller keeps what it reads.
+        For e = 1 the axis stack is the table itself.
         """
         ranks = self.model.axis_ranks(l)
         if self.model.e == 1:
             return self.matrix_stack()
-        if l not in self._axes:
-            with self._tab_lock:
-                if l not in self._axes:
-                    if self._tab is not None:
-                        self._axes[l] = self.matrix_stack()[ranks]
-                    else:
-                        self._axes[l] = self._build_table(l)
-        return self._axes[l]
+        tab = self._tab
+        if tab is not None:
+            return tab.transpose(2, 1, 0, 3)[ranks]
+        return self._build_table(l)
 
     def _check_index(self, i) -> tuple:
         i = tuple(int(t) for t in i)
@@ -341,11 +337,21 @@ def p_fold_evP(D: HSDerivation) -> dict:
     model, law, ctx = D.model, D.law, D.model.ctx
     if not law.commutative:
         raise RequiresCommutative("p-fold composition needs a commutative law")
-    gs = evp_point(law)
     dim = model.dim
-    tab2 = D.table().reshape(dim * dim, dim, ctx.d)
-    newtab = ctx.mat_mul(tab2, model.power_table(gs)).reshape(dim, dim, dim, ctx.d)
-    stack = newtab.transpose(2, 1, 0, 3)
+    # new stack[k] = sum_i pg[i, k] stack[i], pg[i, k] = coefficient of
+    # v^k in G^i: a product over the slowest axis of D's stack, so the
+    # table is read in place and each new component is a C-contiguous
+    # block. It runs in column blocks of TABLE_BLOCK digits (1/64 of the
+    # columns at the largest dims, to repay each product's fixed costs),
+    # each as (block^T pg)^T so that the small pg is the folded operand.
+    pg = model.power_table(evp_point(law))
+    src = D.matrix_stack().reshape(dim, dim * dim, ctx.d)
+    out = np.empty(src.shape, dtype=np.int64)
+    step = max(1, dim * dim // 64, TABLE_BLOCK // (dim * ctx.d))
+    for j in range(0, dim * dim, step):
+        block = ctx.mat_mul(src[:, j : j + step].swapaxes(0, 1), pg)
+        out[:, j : j + step] = block.swapaxes(0, 1)
+    stack = out.reshape(dim, dim, dim, ctx.d)
     return {
         idx: OperatorMatrix(model, stack[r])
         for r, idx in enumerate(model.xidx.monomials)
@@ -390,14 +396,28 @@ def witt2_pfold_expansion(law: FormalGroupLaw, j: int) -> dict:
 
 def _conjugation(model: ArtinianModel, phimat, phiinv):
     """Maps a C-contiguous stack of D's matrices S to Phi S Phi^-1, in its
-    layout: one tall product with Phi^-1, then one batched product with
-    Phi. The result is guarded before either product."""
+    layout. The result is guarded and allocated first, then written block
+    by block: a block's tall product with Phi^-1 goes into one reused
+    buffer, and its batched product with Phi straight into the result.
+    A block holds TABLE_BLOCK / 4 digits, so the buffer and mat_mul's
+    float64 copies stay near one TABLE_BLOCK, and a conjugation holds its
+    input, its result and that, never the whole product with Phi^-1. At
+    dim 128 and up one matrix is past that; a block then holds dim // 64
+    matrices (1/64 of the stack), enough to repay each product's fixed
+    costs."""
     ctx, dim = model.ctx, model.dim
+    step = max(1, dim // 64, TABLE_BLOCK // (4 * dim * dim * ctx.d))
 
     def conjugate(stack: np.ndarray) -> np.ndarray:
         model.guard_table(stack.shape[:-1])
-        right = ctx.mat_mul(stack.reshape(-1, dim, ctx.d), phiinv)
-        return ctx.mat_mul(phimat, right.reshape(stack.shape))
+        out = np.empty(stack.shape, dtype=np.int64)
+        right = np.empty((min(step, len(stack)),) + stack.shape[1:], dtype=np.int64)
+        for i in range(0, len(stack), step):
+            block = stack[i : i + step]
+            r = right[: len(block)]
+            ctx.mat_mul(block.reshape(-1, dim, ctx.d), phiinv, r.reshape(-1, dim, ctx.d))
+            ctx.mat_mul(phimat, r, out[i : i + step])
+        return out
 
     return conjugate
 
@@ -411,10 +431,11 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     its columns at x_t. The twist T = phi* D psi* has the images
     T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
 
-    T's table is D's table conjugated: one product of the dim^2 x dim
-    stack with Phi^-1, then one batched product with Phi. T's axis stacks
-    are Phi D_{j e_l} Phi^-1 from D's axis stacks. Both give the bytes of
-    the product ladder on T's images. T is known iterative when D is.
+    T's table is D's table conjugated, written block by block
+    (_conjugation): a twist holds D's table and T's, not a third for the
+    product with Phi^-1. T's axis stacks are Phi D_{j e_l} Phi^-1 from
+    D's axis stacks. Both give the bytes of the product ladder on T's
+    images. T is known iterative when D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e

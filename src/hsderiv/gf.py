@@ -324,7 +324,7 @@ class FqContext:
         out = a * c[0] if self.d == 1 else a @ self.mul_matrix(c).T
         return np.remainder(out, self.p, out=out)
 
-    def mat_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def mat_mul(self, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Field matrix product, a (..., n, k, d) @ b (k, m, d) -> (..., n, m, d),
         or a (n, k, d) @ b (..., k, m, d) -> (..., n, m, d).
 
@@ -340,7 +340,9 @@ class FqContext:
         modulus into one (d*k) x (d*m) matrix whose block (r, t) is
         sum_s b_s * (digit t of g^r * g^s) mod p. Their product holds the
         d digits of the field product side by side, each a sum of d*k
-        terms below (p-1)^2, and one reduction mod p finishes it.
+        terms below (p-1)^2, and one reduction mod p finishes it. The
+        result goes into out when it is given: a C-contiguous int64 array
+        of the result's shape that overlaps neither operand.
 
         That product runs on float64 BLAS where it is exact, that is while
         every partial sum stays below 2^53: d*k*(p-1)^2 < 2^53
@@ -370,13 +372,17 @@ class FqContext:
         if not (float_pays(stack * n, k, m, d) and exact_in_float64(d * k, p)):
             step = (2**63 - 1) // (d * (p - 1) ** 2)
             if k > step:
-                out = self.mat_mul(a[..., :step, :], b[..., :step, :, :])
+                out = self.mat_mul(a[..., :step, :], b[..., :step, :, :], out)
                 for s in range(step, k, step):
                     out += self.mat_mul(a[..., s : s + step, :], b[..., s : s + step, :, :])
                     np.remainder(out, p, out=out)
                 return out
             if d == 1:
-                return ((a[..., 0] @ b[..., 0]) % p)[..., None]
+                c = a[..., 0] @ b[..., 0]
+                if out is None:
+                    return (c % p)[..., None]
+                np.remainder(c, p, out=out[..., 0])
+                return out
             if a.size < b.size:
                 # fold the operand with fewer entries: a b = (b^T a^T)^T
                 c = self._planes(b.swapaxes(-2, -3)) @ self._folded(a.swapaxes(-2, -3))
@@ -384,8 +390,11 @@ class FqContext:
             else:
                 c = self._planes(a) @ self._folded(b)
                 c = c.reshape(c.shape[:-1] + (d, m)).swapaxes(-1, -2)
-            return np.remainder(c, p, out=np.empty(c.shape, dtype=np.int64))
-        out = np.empty(lead + (n, m, d), dtype=np.int64)
+            if out is None:
+                out = np.empty(c.shape, dtype=np.int64)
+            return np.remainder(c, p, out=out)
+        if out is None:
+            out = np.empty(lead + (n, m, d), dtype=np.int64)
         if b.ndim == 3:
             # the rows of a against one matrix b
             rows = stack * n

@@ -9,12 +9,14 @@ degrees from the function-field picture turn into k-dimension ratios here;
 reports label them model degrees.
 
 The tower reads only p-power components, so it takes them from the e axis
-stacks of HSDerivation.axis_stack and never builds the dim^3 table. It is
-built by descent, as the paper expands a derivation level by level: level
-s is the joint kernel of the e components p^s e_l inside level s-1, so each
-elimination sees only the new components, on the level above's
-coordinates. For a derivation known to be iterative the constants need
-only p-power components too (constants_indices); the other readers take
+stacks of HSDerivation.axis_stack and never builds the dim^3 table. It
+reads each stack once and keeps copies of its m p-power matrices only, so
+it holds one stack at a time. It is built by descent, as the paper expands
+a derivation level by level: level s is the kernel of the component
+p^s e_l inside what the component p^s e_(l-1) left, starting from level
+s-1, so each elimination sees one matrix, on the coordinates of the space
+above it. For a derivation known to be iterative the constants need only
+p-power components too (constants_indices); the other readers take
 components from the full table.
 """
 
@@ -25,7 +27,7 @@ import numpy as np
 from .artinian import ArtinianModel
 from .derivation import HSDerivation
 from .errors import HypothesisFailure, NoSolution
-from .linalg import Subspace, image_space, kernel_space
+from .linalg import Subspace, kernel_space, rref
 # not called here: the benchmark tracer's test checks that installing it
 # rebinds this alias along with linalg.preimage_solve
 from .linalg import preimage_solve as _vec_preimage_solve
@@ -152,27 +154,41 @@ class ConstantsTower:
 
 def tower(D: HSDerivation) -> ConstantsTower:
     """The constants tower by descent, its components read from D's e axis
-    stacks: level s is the joint kernel of the e components at p^s times a
-    unit, taken inside level s-1, so each level eliminates only the new
-    components, on the coordinates of the level above."""
+    stacks. Each stack is read once and only copies of its m p-power
+    matrices are kept. Level s is then taken one component at a time: the
+    kernel of the component at p^s e_l inside what the component before it
+    left, starting from level s-1, so each elimination sees one matrix, on
+    the coordinates of the space above it."""
     model = D.model
     p, e, m = model.ctx.p, model.e, model.m
+    powers = [p**s for s in range(m)]
+    mats = [D.axis_stack(l)[powers] for l in range(e)]
     levels = [Subspace.full(model.ctx, model.dim)]
     for s in range(m):
-        mats = [D.axis_stack(l)[p**s] for l in range(e)]
-        levels.append(_stacked_kernel(model, mats, levels[-1]))
+        V = levels[-1]
+        for l in range(e):
+            V = kernel_space(model.ctx, mats[l][s], V)
+        levels.append(V)
     return ConstantsTower(model, levels)
 
 
 def _zm(ctx, mat: np.ndarray) -> dict:
-    """T^p = 0 and ker T^(p-1) = im T, with T^(p-1) built by p-2 products."""
+    """T^p = 0 and ker T^(p-1) = im T, with T^(p-1) built by p-2 products.
+
+    The second is read off ranks. Given T^p = 0, im T lies inside
+    ker T^(p-1), so the two are equal exactly when rank T + rank T^(p-1)
+    = n; and equality itself forces T^p = T^(p-1) T = 0. So it costs one
+    elimination at p = 2 and two otherwise, and none when T^p != 0."""
     pm1 = mat
     for _ in range(ctx.p - 2):
         pm1 = ctx.mat_mul(pm1, mat)
-    return {
-        "nilpotent_p": not ctx.mat_mul(pm1, mat).any(),
-        "ker_im_equal": kernel_space(ctx, pm1) == image_space(ctx, mat),
-    }
+    nilpotent = not ctx.mat_mul(pm1, mat).any()
+    balanced = False
+    if nilpotent:
+        rank = len(rref(ctx, mat)[1])
+        rank_pm1 = rank if ctx.p == 2 else len(rref(ctx, pm1)[1])
+        balanced = rank + rank_pm1 == mat.shape[0]
+    return {"nilpotent_p": nilpotent, "ker_im_equal": balanced}
 
 
 def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:

@@ -13,6 +13,7 @@ from .artinian import TABLE_BUDGET
 from .errors import ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
 from .poly import FqDomain, MultiPoly, RationalFunc, power, sorted_terms
+from .truncated import TruncatedPoly
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9_]*)|([()^*+/-]))")
 
@@ -161,24 +162,89 @@ class _Parser:
         return out
 
     def term(self):
-        out = self.factor()
-        while self.peek() == "*":
+        """Factors joined by *. Numbers, g and variables, each with an
+        optional power, multiply into one pending monomial: coefficients
+        by ctx.reduce and ctx.pow, exponents by addition. A polynomial is
+        made only for a parenthesised factor, which first takes the pending
+        monomial into the product so far, and for the term's value. A
+        product by a monomial keeps its other factor's key order and never
+        meets the guard, so the terms, their order and the guard points are
+        those of multiplying factor by factor."""
+        reduce = self.ctx.reduce
+        out, coef, exps, pending = None, 1, [0] * len(self.vars), False
+        while True:
+            if self.peek() == "(":
+                f = self.factor()
+                if pending:
+                    out = self._times(out, self._monomial(coef, exps))
+                    coef, exps, pending = 1, [0] * len(self.vars), False
+                out = self._times(out, f)
+            else:
+                c, i, k = self._simple_factor()
+                if i is None:
+                    coef = reduce(coef * self.ctx.pow(c, k))
+                else:
+                    exps[i] += k
+                pending = True
+            if self.peek() != "*":
+                break
             self.take()
-            out = self._mul(out, self.factor())
-        return out
+        return self._times(out, self._monomial(coef, exps)) if pending else out
+
+    def _times(self, out, f):
+        """The product so far times f; f itself for the first factor."""
+        return f if out is None else self._mul(out, f)
+
+    def _simple_factor(self):
+        """A number, g or variable, with its power: (raw value, None, k) for
+        a constant, (None, variable index, k) for a variable."""
+        t = self.take()
+        if t is None:
+            raise ValueError("unexpected end of input")
+        if t.isdigit():
+            out = (self.ctx.raw(int(t)), None)
+        elif t == "g":
+            if self.ctx.d == 1:
+                raise UnknownVariable("g is not available over a prime field")
+            out = (self.ctx.gen.raw, None)
+        elif re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", t):
+            if t not in self.vars:
+                raise UnknownVariable(f"unknown variable {t!r}")
+            out = (None, self.vars.index(t))
+        else:
+            raise ValueError(f"unexpected token {t!r}")
+        k = self._exponent()
+        return out + (1 if k is None else k,)
+
+    def _exponent(self):
+        """The power after ^, or None without one."""
+        if self.peek() != "^":
+            return None
+        self.take()
+        e = self.take()
+        if e is None or not e.isdigit():
+            raise ValueError("exponent must be a nonnegative integer")
+        return int(e)
+
+    def _monomial(self, coef: int, exps):
+        exps = tuple(exps)
+        if self.ring is None:
+            return MultiPoly(self.ctx, self.vars, {exps: coef} if coef else {})
+        if coef and self.ring.in_bounds(exps):
+            return TruncatedPoly.from_clean(self.ring, {exps: coef})
+        return self.ring.zero
 
     def factor(self):
-        base = self.primary()
-        if self.peek() == "^":
-            self.take()
-            e = self.take()
-            if e is None or not e.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
-            if self.ring is None:
-                base = power(self._const(1), base, int(e), self._mul)
-            else:
-                base = base ** int(e)
-        return base
+        """A parenthesised expression with its power."""
+        self.expect("(")
+        base = self.expression()
+        self.expect(")")
+        k = self._exponent()
+        if k is None:
+            return base
+        if self.ring is None:
+            return power(MultiPoly.one(self.ctx, self.vars), base, k, self._mul)
+        return base ** k
 
     def _mul(self, f, g):
         if self.ring is None:
@@ -189,33 +255,6 @@ class _Parser:
                     f"the budget of {TABLE_BUDGET} digits"
                 )
         return f * g
-
-    def _const(self, c):
-        if self.ring is None:
-            return MultiPoly.const(self.ctx, self.vars, c)
-        return self.ring.const(c)
-
-    def primary(self):
-        t = self.take()
-        if t is None:
-            raise ValueError("unexpected end of input")
-        if t.isdigit():
-            return self._const(int(t))
-        if t == "(":
-            inner = self.expression()
-            self.expect(")")
-            return inner
-        if t == "g":
-            if self.ctx.d == 1:
-                raise UnknownVariable("g is not available over a prime field")
-            return self._const(self.ctx.gen)
-        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", t):
-            if t not in self.vars:
-                raise UnknownVariable(f"unknown variable {t!r}")
-            if self.ring is None:
-                return MultiPoly.var(self.ctx, self.vars, t)
-            return self.ring.var(t)
-        raise ValueError(f"unexpected token {t!r}")
 
 
 def parse_poly(ctx: FqContext, vars, text: str) -> MultiPoly:

@@ -7,18 +7,21 @@ than a tautology.
 
 import itertools
 import math
+import re
 
 import numpy as np
 
+from hsderiv import textform
 from hsderiv.artinian import ArtinianModel
 from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import HSDerivation, canonical_derivation, \
     twist_by_automorphism
+from hsderiv.errors import ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext, FqScalar, is_prime
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
-from hsderiv.linalg import Subspace, kernel_space
-from hsderiv.poly import MultiPoly, term_key
+from hsderiv.linalg import Subspace, image_space, kernel_space
+from hsderiv.poly import MultiPoly, power, term_key
 from hsderiv.truncated import PowerLadder, TruncatedPoly, evaluate, invert_unit
 
 
@@ -224,6 +227,18 @@ def tower_by_cumulative_stacks(D: HSDerivation) -> list:
     return levels
 
 
+def zm_by_kernel_and_image(ctx, mat: np.ndarray) -> dict:
+    """lattice._zm by subspaces: T^p = 0, and the kernel of T^(p-1) compared
+    with the image of T as echelon bases."""
+    pm1 = mat
+    for _ in range(ctx.p - 2):
+        pm1 = ctx.mat_mul(pm1, mat)
+    return {
+        "nilpotent_p": not ctx.mat_mul(pm1, mat).any(),
+        "ker_im_equal": kernel_space(ctx, pm1) == image_space(ctx, mat),
+    }
+
+
 def derivation_zoo() -> list:
     """Derivations of every kind a constants tower meets, as test inputs:
     canonical ones for additive e = 1, 2, multiplicative, witt2 and product
@@ -334,3 +349,118 @@ def nested_field_apply(fctx, f) -> TruncatedPoly:
     if g.den == 1:
         return num
     return num * invert_unit(evaluate(g.den.terms, ladders, fctx.ring))
+
+
+class ReferenceParser:
+    """textform's parser as it multiplied factor by factor: every number,
+    g and variable is a polynomial, and a term is the product of its
+    factors, left to right, each product checked against the guard. The
+    budget is read from textform at each product, so a patched budget
+    applies here too."""
+
+    def __init__(self, ctx: FqContext, vars, text: str, ring=None):
+        self.ctx = ctx
+        self.vars = tuple(vars)
+        self.ring = ring
+        self.tokens = []
+        pos = 0
+        while pos < len(text):
+            m = textform._TOKEN.match(text, pos)
+            if not m or m.end() == pos:
+                rest = text[pos:].strip()
+                if not rest:
+                    break
+                raise ValueError(f"cannot tokenize near {rest[:20]!r}")
+            self.tokens.append(m.group(0).strip())
+            pos = m.end()
+        self.tokens = [t for t in self.tokens if t]
+        self.i = 0
+
+    def peek(self):
+        return self.tokens[self.i] if self.i < len(self.tokens) else None
+
+    def take(self):
+        t = self.peek()
+        self.i += 1
+        return t
+
+    def expect(self, t):
+        got = self.take()
+        if got != t:
+            raise ValueError(f"expected {t!r}, got {got!r}")
+
+    def parse(self):
+        out = self.expression()
+        if self.peek() is not None:
+            raise ValueError(f"trailing input at {self.peek()!r}")
+        return out
+
+    def expression(self):
+        neg = False
+        if self.peek() in ("+", "-"):
+            neg = self.take() == "-"
+        out = self.term()
+        if neg:
+            out = -out
+        while self.peek() in ("+", "-"):
+            op = self.take()
+            t = self.term()
+            out = out - t if op == "-" else out + t
+        return out
+
+    def term(self):
+        out = self.factor()
+        while self.peek() == "*":
+            self.take()
+            out = self._mul(out, self.factor())
+        return out
+
+    def factor(self):
+        base = self.primary()
+        if self.peek() == "^":
+            self.take()
+            e = self.take()
+            if e is None or not e.isdigit():
+                raise ValueError("exponent must be a nonnegative integer")
+            if self.ring is None:
+                base = power(self._const(1), base, int(e), self._mul)
+            else:
+                base = base ** int(e)
+        return base
+
+    def _mul(self, f, g):
+        if self.ring is None:
+            cost = len(f.terms) * len(g.terms) * self.ctx.d
+            if cost > textform.TABLE_BUDGET:
+                raise ResourceGuard(
+                    f"product of {len(f.terms)} and {len(g.terms)} terms exceeds "
+                    f"the budget of {textform.TABLE_BUDGET} digits"
+                )
+        return f * g
+
+    def _const(self, c):
+        if self.ring is None:
+            return MultiPoly.const(self.ctx, self.vars, c)
+        return self.ring.const(c)
+
+    def primary(self):
+        t = self.take()
+        if t is None:
+            raise ValueError("unexpected end of input")
+        if t.isdigit():
+            return self._const(int(t))
+        if t == "(":
+            inner = self.expression()
+            self.expect(")")
+            return inner
+        if t == "g":
+            if self.ctx.d == 1:
+                raise UnknownVariable("g is not available over a prime field")
+            return self._const(self.ctx.gen)
+        if re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", t):
+            if t not in self.vars:
+                raise UnknownVariable(f"unknown variable {t!r}")
+            if self.ring is None:
+                return MultiPoly.var(self.ctx, self.vars, t)
+            return self.ring.var(t)
+        raise ValueError(f"unexpected token {t!r}")

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsderiv.artinian as artinian_mod
 from hsderiv.artinian import ArtinianModel
@@ -24,8 +26,8 @@ from hsderiv.lattice import (
     restrict_matrix,
     tower,
 )
-from hsderiv.linalg import Subspace, kernel_space, preimage_solve
-from oracles import derivation_zoo, tower_by_cumulative_stacks
+from hsderiv.linalg import Subspace, inv_matrix, kernel_space, preimage_solve
+from oracles import derivation_zoo, tower_by_cumulative_stacks, zm_by_kernel_and_image
 
 
 def _canon(law):
@@ -186,6 +188,43 @@ def test_zm_check_examples():
     assert not _zm(ctx, Dm.component((1,)).mat)["nilpotent_p"]
 
 
+_ZM_CTX = {(p, d): FqContext(p, d)
+           for p, d in ((2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3))}
+
+
+@st.composite
+def _zm_matrices(draw):
+    """(ctx, T): a square matrix with random entries (n = 0..8), or Jordan
+    blocks of sizes 1..p+1 in a random basis. The latter is p-nilpotent
+    unless a block exceeds p, and then has ker T^(p-1) = im T exactly when
+    every block has size p."""
+    ctx = _ZM_CTX[draw(st.sampled_from(sorted(_ZM_CTX)))]
+    p, d = ctx.p, ctx.d
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 8))
+        return ctx, rng.integers(0, p, (n, n, d))
+    sizes = draw(st.lists(st.sampled_from((p, p, 1, p - 1, p + 1)), min_size=1, max_size=4))
+    n = sum(sizes)
+    jordan = ctx.zeros((n, n))
+    start = 0
+    for k in sizes:
+        for i in range(start, start + k - 1):
+            jordan[i, i + 1, 0] = 1
+        start += k
+    lower = rng.integers(0, p, (n, n, d)) * np.tril(np.ones((n, n), dtype=np.int64), -1)[..., None]
+    upper = rng.integers(0, p, (n, n, d)) * np.triu(np.ones((n, n), dtype=np.int64), 1)[..., None]
+    basis = ctx.mat_mul(ctx.arr_add(lower, ctx.mat_eye(n)), ctx.arr_add(upper, ctx.mat_eye(n)))
+    return ctx, ctx.mat_mul(ctx.mat_mul(basis, jordan), inv_matrix(ctx, basis))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_zm_matrices())
+def test_zm_ranks_match_kernel_and_image(case):
+    ctx, mat = case
+    assert _zm(ctx, mat) == zm_by_kernel_and_image(ctx, mat)
+
+
 def test_subspace_toolkit_basics():
     ctx = FqContext(2, 1)
     D = _canon(make_additive(ctx, 1, 2))
@@ -298,5 +337,7 @@ def test_tower_memory_stays_per_axis(monkeypatch):
     finally:
         tracemalloc.stop()
     assert t.dims == (243, 1)
-    assert peak < 40 * 2**20
+    # one axis stack (1.4 MB) and its ladder at a time, plus the five kept
+    # p-power matrices (0.47 MB each) and the eliminations
+    assert peak < 8 * 2**20
     assert len(sizes) == 5 and max(sizes) < dim**3

@@ -336,6 +336,18 @@ def test_mat_mul_matches_python_int_reference(case):
     assert np.array_equal(got, digit_mat_mul(ctx.p, ctx.modulus, a, b))
 
 
+@settings(max_examples=80, deadline=None)
+@given(_mat_case())
+def test_mat_mul_into_out_is_the_returned_product(case):
+    # every path (float64 row blocks, int64 with and without the fold)
+    # writes the same digits into a given array and returns it
+    ctx, a, b = case
+    want = ctx.mat_mul(a, b)
+    out = np.full(want.shape, -1, dtype=np.int64)
+    assert ctx.mat_mul(a, b, out) is out
+    assert np.array_equal(out, want)
+
+
 def test_float_path_bound_at_its_edge():
     # (p-1)^2 = 4,292,870,400 for p = 65521, and 2^53 lies between 2,098,176
     # and 2,098,177 times it; the size rule passes both, so the bound decides
@@ -372,7 +384,10 @@ def test_int64_product_past_2_63_splits_the_inner_dimension():
                        ((3, 41), (41, 64))]:
             a = rng.integers(p - 8, p, sa + (d,))
             b = rng.integers(p - 8, p, sb + (d,))
-            assert np.array_equal(ctx.mat_mul(a, b), digit_mat_mul(p, ctx.modulus, a, b))
+            want = digit_mat_mul(p, ctx.modulus, a, b)
+            assert np.array_equal(ctx.mat_mul(a, b), want)
+            out = np.empty_like(want)
+            assert ctx.mat_mul(a, b, out) is out and np.array_equal(out, want)
 
 
 def test_mat_mul_takes_both_paths(monkeypatch):

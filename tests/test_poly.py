@@ -3,13 +3,14 @@
 import functools
 import random
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsderiv import poly
-from hsderiv.errors import DivisionByZero, UnknownVariable
+from hsderiv import poly, textform
+from hsderiv.errors import DivisionByZero, ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext
 from hsderiv.poly import MultiPoly, RationalFunc, term_key
 from hsderiv.textform import (
@@ -24,6 +25,7 @@ from hsderiv.textform import (
 )
 from hsderiv.truncated import TruncatedPoly, TruncatedRing
 from oracles import (
+    ReferenceParser,
     digit_add,
     digit_inv,
     digit_mul,
@@ -276,6 +278,107 @@ def test_parse_trunc_truncates_as_it_goes():
     assert time.perf_counter() - start < 1.0
     assert f == parse_trunc(ring, "(x1 + x2 + 1)^6")
     assert len(f.terms) == 28
+
+
+_PARSE_FIELDS = {(p, d): FqContext(p, d) for p in (2, 3, 5) for d in (1, 2)}
+
+
+@st.composite
+def _parse_cases(draw):
+    """(ctx, vars, ring or None, budget, text): sums of products of numbers,
+    g, variables and parenthesised sums, with powers reaching past the
+    ring's bounds (and far past, on a number, g or a variable); one in four
+    texts has a character dropped or a stray token put in (an unknown
+    variable, or g over a prime field, among them), and the guard budget is
+    sometimes a few digits."""
+    p, d = draw(st.sampled_from(sorted(_PARSE_FIELDS)))
+    ctx = _PARSE_FIELDS[p, d]
+    names = ("x1", "x2", "v1")
+    ring = None
+    if draw(st.booleans()):
+        ring = TruncatedRing(ctx, [(names[:2], draw(st.integers(1, 4))),
+                                   (names[2:], draw(st.integers(1, 9)))])
+    power = st.integers(0, 9) | st.just(10**12)
+
+    def expression(depth):
+        out = draw(st.sampled_from(("", "-", "+")))
+        for i in range(draw(st.integers(1, 3))):
+            if i:
+                out += draw(st.sampled_from((" + ", " - ", "-")))
+            factors = []
+            for _ in range(draw(st.integers(1, 4))):
+                kind = draw(st.sampled_from(
+                    ("num", "var", "var", "paren") + ("g",) * (d > 1)))
+                if kind == "paren" and depth:
+                    f = f"({expression(depth - 1)})"
+                    if draw(st.booleans()):
+                        f += f"^{draw(st.integers(0, 5))}"
+                    factors.append(f)
+                    continue
+                if kind == "num":
+                    f = str(draw(st.integers(0, 12) | st.just(10**20 + 1)))
+                elif kind == "g":
+                    f = "g"
+                else:
+                    f = draw(st.sampled_from(names))
+                if draw(st.booleans()):
+                    f += f"^{draw(power)}"
+                factors.append(f)
+            out += "*".join(factors)
+        return out
+
+    text = expression(2)
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()) and text:
+            text = text[:at] + text[at + 1:]
+        else:
+            stray = draw(st.sampled_from(list("()^*+-/ 0x") + ["y", "g", "*g"]))
+            text = text[:at] + stray + text[at:]
+    budget = draw(st.sampled_from((textform.TABLE_BUDGET, 2, 12)))
+    return ctx, names, ring, budget, text
+
+
+def _outcome(parse):
+    try:
+        f = parse()
+    except Exception as exc:  # the types and messages are compared
+        return type(exc), str(exc)
+    return list(f.terms.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parse_cases())
+def test_parser_matches_the_factor_by_factor_reference(case):
+    ctx, names, ring, budget, text = case
+    with mock.patch.object(textform, "TABLE_BUDGET", budget):
+        if ring is None:
+            got = _outcome(lambda: parse_poly(ctx, names, text))
+        else:
+            got = _outcome(lambda: parse_trunc(ring, text))
+        want = _outcome(lambda: ReferenceParser(ctx, names, text, ring).parse())
+    assert got == want
+
+
+def test_parser_monomial_products():
+    ctx = FqContext(3, 2)
+    names = ("x1", "x2")
+    f = parse_poly(ctx, names, "2*x1^2*g*x2*x1*5^2")
+    assert list(f.terms) == [(3, 1)]
+    assert f == parse_poly(ctx, names, "2*g*25*x1^3*x2")
+    assert not parse_poly(ctx, names, "x1*3*x2").terms
+    assert parse_poly(ctx, names, "x1^0*0^0") == parse_poly(ctx, names, "1")
+    ring = TruncatedRing(ctx, [(names, 3)])
+    assert not parse_trunc(ring, "x1^2*x1").terms
+    assert not parse_trunc(ring, "x1^1000000000000*(1 + x2)").terms
+    # a product by a monomial keeps the polynomial's key order
+    f = parse_poly(ctx, names, "x2*(x2 + x1 + 1)*x1")
+    assert list(f.terms) == [(1, 2), (2, 1), (1, 1)]
+    with mock.patch.object(textform, "TABLE_BUDGET", 5):
+        # 3 terms by 2 terms at d = 2 is 12 digits; a monomial product is 2
+        assert parse_poly(ctx, names, "x1*x2*(x1 + x2)*x2^7")
+        with pytest.raises(ResourceGuard):
+            parse_poly(ctx, names, "(x1 + x2 + 1)*(x1 + 1)")
 
 
 # -- polynomial and rational arithmetic against the digit-tuple reference --

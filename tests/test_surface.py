@@ -21,6 +21,8 @@ ALLOWED = {
     "sum_with": "bench/tracer.py wraps Subspace.sum_with by name; "
                 "test_subspace_toolkit_basics checks it",
     "image_of": "bench/tracer.py wraps Subspace.image_of by name",
+    "image_space": "bench/tracer.py wraps linalg.image_space by name; it is "
+                   "the image side of oracles.zm_by_kernel_and_image",
 }
 
 

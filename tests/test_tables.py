@@ -6,15 +6,19 @@ every power table against one product per monomial."""
 
 import functools
 import itertools
+import math
 import random
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hsderiv.artinian as artinian_mod
 import hsderiv.lattice as lattice_mod
-from hsderiv.artinian import ArtinianModel
+from hsderiv.artinian import TABLE_BLOCK, ArtinianModel
 from hsderiv.basis import _View
 from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import (
@@ -24,7 +28,7 @@ from hsderiv.derivation import (
     twist_by_automorphism,
 )
 from hsderiv.errors import IndexRange
-from hsderiv.gf import FqContext
+from hsderiv.gf import FLOAT_BLOCK, FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, product_law
 from hsderiv.lattice import (
     absolute_constants,
@@ -354,6 +358,56 @@ def test_power_table_matches_one_product_per_monomial(case):
     want = power_table_by_products(model, images, extra)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=60)
+@given(_ladder_inputs(), st.sampled_from((1, 2, 5)))
+def test_power_table_in_row_blocks_matches_one_product_per_monomial(case, rows):
+    # blocks of a few rows (a quarter of TABLE_BLOCK each), the last one
+    # short: the top digit place runs block by block and each block lands
+    # in its graded positions
+    model, images, extra = case
+    row_digits = math.prod(images[0].ring.bounds) * model.ctx.d
+    with mock.patch.object(artinian_mod, "TABLE_BLOCK", 4 * rows * row_digits):
+        got = model.power_table(images, extra)
+    want = power_table_by_products(model, images, extra)
+    assert got.tobytes() == want.tobytes()
+
+
+def _traced_peak(build):
+    """(result, peak bytes traced above the allocations live at the start)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_power_table_peaks_at_a_table_and_a_pth():
+    # the dim-81 witt2 law table (p = 3, m = 2): 81^3 digits, 4.1 MB. The
+    # ladder's scratch is a third of it, and the blocks it hands over, with
+    # their graded copies, stay within one TABLE_BLOCK
+    law = make_witt2(_CTX[3, 1], 2, [1, 1])
+    model = ArtinianModel(law.ctx, 2, 2)
+    tab, peak = _traced_peak(lambda: model.power_table(law.components))
+    assert tab.shape == (81, 81, 81, 1)
+    assert peak <= tab.nbytes * (1 + 1 / 3) + TABLE_BLOCK * 8
+
+
+def test_twist_table_holds_two_tables_and_a_block():
+    # dim 64 (p = 2, m = 3): with D's table built, T's is written block by
+    # block; beyond T's table a build holds one block of the conjugation
+    # and mat_mul's float64 block, never the whole product with Phi^-1
+    ctx = _CTX[2, 1]
+    law = make_witt2(ctx, 3, [1, 1, 1])
+    D = canonical_derivation(ArtinianModel(ctx, 2, 3), law)
+    x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
+    T = twist_by_automorphism(D, [x1 + x2**2 + x1**9, x2 + x1**8])
+    tab, peak = _traced_peak(T.table)
+    assert tab.nbytes == D.table().nbytes == 64**3 * 8
+    assert peak <= tab.nbytes + (TABLE_BLOCK + FLOAT_BLOCK) * 8
 
 
 def test_frobenius_terms_raise_coefficients_to_q(monkeypatch):
