@@ -49,14 +49,21 @@ def _require(cond, msg: str):
         raise MalformedConfig(msg)
 
 
+def _int_value(v, name, minimum=None, below=None):
+    """v as a JSON integer in [minimum, below); MalformedConfig naming the
+    field otherwise. A bool, a float or a string is not an integer."""
+    _require(type(v) is int, f"field {name!r} must be an integer, got {v!r}")
+    if minimum is not None:
+        _require(v >= minimum, f"field {name!r} must be >= {minimum}, got {v}")
+    if below is not None:
+        _require(v < below, f"field {name!r} must be < {below}, got {v}")
+    return v
+
+
 def _get_int(obj, key, default=None, minimum=None):
     v = obj.get(key, default)
     _require(v is not None, f"missing integer field {key!r}")
-    _require(isinstance(v, int) and not isinstance(v, bool),
-             f"field {key!r} must be an integer, got {v!r}")
-    if minimum is not None:
-        _require(v >= minimum, f"field {key!r} must be >= {minimum}, got {v}")
-    return v
+    return _int_value(v, key, minimum)
 
 
 def _context_of(config) -> FqContext:
@@ -67,9 +74,9 @@ def _context_of(config) -> FqContext:
     d = _get_int(c, "d", default=1, minimum=1)
     modulus = c.get("modulus")
     if modulus is not None:
-        _require(isinstance(modulus, list) and all(
-            isinstance(a, int) for a in modulus), "context.modulus must be a list of integers")
-        modulus = tuple(modulus)
+        _require(isinstance(modulus, list), "context.modulus must be a list of integers")
+        modulus = tuple(_int_value(a, f"context.modulus[{k}]")
+                        for k, a in enumerate(modulus))
     return FqContext(p, d, modulus)
 
 
@@ -99,6 +106,9 @@ def _build_law(spec, ctx: FqContext, m: int):
     if typ == "witt2":
         alphas = spec.get("alphas", [])
         _require(isinstance(alphas, list), "witt2 alphas must be a list")
+        for k, a in enumerate(alphas):
+            _require(isinstance(a, str) or type(a) is int,
+                     f"field 'alphas[{k}]' must be an integer or a string, got {a!r}")
         return make_witt2(ctx, m, [parse_scalar(ctx, a) for a in alphas])
     return reduce(product_law, [_build_law(s, ctx, m) for s in spec["factors"]])
 
@@ -113,7 +123,8 @@ def _law_of(config):
     e = _spec_dim(spec)
     ce = c.get("e")
     if ce is not None:
-        _require(ce == e, f"context.e = {ce} but the law spec has dimension {e}")
+        _require(_int_value(ce, "context.e") == e,
+                 f"context.e = {ce} but the law spec has dimension {e}")
     if not 1 <= m <= 3:
         raise ResourceGuard(f"m must lie in [1, 3], got {m}")
     if ctx.p ** (e * m) > MAX_DIM:
@@ -299,6 +310,11 @@ def _cmd_structure_constants(config):
     j = config.get("j")
     _require(isinstance(i, list) and isinstance(j, list),
              "structure-constants needs index lists i and j")
+    e, n = D.model.e, D.model.n
+    for key, idx in (("i", i), ("j", j)):
+        _require(len(idx) == e, f"field {key!r} must list {e} indices, got {idx!r}")
+        for k, t in enumerate(idx):
+            _int_value(t, f"{key}[{k}]", 0, n)
     sc = structure_constants(D.law, i, j)
     combo = _combo_matrix(D, sc)
     ok = np.array_equal(D.compose(tuple(j), tuple(i)).mat, combo)

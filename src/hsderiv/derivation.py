@@ -9,6 +9,12 @@ shares its law's power table, a twist conjugates the table it twists, and a
 reconstruction keeps the stack it rebuilt. Otherwise it is built from the
 images by the Frobenius ladder of ArtinianModel.power_table.
 
+A twist and a reconstruction are derivations built from their matrices
+(HSDerivation._from_matrices): a table source, an axis-stack source and
+whether the input was known to be iterative. Their weight-zero component
+is the identity by construction, and their images are read off the table
+by apply on the generators the first time they are asked for.
+
 A reader that needs only the axis components D_{j e_l}, j < n (the
 p-power and unit components among them), takes the e per-axis stacks of
 axis_stack instead: dim^2 * n digits each, against dim^3 for the table.
@@ -16,7 +22,8 @@ They are read from the table when it is built, and otherwise made from the
 same sources: the ladder on the images with v_k = 0 for k != l, the
 conjugation of the twisted derivation's axis stack, or a slice of a
 reconstructed stack. An axis stack is not kept: its reader (the tower)
-copies the few matrices it needs and lets the stack go.
+copies the few matrices it needs and lets the stack go. So a twisted tower
+conjugates the untwisted derivation's axis stacks and builds no table.
 
 Iterativity over a formal group law F is the family of identities
 D_j D_i = sum_k c(k) D_k where c(k) is the coefficient of v^i w^j in F^k.
@@ -97,11 +104,13 @@ class HSDerivation:
     """Iterative-derivation candidate given by its generator images.
 
     The weight-zero component must be the identity; that much is enforced at
-    construction. Whether the family actually satisfies the iterativity
-    identities for its law is a separate question answered by
-    check_iterativity. known_iterative records that it does: it is set for a
-    canonical derivation, a twist or reconstruction of a known-iterative
-    one, and by a passing check_iterativity.
+    construction. A derivation built from its matrices (_from_matrices: a
+    twist, a reconstruction) has it by construction, and reads its images
+    off its table when they are first asked for. Whether the family
+    actually satisfies the iterativity identities for its law is a separate
+    question answered by check_iterativity. known_iterative records that it
+    does: it is set for a canonical derivation, a twist or reconstruction of
+    a known-iterative one, and by a passing check_iterativity.
     """
 
     def __init__(self, model: ArtinianModel, law: FormalGroupLaw, images):
@@ -109,33 +118,53 @@ class HSDerivation:
             raise ContextMismatch("law and model over different fields")
         if law.e != model.e or law.m != model.m:
             raise ContextMismatch("law and model shapes differ")
-        self.model = model
-        self.law = law
-        imgs = []
-        for f in images:
-            if f.ring != model.ring_xv:
-                raise ContextMismatch("image lives outside the model ring")
-            imgs.append(f)
+        imgs = tuple(images)
+        if any(f.ring != model.ring_xv for f in imgs):
+            raise ContextMismatch("image lives outside the model ring")
         if len(imgs) != model.e:
             raise ValueError(f"expected {model.e} images, got {len(imgs)}")
         e = model.e
         for t, f in enumerate(imgs):
-            vfree = {
-                ex[:e]: c for ex, c in f.terms.items() if not any(ex[e:])
-            }
-            unit = tuple(1 if i == t else 0 for i in range(e))
-            if vfree != {unit: 1}:
-                raise LawAxiomFailure(
-                    "the weight-zero component must act as the identity"
-                )
-        self.images = tuple(imgs)
-        self.known_iterative = False
+            vfree = {ex[:e]: c for ex, c in f.terms.items() if not any(ex[e:])}
+            if vfree != {tuple(int(i == t) for i in range(e)): 1}:
+                raise LawAxiomFailure("the weight-zero component must act as the identity")
+        self._setup(model, law, imgs, None, None, False)
+
+    def _setup(self, model, law, images, source, axis_source, known_iterative):
+        self.model = model
+        self.law = law
+        # None: read off the table by apply, on first use
+        self._images = images
+        self.known_iterative = known_iterative
         # callables returning the table, and an axis stack, from matrices
         # already in hand; None builds them from the images
-        self._source = None
-        self._axis_source = None
+        self._source = source
+        self._axis_source = axis_source
         self._tab = None
         self._tab_lock = threading.Lock()
+
+    @classmethod
+    def _from_matrices(cls, model, law, source, axis_source, known_iterative):
+        """The derivation whose table is source() and whose axis stack l is
+        axis_source(l). Its images are read off the table the first time
+        they are asked for; its weight-zero component is the identity by
+        construction, so nothing checks it."""
+        D = cls.__new__(cls)
+        D._setup(model, law, None, source, axis_source, known_iterative)
+        return D
+
+    @property
+    def images(self) -> tuple:
+        """D(x_t) for t < e, in ring_xv."""
+        if self._images is None:
+            # built first, so that apply under the lock finds the table and
+            # does not take the lock again
+            self.table()
+            with self._tab_lock:
+                if self._images is None:
+                    self._images = tuple(self.apply(self.model.ring.var(x))
+                                         for x in self.model.xvars)
+        return self._images
 
     def __eq__(self, other):
         return (
@@ -204,39 +233,30 @@ class HSDerivation:
             return tab.transpose(2, 1, 0, 3)[ranks]
         return self._build_table(l)
 
-    def _check_index(self, i) -> tuple:
+    def component(self, i) -> OperatorMatrix:
         i = tuple(int(t) for t in i)
         if len(i) != self.model.e or any(t < 0 or t >= self.model.n for t in i):
             raise IndexRange(f"component index {i} outside the exponent cube")
-        return i
-
-    def component(self, i) -> OperatorMatrix:
-        i = self._check_index(i)
         return OperatorMatrix(self.model, self.matrix_stack()[self.model.xidx.rank[i]])
 
     def compose(self, j, i) -> OperatorMatrix:
         """Matrix of r -> D_j(D_i(r)); the outer index comes first."""
         return self.component(j) @ self.component(i)
 
-    def _poly_from_bi(self, cube: np.ndarray) -> TruncatedPoly:
-        model = self.model
-        flat = cube.reshape(model.dim * model.dim, model.ctx.d)
+    def apply(self, f: TruncatedPoly) -> TruncatedPoly:
+        """Image of a model element under the packaged map into ring_xv."""
+        model, ctx = self.model, self.model.ctx
+        dim, d = model.dim, ctx.d
+        stack = self.matrix_stack().reshape(dim * dim, dim, d)
+        # flat[b * dim + i] = coefficient of x^b v^i in D(f)
+        flat = ctx.mat_vec(stack, model.vec_from_poly(f)).reshape(dim, dim, d)
+        flat = flat.transpose(1, 0, 2).reshape(dim * dim, d)
         nz = np.flatnonzero(flat.any(axis=1))
         terms = {}
         for pos, row in zip(nz.tolist(), flat[nz].tolist()):
-            b, i = divmod(pos, model.dim)
-            terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = model.ctx.pack(row)
+            b, i = divmod(pos, dim)
+            terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = ctx.pack(row)
         return TruncatedPoly.from_clean(model.ring_xv, terms)
-
-    def _image_cube(self, vec: np.ndarray) -> np.ndarray:
-        """cube[b, i] = coefficient of x^b v^i in D(r), r given by its vector."""
-        dim, ctx = self.model.dim, self.model.ctx
-        stack = self.matrix_stack().reshape(dim * dim, dim, ctx.d)
-        return ctx.mat_vec(stack, vec).reshape(dim, dim, ctx.d).transpose(1, 0, 2)
-
-    def apply(self, f: TruncatedPoly) -> TruncatedPoly:
-        """Image of a model element under the packaged map into ring_xv."""
-        return self._poly_from_bi(self._image_cube(self.model.vec_from_poly(f)))
 
     def check_iterativity(self) -> bool:
         """Test the composition identities against the law, exactly.
@@ -427,15 +447,17 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
 
     phi must fix the origin and have invertible linear part; NotInvertible
     otherwise. Phi is the matrix of r -> r(phi), and one elimination,
-    inv_matrix, gives Phi^-1; the inverse's images psi_t = Phi^-1 x_t are
-    its columns at x_t. The twist T = phi* D psi* has the images
-    T(x_t) = Phi D(psi_t) and the components T_i = Phi D_i Phi^-1.
+    inv_matrix, gives Phi^-1. The twist T = phi* D psi*, psi the inverse
+    automorphism, has the components T_i = Phi D_i Phi^-1, and so the
+    images T(x_t) = Phi D(psi_t).
 
-    T's table is D's table conjugated, written block by block
-    (_conjugation): a twist holds D's table and T's, not a third for the
-    product with Phi^-1. T's axis stacks are Phi D_{j e_l} Phi^-1 from
-    D's axis stacks. Both give the bytes of the product ladder on T's
-    images. T is known iterative when D is.
+    T is built from its matrices (HSDerivation._from_matrices): T's table
+    is D's table conjugated, written block by block (_conjugation), so a
+    twist holds D's table and T's, not a third for the product with
+    Phi^-1; T's axis stacks are Phi D_{j e_l} Phi^-1 from D's axis stacks,
+    and need no table at all. Both give the bytes of the product ladder on
+    T's images. T's table is admitted before any elimination on Phi, and
+    nothing is built until T is read. T is known iterative when D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e
@@ -452,21 +474,16 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
         for l, unit in enumerate(units):
             lin[t, l] = ctx.unpack(f.coeff(unit))
     inv_matrix(ctx, lin)  # NotInvertible for a singular linear part
-    # the guard on D's table comes before any elimination on Phi
-    D.table()
+    # T's table is admitted before any elimination on Phi
+    model.guard_table((model.dim,) * 3)
     # phimat[b, a] = coefficient of x^b in phi^a
     phimat = model.power_table(phi).transpose(1, 0, 2)
-    phiinv = inv_matrix(ctx, phimat)
-    imgs = [
-        D._poly_from_bi(ctx.mat_mul(phimat, D._image_cube(phiinv[:, model.xidx.rank[u]])))
-        for u in units
-    ]
-    T = HSDerivation(model, D.law, imgs)
-    T.known_iterative = D.known_iterative
-    conjugate = _conjugation(model, phimat, phiinv)
-    T._source = lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3)
-    T._axis_source = lambda l: conjugate(D.axis_stack(l))
-    return T
+    conjugate = _conjugation(model, phimat, inv_matrix(ctx, phimat))
+    return HSDerivation._from_matrices(
+        model, D.law,
+        lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3),
+        lambda l: conjugate(D.axis_stack(l)),
+        D.known_iterative)
 
 
 def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
@@ -478,10 +495,11 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
     lower terms are already known, so D_j follows by division. Every rebuilt
     matrix is checked against the stored component; disagreement (possible
     when the family is not actually iterative) raises ReconstructionMismatch.
-    The result is reassembled from the rebuilt matrices alone: its images
-    are read off them, the rebuilt stack is its table and its axis stacks
-    are slices of it, so it equals the input exactly when every check
-    passed. It is known iterative when the input is.
+    The result is built from the rebuilt matrices alone
+    (HSDerivation._from_matrices): the rebuilt stack is its table, its axis
+    stacks are slices of it and its images are read off it, so it equals
+    the input exactly when every check passed. It is known iterative when
+    the input is.
     """
     model, law, ctx = D.model, D.law, D.model.ctx
     e, p, m, dim = model.e, model.ctx.p, model.m, model.dim
@@ -527,12 +545,8 @@ def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:
             )
         stack[rank[j]] = rebuilt
         known.add(j)
-    imgs = []
-    for t in range(e):
-        unit = tuple(1 if l == t else 0 for l in range(e))
-        imgs.append(D._poly_from_bi(stack[:, :, rank[unit]].transpose(1, 0, 2)))
-    R = HSDerivation(model, law, imgs)
-    R.known_iterative = D.known_iterative
-    R._source = lambda: stack.transpose(2, 1, 0, 3)
-    R._axis_source = lambda l: stack[model.axis_ranks(l)]
-    return R
+    return HSDerivation._from_matrices(
+        model, law,
+        lambda: stack.transpose(2, 1, 0, 3),
+        lambda l: stack[model.axis_ranks(l)],
+        D.known_iterative)

@@ -20,7 +20,7 @@ from hsderiv.errors import ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext, FqScalar, is_prime
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
-from hsderiv.linalg import Subspace, image_space, kernel_space
+from hsderiv.linalg import Subspace, image_space, inv_matrix, kernel_space
 from hsderiv.poly import MultiPoly, power, term_key
 from hsderiv.truncated import PowerLadder, TruncatedPoly, evaluate, invert_unit
 
@@ -211,6 +211,49 @@ def power_table_by_products(model, images, extra=0):
     flat = np.stack(rows).reshape((model.dim,) * (k + 1) + tail + (ctx.d,))
     keep = [order] * (k + 1) + [range(b) for b in tail] + [range(ctx.d)]
     return flat[np.ix_(*keep)]
+
+
+def _xv_of_cube(model, cube: np.ndarray) -> TruncatedPoly:
+    """The element of model.ring_xv with coefficient cube[b, i] at x^b v^i,
+    b and i graded ranks; its terms in the order of (b, i)."""
+    ctx, mons = model.ctx, model.xidx.monomials
+    terms = {}
+    for b, i in itertools.product(range(model.dim), repeat=2):
+        if cube[b, i].any():
+            terms[mons[b] + mons[i]] = ctx.pack(cube[b, i].tolist())
+    return TruncatedPoly.from_clean(model.ring_xv, terms)
+
+
+def _units(e: int) -> list:
+    return [tuple(int(i == t) for i in range(e)) for t in range(e)]
+
+
+def twist_images_through_the_table(D: HSDerivation, phi) -> tuple:
+    """The images T(x_t) = Phi D(psi_t) of twist_by_automorphism(D, phi),
+    through D's dense table: Phi by one product per monomial, psi_t its
+    inverse's column at x_t, D(psi_t) = sum_a psi_t[a] D(x^a) read off the
+    table, and Phi applied to each v-coefficient of it."""
+    model, ctx = D.model, D.model.ctx
+    dim, d = model.dim, ctx.d
+    # phimat[b, a] = coefficient of x^b in phi^a
+    phimat = power_table_by_products(model, phi).transpose(1, 0, 2)
+    phiinv = inv_matrix(ctx, phimat)
+    # by_a[b * dim + i, a] = coefficient of x^b v^i in D(x^a)
+    by_a = D.table().transpose(1, 2, 0, 3).reshape(dim * dim, dim, d)
+    out = []
+    for u in _units(model.e):
+        cube = ctx.mat_vec(by_a, phiinv[:, model.xidx.rank[u]]).reshape(dim, dim, d)
+        out.append(_xv_of_cube(model, ctx.mat_mul(phimat, cube)))
+    return tuple(out)
+
+
+def reconstruction_images_by_columns(D: HSDerivation) -> tuple:
+    """The images of reconstruct_from_ppowers(D), read off the columns at
+    x_t of D's component stack: D(x_t) = sum_i D_i(x_t) v^i."""
+    model = D.model
+    stack = D.matrix_stack()
+    return tuple(_xv_of_cube(model, stack[:, :, model.xidx.rank[u]].transpose(1, 0, 2))
+                 for u in _units(model.e))
 
 
 def tower_by_cumulative_stacks(D: HSDerivation) -> list:

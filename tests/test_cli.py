@@ -165,6 +165,43 @@ def test_wronskian_expect_values(test, expect, passed):
     assert (code, report["pass"]) == ((0, True) if passed else (1, False))
 
 
+_PAIR = {"command": "structure-constants", "context": {"p": 2, "m": 2},
+         "law": {"type": "witt2", "alphas": [1, 0]}, "i": [0, 1], "j": [0, 1]}
+
+
+@pytest.mark.parametrize("change,field", [
+    ({"i": [1.7, 0]}, "i[0]"), ({"i": [True, 0]}, "i[0]"), ({"i": ["1", 0]}, "i[0]"),
+    ({"j": [0, None]}, "j[1]"), ({"i": [0]}, "'i'"), ({"j": [0, 1, 0]}, "'j'"),
+    ({"i": [0, 4]}, "i[1]"), ({"j": [-1, 0]}, "j[0]"),
+    ({"law": {"type": "witt2", "alphas": [True]}}, "alphas[0]"),
+    ({"law": {"type": "witt2", "alphas": [1, 0.5]}}, "alphas[1]"),
+    ({"context": {"p": 2, "m": 2, "d": 2, "modulus": [True, True, True]}},
+     "context.modulus[0]"),
+    ({"context": {"p": 2, "m": 2, "d": 2, "modulus": [1, 1.0, 1]}}, "context.modulus[1]"),
+    ({"context": {"p": 2, "m": 2, "e": True}}, "context.e"),
+    ({"context": {"p": 2, "m": 2, "e": 1.0}}, "context.e"),
+    ({"context": {"p": 2, "m": 2, "e": 2.0}}, "context.e"),
+    ({"context": {"p": 2.0, "m": 2}}, "'p'"),
+    ({"context": {"p": 2, "m": True}}, "'m'"),
+])
+def test_integer_fields_take_only_json_integers(change, field):
+    # a bool, a float or a digit string used to pass where an integer goes,
+    # echoed into a passing report; each is a malformed config naming its field
+    report, code = run(json.loads(json.dumps(dict(_PAIR, **change))))
+    assert code == 2
+    error = report["errors"][0]
+    assert error["kind"] == "malformed-config" and field in error["message"]
+    assert not report["checks"]
+
+
+def test_integer_fields_accept_json_integers():
+    report, code = run(json.loads(json.dumps(_PAIR)))
+    assert code == 0 and report["checks"][0]["detail"]["i"] == [0, 1]
+    ctx = {"p": 2, "m": 2, "e": 2, "d": 2, "modulus": [1, 1, 1]}
+    report, code = run(dict(_PAIR, context=ctx, law={"type": "witt2", "alphas": ["g", 1]}))
+    assert code == 0
+
+
 def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ command:")

@@ -8,6 +8,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -20,6 +22,7 @@ import hsderiv.artinian as artinian_mod
 import hsderiv.lattice as lattice_mod
 from hsderiv.artinian import TABLE_BLOCK, ArtinianModel
 from hsderiv.basis import _View
+from hsderiv.cli import run
 from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import (
     HSDerivation,
@@ -38,7 +41,12 @@ from hsderiv.lattice import (
     tower,
 )
 from hsderiv.truncated import TruncatedPoly, TruncatedRing
-from oracles import power_table_by_products
+from oracles import (
+    derivation_zoo,
+    power_table_by_products,
+    reconstruction_images_by_columns,
+    twist_images_through_the_table,
+)
 
 _CTX = {(p, d): FqContext(p, d) for p in (2, 3, 5) for d in (1, 2)}
 
@@ -141,6 +149,102 @@ def test_twist_conjugates_to_the_ladder(case):
     for l in range(T.model.e):
         assert T.axis_stack(l).tobytes() == T._axis_ladder(l).tobytes()
     _assert_tables(T)
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo():
+    return tuple(derivation_zoo())
+
+
+def _unipotent(draw, model):
+    """phi_t = x_t, plus maybe c x_(t+1), plus a few terms of degree >= 2,
+    coefficients anywhere in F_q: a unitriangular linear part."""
+    ctx = model.ctx
+    scalar = st.integers(0, ctx.q - 1).map(
+        lambda k: ctx.scalar(tuple(k // ctx.p**i % ctx.p for i in range(ctx.d))))
+    xs = [model.ring.var(v) for v in model.xvars]
+    phi = list(xs)
+    for t in range(model.e - 1):
+        phi[t] = phi[t] + draw(scalar) * xs[t + 1]
+    higher = [ex for ex in model.xidx.monomials if sum(ex) >= 2]
+    for t in range(model.e):
+        for _ in range(draw(st.integers(0, 3)) if higher else 0):
+            phi[t] = phi[t] + model.ring.monomial(draw(st.sampled_from(higher)), draw(scalar))
+    return phi
+
+
+@st.composite
+def _constructions(draw):
+    """(D, steps): a derivation of oracles.derivation_zoo, or a canonical one
+    at p = 2, 3, m = 1, 2, d = 1, 2 of dim <= 81, and one or two steps, each
+    a unipotent twist (phi) or a reconstruction (None)."""
+    if draw(st.booleans()):
+        D = draw(st.sampled_from(_zoo()))
+    else:
+        name = draw(st.sampled_from(sorted(_LAWS)))
+        e, build = _LAWS[name]
+        p, d, m = draw(st.sampled_from(
+            [(p, d, m) for p in (2, 3) for d in (1, 2) for m in (1, 2)
+             if p ** (e * m) <= 81]))
+        ctx = _CTX[p, d]
+        law = build(ctx, m, [ctx.one] * m)
+        D = canonical_derivation(ArtinianModel(ctx, e, m), law)
+    steps = []
+    for _ in range(draw(st.integers(1, 2))):
+        steps.append(_unipotent(draw, D.model) if draw(st.booleans()) else None)
+    return D, steps
+
+
+@settings(max_examples=60, deadline=None)
+@given(_constructions())
+def test_lazy_images_match_the_eager_constructions(case):
+    # a twist's and a reconstruction's images, read off their tables by
+    # apply, are Phi D(psi_t) through D's table and the stack's columns at
+    # x_t, term for term and in key order; known_iterative carries over
+    D, steps = case
+    for phi in steps:
+        if phi is None:
+            want = reconstruction_images_by_columns(D)
+            T = reconstruct_from_ppowers(D)
+        else:
+            want = twist_images_through_the_table(D, phi)
+            T = twist_by_automorphism(D, phi)
+        assert T.known_iterative == D.known_iterative
+        assert len(T.images) == len(want) == D.model.e
+        for got, ref in zip(T.images, want):
+            assert list(got.terms.items()) == list(ref.terms.items())
+        D = T
+
+
+def test_lazy_images_are_read_once_under_threads(monkeypatch):
+    # more threads than cores read a fresh twist's images at once: one table
+    # build, and every thread gets the one tuple the first reader stored
+    builds = []
+    real = HSDerivation._build_table
+
+    def recording_build(self, axis=None):
+        builds.append(axis)
+        return real(self, axis)
+
+    monkeypatch.setattr(HSDerivation, "_build_table", recording_build)
+    D, phi = _witt2_dim64()
+    D.table()
+    T = twist_by_automorphism(D, phi)
+    seen = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: seen.append(T.images)) for _ in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(seen) == 8 and all(imgs is seen[0] for imgs in seen)
+    assert builds == [None, None]  # D's table, then T's, each once
+    assert seen[0] == twist_images_through_the_table(D, phi)
 
 
 # laws of dimension e >= 2, for the per-axis stacks
@@ -405,9 +509,33 @@ def test_twist_table_holds_two_tables_and_a_block():
     D = canonical_derivation(ArtinianModel(ctx, 2, 3), law)
     x1, x2 = (D.model.ring.var(v) for v in D.model.xvars)
     T = twist_by_automorphism(D, [x1 + x2**2 + x1**9, x2 + x1**8])
+    D.table()
     tab, peak = _traced_peak(T.table)
     assert tab.nbytes == D.table().nbytes == 64**3 * 8
     assert peak <= tab.nbytes + (TABLE_BLOCK + FLOAT_BLOCK) * 8
+
+
+def test_twisted_tower_builds_axis_stacks_only(monkeypatch):
+    # additive e = 5, p = 3, m = 1: dim 243, where the dim^3 table of D or
+    # of T is 110 MB. The twist conjugates D's axis stacks (1.4 MB each);
+    # no table is built, D's or T's
+    axes = []
+    real = HSDerivation._build_table
+
+    def recording_build(self, axis=None):
+        axes.append(axis)
+        return real(self, axis)
+
+    monkeypatch.setattr(HSDerivation, "_build_table", recording_build)
+    phi = ["x1 + x2^2"] + [f"x{t}" for t in range(2, 6)]
+    job = {"command": "tower", "context": {"p": 3, "m": 1},
+           "law": {"type": "additive", "e": 5},
+           "derivation": {"type": "twist", "phi": phi}}
+    (report, code), peak = _traced_peak(lambda: run(job))
+    assert code == 0
+    assert report["checks"][0]["detail"]["dims"] == [243, 1]
+    assert peak <= 16 * 2**20
+    assert None not in axes and len(axes) == 2 * 5
 
 
 def test_frobenius_terms_raise_coefficients_to_q(monkeypatch):
