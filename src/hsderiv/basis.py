@@ -3,7 +3,9 @@
 verify_canonical_basis checks the defining property directly: a family
 z_1..z_e is canonical when the packaged map sends each z_j to the law's
 j-th component evaluated at (z_1..z_e, v_1..v_e), and the z-monomials
-with exponents below p stay independent over the constants. The finders
+with exponents below p stay independent over the constants. That
+independence is read off a p-basis certificate, an e x e determinant, and
+takes a rank only where the certificate does not hold (_verify). The finders
 construct such families for additive, multiplicative, witt2, and product
 laws by echelon-canonical preimage solves plus correction steps that
 divide through distinguished operators. Every structural property a
@@ -34,7 +36,7 @@ from .errors import (
 from .grouplaw import FormalGroupLaw, make_additive
 from .lattice import constants_indices, divisible_restriction, joint_kernel, \
     restrict_matrix
-from .linalg import Subspace, kernel_space, preimage_solve
+from .linalg import Subspace, kernel_space, preimage_solve, rref
 from .poly import term_key
 from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
 
@@ -109,7 +111,36 @@ def verify_canonical_basis(D: HSDerivation, law: FormalGroupLaw, elements) -> Ba
 
 
 def _verify(view: _View, elements) -> BasisReport:
-    """verify_canonical_basis on a whole-model view, reusing its cached spaces."""
+    """verify_canonical_basis on a whole-model view, reusing its cached
+    spaces and the pattern checks its finders made.
+
+    An element that a finder on this view or one of its sub-views returned
+    keeps the image D(z_j) the finder took. Its law value is reused only
+    when the finder's law is the law verified here, and is taken again
+    otherwise, so a product family is still checked against the full law.
+    verify_canonical_basis runs no finder and reuses nothing.
+
+    monomials_ok asks whether the z^a, a in [0, p)^e, are independent over
+    the box constants C. A p-basis certificate answers it without a rank
+    (Matsumura, Commutative Ring Theory, section 26):
+
+    - D_0 is the identity and D is a ring homomorphism (a twist or a
+      reconstruction has the components of one), so each D_(e_k) is a
+      derivation of A. C lies in every ker D_(e_k), because level(0) and
+      the joint kernel of constants_indices both include every e_k.
+    - Let M = [D_(e_k)(z_j)] over A, and J its constant terms: J[k][j] is
+      the coefficient of x^0 v^(e_k) in D(z_j). A is local, so M is
+      invertible when J has rank e over F_q.
+    - Then d_l = sum_k (M^-1)_(lk) D_(e_k) are derivations that kill C,
+      with d_l z_j = delta_lj. If sum_b c_b z^b = 0 with every c_b in C,
+      apply d_1^(a_1) ... d_e^(a_e) at an a of largest degree among the b
+      with c_b != 0. Every other term has some b_l < a_l and vanishes, and
+      a! c_a = 0 is left. a! is a unit, as every a_l < p, so c_a = 0.
+
+    The certificate is taken when every embedding holds, C is nonzero and J
+    has rank e. Otherwise _monomials_independent takes the rank; the
+    boolean is the same either way.
+    """
     D, model = view.D, view.model
     zs = list(elements)
     if len(zs) != model.e:
@@ -117,9 +148,12 @@ def _verify(view: _View, elements) -> BasisReport:
 
     embeddings = []
     first_mismatch = None
-    for j in range(model.e):
-        expected = _law_at(view, zs, j)
-        actual = D.apply(zs[j])
+    for j, z in enumerate(zs):
+        found, law, expected, actual = view.found.get(j, (None,) * 4)
+        if found is not z or law is not view.law:
+            expected = _law_at(view, zs, j)
+        if found is not z:
+            actual = D.apply(z)
         ok = expected == actual
         embeddings.append(
             {"generator": j, "expected": expected, "actual": actual, "ok": ok}
@@ -135,9 +169,27 @@ def _verify(view: _View, elements) -> BasisReport:
         "dim_ambient": model.dim,
         "dim_constants": con.dim,
         "ratio_ok": con.dim * p**model.e == model.dim,
-        "monomials_ok": _monomials_independent(model, con, zs),
+        "monomials_ok": _p_basis_certified(model, con, embeddings)
+        or _monomials_independent(model, con, zs),
     }
     return BasisReport(embeddings, independence, first_mismatch)
+
+
+def _p_basis_certified(model, con, embeddings) -> bool:
+    """Do the embeddings certify monomials_ok? Every one holds, the
+    constants are nonzero, and the constant terms J of D_(e_k)(z_j), read
+    off the images, have rank e (the lemma in _verify)."""
+    ctx, e = model.ctx, model.e
+    if con.dim == 0 or not all(row["ok"] for row in embeddings):
+        return False
+    J = ctx.zeros((e, e))
+    for j, row in enumerate(embeddings):
+        terms = row["actual"].terms
+        for k in range(e):
+            c = terms.get((0,) * e + tuple(int(t == k) for t in range(e)))
+            if c:
+                J[k, j] = ctx.unpack(c)
+    return len(rref(ctx, J)[1]) == e
 
 
 def _monomials_independent(model, con, zs) -> bool:
@@ -173,7 +225,7 @@ class _View:
     block and embedded into the full exponent tuple on access.
     """
 
-    def __init__(self, D, coords, law, within=None):
+    def __init__(self, D, coords, law, within=None, found=None):
         self.D = D
         self.model = D.model
         self.ctx = D.model.ctx
@@ -182,6 +234,9 @@ class _View:
         if within is None:
             within = Subspace.full(self.ctx, self.model.dim)
         self.within = within
+        # model coordinate -> (z, law, D(z), law value) of each coordinate a
+        # finder checked, shared by the sub-views of one search
+        self.found = {} if found is None else found
         self._mats = {}
         self._spaces = {}
         self._restricted = {}
@@ -364,14 +419,24 @@ def _check_achieved(view: _View, vec: np.ndarray, wanted) -> None:
             )
 
 
+def _check_pattern(view: _View, zs, j, what: str) -> TruncatedPoly:
+    """The defining pattern of the found z_j: D(z_j) must equal the block
+    law's j-th component at (z, v). Both sides are recorded in view.found
+    for the verification of the assembled family."""
+    z = zs[j]
+    actual = view.D.apply(z)
+    expected = _law_at(view, zs, j)
+    if actual != expected:
+        raise HypothesisFailure(f"the found {what} fails its defining pattern")
+    view.found[view.coords[j]] = (z, view.law, expected, actual)
+    return z
+
+
 def _finish(view: _View, vec: np.ndarray, zs, j, what: str) -> TruncatedPoly:
     """Reduce vec modulo the block's absolute constants into z_j, then check
-    the defining pattern: D(z_j) must equal the block law's j-th component
-    at (z, v)."""
+    its defining pattern."""
     zs[j] = view.model.poly_from_vec(view.abs_constants().reduce_mod(vec))
-    if view.D.apply(zs[j]) != _law_at(view, zs, j):
-        raise HypothesisFailure(f"the found {what} fails its defining pattern")
-    return zs[j]
+    return _check_pattern(view, zs, j, what)
 
 
 def _find_y(view: _View) -> TruncatedPoly:
@@ -442,16 +507,13 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
         raise HypothesisFailure("the unit eigenvector has no constant term")
     u = ctx.arr_scale(ctx.scalar(c).inverse().digits, u)
     z = (u - model.one_vec()) % ctx.p
-    zpoly = model.poly_from_vec(z)
-    if view.D.apply(zpoly) != _law_at(view, [zpoly], 0):
-        raise HypothesisFailure("the found coordinate fails its defining pattern")
-    return zpoly
+    return _check_pattern(view, [model.poly_from_vec(z)], 0, "coordinate")
 
 
 def _inside_constants(view: _View, coords, law, others) -> _View:
     """Sub-view on coords, searched inside the absolute constants of others."""
     con = _View(view.D, others, None, within=view.within).abs_constants()
-    return _View(view.D, coords, law, within=con)
+    return _View(view.D, coords, law, within=con, found=view.found)
 
 
 def _assemble(view: _View):

@@ -60,6 +60,14 @@ def _int_value(v, name, minimum=None, below=None):
     return v
 
 
+def _strings(values, name):
+    """values, a list, as a list of strings; MalformedConfig naming the
+    first entry that is not a JSON string."""
+    for k, v in enumerate(values):
+        _require(isinstance(v, str), f"field '{name}[{k}]' must be a string, got {v!r}")
+    return values
+
+
 def _get_int(obj, key, default=None, minimum=None):
     v = obj.get(key, default)
     _require(v is not None, f"missing integer field {key!r}")
@@ -145,14 +153,15 @@ def _derivation_of(config) -> HSDerivation:
         images = spec.get("images")
         _require(isinstance(images, list) and len(images) == law.e,
                  f"images derivation needs {law.e} image strings")
-        return HSDerivation(
-            model, law, [parse_trunc(model.ring_xv, s) for s in images])
+        return HSDerivation(model, law, [
+            parse_trunc(model.ring_xv, s) for s in _strings(images, "derivation.images")])
     if typ == "twist":
         phi = spec.get("phi")
         _require(isinstance(phi, list) and len(phi) == law.e,
                  f"twist needs {law.e} substitution strings")
         D = canonical_derivation(model, law)
-        return twist_by_automorphism(D, [parse_trunc(model.ring, s) for s in phi])
+        return twist_by_automorphism(
+            D, [parse_trunc(model.ring, s) for s in _strings(phi, "derivation.phi")])
     raise MalformedConfig(f"unknown derivation type {typ!r}")
 
 
@@ -345,7 +354,9 @@ def _cmd_basis_verify(config):
     D = _derivation_of(config)
     els = config.get("elements")
     _require(isinstance(els, list) and els, "basis-verify needs elements")
-    elements = [parse_trunc(D.model.ring, s) for s in els]
+    e = D.model.e
+    _require(len(els) == e, f"field 'elements' must list {e} elements, got {len(els)}")
+    elements = [parse_trunc(D.model.ring, s) for s in _strings(els, "elements")]
     return _basis_checks(D, elements, verify_canonical_basis(D, D.law, elements))
 
 
@@ -361,7 +372,7 @@ def _cmd_wronskian(config):
     fctx = FieldDerivationContext(_law_of(config))
     els = config.get("elements")
     _require(isinstance(els, list) and els, "wronskian needs elements")
-    elements = [parse_ratfunc(fctx.ctx, fctx.xvars, s) for s in els]
+    elements = [parse_ratfunc(fctx.ctx, fctx.xvars, s) for s in _strings(els, "elements")]
     mode = config.get("test", "dependence")
     expect = config.get("expect")
     if mode == "dependence":

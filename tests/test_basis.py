@@ -1,9 +1,12 @@
 """Canonical coordinate search: verification, finding, and product assembly."""
 
+import functools
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hsderiv.basis as basis_mod
 from hsderiv.artinian import ArtinianModel
@@ -20,6 +23,7 @@ from hsderiv.basis import (
 from hsderiv.derivation import (
     HSDerivation,
     canonical_derivation,
+    reconstruct_from_ppowers,
     twist_by_automorphism,
 )
 from hsderiv.cli import run
@@ -28,6 +32,7 @@ from hsderiv.errors import (
     ContextMismatch,
     CorrectionUnsolvable,
     FactorUnsupported,
+    HsderivError,
     HypothesisFailure,
     NotInvertible,
     UnknownVariable,
@@ -43,7 +48,7 @@ from hsderiv.grouplaw import (
 from hsderiv.lattice import constants_indices, joint_kernel, ppower_indices
 from hsderiv.textform import parse_trunc
 from hsderiv.truncated import TruncatedRing, convert
-from oracles import derivation_zoo
+from oracles import derivation_zoo, digit_eliminate
 
 
 def _canon(law):
@@ -120,6 +125,119 @@ def test_verify_flags_swapped_coordinates():
     xs = [D.model.ring.var(v) for v in D.model.xvars]
     report = verify_canonical_basis(D, law, [xs[1], xs[0]])
     assert not report.passed and report.first_mismatch is not None
+
+
+def test_rank_runs_only_without_a_certificate(monkeypatch):
+    # canonical generators are certified by the constant terms of their
+    # images; the zero family fails its embeddings and takes the rank
+    ranks = []
+    real = basis_mod._monomials_independent
+
+    def counting(model, con, zs):
+        ranks.append(len(zs))
+        return real(model, con, zs)
+
+    monkeypatch.setattr(basis_mod, "_monomials_independent", counting)
+    for p, m in ((2, 1), (2, 2), (3, 1)):
+        ctx = FqContext(p, 1)
+        for law in (make_additive(ctx, 2, m), make_multiplicative(ctx, m),
+                    make_witt2(ctx, m, [1] * m),
+                    product_law(make_additive(ctx, 1, m), make_multiplicative(ctx, m))):
+            D = _canon(law)
+            xs = [D.model.ring.var(v) for v in D.model.xvars]
+            assert verify_canonical_basis(D, law, xs).passed
+    assert ranks == []
+    D = _canon(make_additive(FqContext(2, 1), 2, 1))
+    report = verify_canonical_basis(D, D.law, [D.model.ring.zero] * 2)
+    assert not report.independence["monomials_ok"]
+    assert ranks == [2]
+
+
+@functools.lru_cache(maxsize=None)
+def _zoo():
+    return tuple(derivation_zoo())
+
+
+def _coordinates(D) -> tuple:
+    """D's found coordinates, or the model's generators where no finder
+    applies (the trivial derivation)."""
+    try:
+        return tuple(assemble_product_basis(D))
+    except HsderivError:
+        return tuple(D.model.ring.var(v) for v in D.model.xvars)
+
+
+@st.composite
+def _families(draw):
+    """(D, family): a derivation of oracles.derivation_zoo, maybe twisted
+    (unipotent phi) or reconstructed, and e model elements: its coordinates
+    as found, shifted by constants, with a repeated coordinate (z_2 = z_1 +
+    c, a singular J), one or all replaced by random elements, or zero."""
+    D = draw(st.sampled_from(_zoo()))
+    model = D.model
+    ctx, ring, e = model.ctx, model.ring, model.e
+    scalar = st.integers(1, ctx.q - 1).map(
+        lambda k: ctx.scalar(tuple(k // ctx.p**i % ctx.p for i in range(ctx.d))))
+    xs = [ring.var(v) for v in model.xvars]
+    step = draw(st.sampled_from(["none", "twist", "reconstruct"]))
+    if step == "twist":
+        phi = list(xs)
+        higher = [ex for ex in model.xidx.monomials if sum(ex) >= 2]
+        for t in range(e):
+            if t + 1 < e and draw(st.booleans()):
+                phi[t] = phi[t] + draw(scalar) * xs[t + 1]
+            for _ in range(draw(st.integers(0, 2)) if higher else 0):
+                phi[t] = phi[t] + ring.monomial(draw(st.sampled_from(higher)), draw(scalar))
+        D = twist_by_automorphism(D, phi)
+    elif step == "reconstruct":
+        D = reconstruct_from_ppowers(D)
+
+    def element():
+        f = ring.zero
+        for ex in draw(st.lists(st.sampled_from(model.xidx.monomials), max_size=4)):
+            f = f + ring.monomial(ex, draw(scalar))
+        return f
+
+    zs = list(_coordinates(D))
+    kinds = ["found", "shifted", "one-random", "random", "zero"]
+    kind = draw(st.sampled_from(kinds + ["repeated"] if e > 1 else kinds))
+    t = draw(st.integers(0, e - 1))
+    if kind == "shifted":
+        zs[t] = zs[t] + ring.const(draw(scalar))
+    elif kind == "repeated":
+        zs[1] = zs[0] + ring.const(draw(scalar))
+    elif kind == "one-random":
+        zs[t] = element()
+    elif kind == "random":
+        zs = [element() for _ in range(e)]
+    elif kind == "zero":
+        zs = [ring.zero] * e
+    return D, zs
+
+
+@settings(max_examples=80, deadline=None)
+@given(_families())
+def test_certificate_never_says_independent_where_the_rank_does_not(case):
+    # the certificate is exactly its definition, J taken here through the
+    # component matrices and ranked by the one-pivot reference; where it
+    # holds, the rank says independent too, and the report's boolean is
+    # the rank's
+    D, zs = case
+    model = D.model
+    ctx, e = model.ctx, model.e
+    view = _View(D, tuple(range(e)), D.law)
+    report = basis_mod._verify(view, zs)
+    con = view.box_constants()
+    certified = basis_mod._p_basis_certified(model, con, report.embeddings)
+    rank = basis_mod._monomials_independent(model, con, zs)
+    units = [tuple(int(t == k) for t in range(e)) for k in range(e)]
+    J = [[model.vec_from_poly(D.component(u).apply(z))[0] for z in zs] for u in units]
+    _, pivots = digit_eliminate(ctx.p, ctx.modulus, [[tuple(int(a) for a in c) for c in row] for row in J], e)
+    definition = (all(row["ok"] for row in report.embeddings) and con.dim > 0
+                  and len(pivots) == e)
+    assert certified == definition
+    assert rank or not certified
+    assert report.independence["monomials_ok"] == rank
 
 
 def test_find_pair_on_canonical_models():

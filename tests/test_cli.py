@@ -202,6 +202,35 @@ def test_integer_fields_accept_json_integers():
     assert code == 0
 
 
+_VERIFY = {"command": "basis-verify", "context": {"p": 2, "m": 1},
+           "law": {"type": "witt2", "alphas": [1]}, "elements": ["x1", "x2"]}
+_WRONSKIAN = {"command": "wronskian", "context": {"p": 2, "m": 1},
+              "law": {"type": "additive", "e": 2}, "elements": ["x1", "x2"]}
+
+
+@pytest.mark.parametrize("base,change,field", [
+    (_VERIFY, {"derivation": {"type": "twist", "phi": [1, "x2"]}}, "'derivation.phi[0]'"),
+    (_VERIFY, {"derivation": {"type": "twist", "phi": ["x1", None]}}, "'derivation.phi[1]'"),
+    (_VERIFY, {"derivation": {"type": "images", "images": ["x1 + v1", ["x2"]]}},
+     "'derivation.images[1]'"),
+    (_VERIFY, {"elements": ["x1", None]}, "'elements[1]'"),
+    (_VERIFY, {"elements": [2, "x2"]}, "'elements[0]'"),
+    (_VERIFY, {"elements": ["x1"]}, "'elements'"),
+    (_VERIFY, {"elements": ["x1", "x2", "x1"]}, "'elements'"),
+    (_WRONSKIAN, {"elements": [3, "x1"]}, "'elements[0]'"),
+    (_WRONSKIAN, {"elements": ["x1", None]}, "'elements[1]'"),
+])
+def test_string_list_fields_are_checked_entry_by_entry(base, change, field):
+    # a non-string entry, or a basis-verify family of the wrong size, used to
+    # reach the catch-all as a TypeError or ValueError that named no field
+    report, code = run(json.loads(json.dumps(dict(base, **change))))
+    assert code == 2
+    error = report["errors"][0]
+    assert error["kind"] == "malformed-config" and field in error["message"]
+    assert not report["checks"]
+    assert run(json.loads(json.dumps(base)))[1] == 0
+
+
 def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ command:")
@@ -292,10 +321,8 @@ def test_run_api_report_shape():
     assert json.loads(text) == report
 
 
-def test_basis_find_verifies_once(monkeypatch):
-    # the assembly's verification is the report: one _verify, and D.apply and
-    # the law at z once per coordinate in each finder's own pattern check and
-    # once more in that verification
+def _basis_calls(monkeypatch, config):
+    """Exit code of config and its calls of _verify, D.apply and _law_at."""
     from hsderiv import basis as basis_mod
     from hsderiv.derivation import HSDerivation
     calls = {"_verify": 0, "apply": 0, "_law_at": 0}
@@ -309,9 +336,24 @@ def test_basis_find_verifies_once(monkeypatch):
     monkeypatch.setattr(basis_mod, "_verify", counting("_verify", basis_mod._verify))
     monkeypatch.setattr(basis_mod, "_law_at", counting("_law_at", basis_mod._law_at))
     monkeypatch.setattr(HSDerivation, "apply", counting("apply", HSDerivation.apply))
-    report, code = run(json.loads((ROOT / "configs" / "basis_find_twist.json").read_text()))
-    assert code == 0
-    assert calls == {"_verify": 1, "apply": 4, "_law_at": 4}
+    _, code = run(config)
+    return code, calls
+
+
+def test_basis_find_verifies_once(monkeypatch):
+    # the assembly's verification is the report: one _verify, and D.apply and
+    # the law at z once per coordinate, in each finder's own pattern check;
+    # the verification reuses both
+    config = json.loads((ROOT / "configs" / "basis_find_twist.json").read_text())
+    assert _basis_calls(monkeypatch, config) == (0, {"_verify": 1, "apply": 2, "_law_at": 2})
+
+
+def test_basis_find_checks_product_factors_against_the_full_law(monkeypatch):
+    # a factor's finder checks its coordinate against the factor law; the
+    # verification reuses D.apply but takes the full law at z once more
+    config = BASIS_FIND_SHA256[0][0]
+    assert config["law"]["type"] == "product"
+    assert _basis_calls(monkeypatch, config) == (0, {"_verify": 1, "apply": 3, "_law_at": 6})
 
 
 # sha256 of basis-find reports beyond the shipped config: a product with a
