@@ -106,6 +106,11 @@ class FqDomain:
     def is_zero(c) -> bool:
         return not c
 
+    @staticmethod
+    def poly_terms(c) -> int:
+        """Polynomial terms a coefficient holds: none, it is a field value."""
+        return 0
+
 
 class RatFuncDomain:
     """Coefficient domain of rational functions in fixed variables (exact)."""
@@ -156,6 +161,12 @@ class RatFuncDomain:
     @staticmethod
     def inverse(c):
         return c.inverse()
+
+    @staticmethod
+    def poly_terms(c) -> int:
+        """Polynomial terms a coefficient holds: its numerator's and its
+        denominator's."""
+        return len(c.num.terms) + len(c.den.terms)
 
 
 class MultiPoly:

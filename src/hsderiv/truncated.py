@@ -14,10 +14,18 @@ from .errors import (
     ContextMismatch,
     NonNilpotentImage,
     NotAUnit,
+    ResourceGuard,
     UnknownVariable,
 )
 from .gf import FqContext
 from .poly import FqDomain, power, product_terms, sorted_terms
+
+# polynomial terms the partial sum and the current term of invert_unit's
+# series may hold together. The shipped configs and the fields benchmark
+# streams (seeds 1-10) hold at most 20; a denominator x1 + x2^2 + 1 in a
+# witt2 (p = 5) Wronskian reaches 3167, while x1^2 + x2 + 1 reaches 6796 at
+# the third term, whose successor alone takes seconds.
+SERIES_BUDGET = 5_000
 
 
 class TruncatedRing:
@@ -317,7 +325,16 @@ def substitute(
 
 
 def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
-    """Inverse of a unit via the geometric series on its nilpotent part."""
+    """Inverse of a unit via the geometric series on its nilpotent part.
+
+    Over rational coefficients, which are added without a gcd, each term
+    of the series can multiply the size of the denominators, and the next
+    term costs more than everything before it. So before each term is added,
+    the partial sum and the term must hold at most SERIES_BUDGET polynomial
+    terms together (``dom.poly_terms``: numerators and denominators);
+    ResourceGuard otherwise. Field values count nothing: over F_q the
+    series never holds more than twice the ring's own terms.
+    """
     c0 = f.constant_term()
     dom = f.ring.dom
     if dom.is_zero(c0):
@@ -328,6 +345,11 @@ def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
     out = f.ring.one
     p = n
     while p:
+        held = sum(map(dom.poly_terms, out.terms.values())) + sum(
+            map(dom.poly_terms, p.terms.values()))
+        if held > SERIES_BUDGET:
+            raise ResourceGuard(
+                f"inverse series holds {held} terms, past the budget of {SERIES_BUDGET}")
         out = out + p
         p = p * n
     return out.scale(c0_inv)

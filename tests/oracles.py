@@ -154,9 +154,20 @@ def digit_inv(p, modulus, a):
 
 def digit_eliminate(p, modulus, rows, ncols):
     """Gauss-Jordan on rows of digit tuples, one pivot at a time, every
-    entry reduced after every step."""
+    entry reduced after every step. Each distinct x - f*y is worked out
+    once by digit_mul, digit_neg and digit_add and then looked up, which
+    keeps blocks of a few thousand entries over small fields quick."""
     m = [list(row) for row in rows]
     zero = (0,) * (len(modulus) - 1)
+    memo = {}
+
+    def minus(x, f, y):
+        key = (x, f, y)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = digit_add(p, x, digit_neg(p, digit_mul(p, modulus, f, y)))
+        return out
+
     pivots = []
     r = 0
     for c in range(ncols):
@@ -171,8 +182,7 @@ def digit_eliminate(p, modulus, rows, ncols):
         for i, row in enumerate(m):
             f = row[c]
             if i != r and f != zero:
-                m[i] = [digit_add(p, x, digit_neg(p, digit_mul(p, modulus, f, y)))
-                        for x, y in zip(row, m[r])]
+                m[i] = [minus(x, f, y) for x, y in zip(row, m[r])]
         pivots.append(c)
         r += 1
     return m, pivots

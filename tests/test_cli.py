@@ -266,6 +266,23 @@ def test_prime_past_the_int64_bound_exit_3(path):
     assert code == 3 and report["errors"][0]["kind"] == "resource-guard"
 
 
+def test_inverse_series_guard_exit_3(tmp_path):
+    # the denominator's geometric series over F_5(x1, x2) grows its rational
+    # coefficients term by term; past truncated.SERIES_BUDGET the job is
+    # refused before the fourth term, which alone takes seconds
+    job = {"command": "wronskian", "context": {"p": 5, "m": 1},
+           "law": {"type": "witt2", "alphas": ["1"]}, "test": "dependence",
+           "elements": ["1 / (x1^2 + x2 + 1)", "x1"], "expect": "independent"}
+    res = _invoke(job, "--quiet", tmp_path=tmp_path)
+    assert res.returncode == 3 and not res.stderr
+    error = json.loads(res.stdout)["errors"][0]
+    assert error["kind"] == "resource-guard"
+    assert error["message"] == "inverse series holds 6796 terms, past the budget of 5000"
+    # a denominator whose series stays under the budget still passes
+    job["elements"][0] = "1 / (x1 + x2^2 + 1)"
+    assert run(job)[1] == 0
+
+
 def test_tower_admission_stays_at_the_table_size(tmp_path):
     # dim 625: the tower builds axis stacks of 625^2 * 25 digits, within the
     # budget, but is admitted only when the dim^3 table would fit

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsderiv.errors import NoSolution, NotInvertible
@@ -14,6 +14,8 @@ from hsderiv.linalg import (
     MIN_BLOCK_ROWS,
     Subspace,
     _eliminate,
+    _eliminate_char2,
+    _eliminate_gf3,
     inv_matrix,
     kernel_space,
     nullspace,
@@ -370,7 +372,7 @@ def test_preimage_solve_matches_restricted_solve(case, seed, target):
 # after every pivot at p = 2^31 - 1, every 2 pivots at p = 1073741789 over
 # F_{p^2}, and never within a block at the small primes. An int64 product
 # of such digits can wrap, so inputs and reference stay on Python ints.
-ELIMINATE_FIELDS = [(2, 1), (3, 2), (7, 3), (2, 4), (65521, 1),
+ELIMINATE_FIELDS = [(2, 1), (2, 2), (3, 1), (3, 2), (7, 3), (2, 4), (65521, 1),
                     (2147483647, 1), (1073741789, 2)]
 
 
@@ -432,6 +434,125 @@ def test_eliminate_reduces_on_its_interval(field):
     want, want_pivots = digit_eliminate(p, ctx.modulus, rows, k + 2)
     assert pivots == want_pivots == list(range(k + 1))
     assert m.tolist() == [[list(x) for x in row] for row in want]
+
+
+# -- packed rows over F_{2^d} and F_3 -----------------------------------------
+
+PACKED_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1)]
+
+
+def _packed(ctx, m):
+    """The packed elimination of the block's field, whatever _eliminate
+    would pick for its shape."""
+    return _eliminate_gf3(m) if ctx.p == 3 else _eliminate_char2(ctx, m)
+
+
+@st.composite
+def _packed_blocks(draw):
+    """(ctx, block): 0 to 70 rows by 0 to 130 columns over a field with a
+    packed elimination, with column counts at the 64- and 128-bit word
+    boundaries drawn often; random, rank-deficient, zero-column and sparse
+    one-hot blocks."""
+    ctx = _ctx(*draw(st.sampled_from(PACKED_FIELDS)))
+    rows = draw(st.integers(0, 70))
+    cols = draw(st.one_of(st.integers(0, 130), st.sampled_from((*range(61, 67), 127, 128, 129))))
+    kind = draw(st.sampled_from(("random", "low", "zero-columns", "one-hot")))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "one-hot":
+        m = ctx.zeros((rows, cols))
+        if cols:
+            entries = rng.integers(0, ctx.p, (rows, ctx.d))
+            entries[~entries.any(axis=1), 0] = 1
+            m[np.arange(rows), rng.integers(0, cols, rows)] = entries
+        return ctx, m
+    m = _matrix(ctx, rng, rows, cols, "low" if kind == "low" else "random")
+    if kind == "zero-columns" and cols:
+        m[:, rng.random(cols) < rng.random()] = 0
+    return ctx, m
+
+
+@settings(max_examples=60)
+@given(_packed_blocks())
+def test_packed_elimination_matches_one_pivot_at_a_time(case):
+    ctx, mat = case
+    rows = [[tuple(x) for x in row] for row in mat.tolist()]
+    want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, mat.shape[1])
+    want = np.array(want, dtype=np.int64).reshape(mat.shape)
+    for eliminate in (_eliminate, _packed):
+        m = mat.copy()
+        assert eliminate(ctx, m) == want_pivots
+        assert np.array_equal(m, want)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS)
+@pytest.mark.parametrize("cols", [63, 64, 65, 127, 128, 129])
+def test_packed_elimination_at_word_boundaries(field, cols):
+    # a packed row is built and read back in 64-bit words: 64 columns over
+    # GF(2), 32 over GF(4) and GF(3), 21 over GF(8), 16 over GF(16)
+    ctx = _ctx(*field)
+    rng = np.random.default_rng(cols)
+    for kind in ("random", "low"):
+        mat = _matrix(ctx, rng, 24, cols, kind)
+        rows = [[tuple(x) for x in row] for row in mat.tolist()]
+        want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, cols)
+        m = mat.copy()
+        assert _packed(ctx, m) == want_pivots
+        assert m.tolist() == [[list(x) for x in row] for row in want]
+
+
+@st.composite
+def _tall_packed_cases(draw):
+    """(ctx, matrix): GF(2) and GF(3) stacks of 65 to 300 rows and 1 to 130
+    columns, every rank kind, so rref takes several packed blocks."""
+    ctx = _ctx(*draw(st.sampled_from([(2, 1), (3, 1)])))
+    rows = draw(st.integers(MIN_BLOCK_ROWS + 1, 300))
+    cols = draw(st.one_of(st.integers(1, 130), st.integers(61, 66)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ctx, _matrix(ctx, rng, rows, cols, draw(st.sampled_from(KINDS)))
+
+
+@settings(max_examples=40)
+@given(_tall_packed_cases())
+def test_tall_packed_stacks_match_reference(case):
+    ctx, mat = case
+    m, pivots = rref(ctx, mat)
+    want, want_pivots = ref_rref(ctx, mat)
+    assert pivots == want_pivots
+    assert np.array_equal(m, want)
+
+
+def test_eliminate_picks_the_packed_path_for_small_fields(monkeypatch):
+    # the numpy elimination folds its pivot row through the modulus once per
+    # pivot (FqContext._folded); the packed eliminations never fold
+    folds = []
+    folded = FqContext._folded
+    monkeypatch.setattr(FqContext, "_folded", lambda self, b: folds.append(1) or folded(self, b))
+    rng = np.random.default_rng(23)
+
+    def eliminate(field, rows, cols, kind="random"):
+        ctx = _ctx(*field)
+        m = _matrix(ctx, rng, rows, cols, kind)
+        folds.clear()
+        pivots = _eliminate(ctx, m)
+        assert pivots
+        return len(folds), len(pivots)
+
+    for field in PACKED_FIELDS:
+        assert eliminate(field, 8, 8)[0] == 0
+        assert eliminate(field, 64, 64)[0] == 0 or field == (3, 1)
+    # F_3 keeps packed rows while they are few, wide or sparse
+    assert eliminate((3, 1), 32, 32)[0] == 0
+    assert eliminate((3, 1), 40, 80)[0] == 0
+    sparse = _ctx(3, 1).zeros((81, 81))
+    sparse[np.arange(81), rng.integers(0, 81, 81), 0] = 1
+    folds.clear()
+    assert _eliminate(_ctx(3, 1), sparse) and not folds
+    # a dense 64 x 64 block over F_3, and every other field, take the numpy
+    # path with its delayed reduction: one fold per pivot
+    for field, rows, cols in [((3, 1), 64, 64), ((3, 1), 48, 24), ((3, 2), 8, 8),
+                              ((5, 1), 8, 8), ((2147483647, 1), 8, 8)]:
+        n_folds, n_pivots = eliminate(field, rows, cols)
+        assert n_folds == n_pivots
 
 
 def test_rref_of_a_tall_stack_at_the_largest_prime():

@@ -4,13 +4,16 @@ import random
 
 import pytest
 
+from hsderiv import truncated
 from hsderiv.artinian import ArtinianModel
 from hsderiv.errors import (
     NonNilpotentImage,
     NotAUnit,
+    ResourceGuard,
     UnknownVariable,
 )
 from hsderiv.gf import FqContext
+from hsderiv.poly import MultiPoly, RatFuncDomain
 from hsderiv.truncated import (
     TruncatedPoly,
     TruncatedRing,
@@ -127,6 +130,26 @@ def test_invert_unit_known_values():
     assert invert_unit(r3.one + v3) == r3.one + 2 * v3 + v3**2
     with pytest.raises(NotAUnit):
         invert_unit(v3)
+
+
+def test_invert_unit_guards_its_series_over_rational_coefficients(monkeypatch):
+    # 1 / (1 + v/(x + 1)) in F_3(x)[v]/(v^3): the series is 1 + 2v/(1 + x)
+    # + v^2/(1 + 2x + x^2); with the partial sum it holds 5 polynomial terms
+    # before the v term is added and 9 before the v^2 term
+    dom = RatFuncDomain(FqContext(3, 1), ("x",))
+    r = TruncatedRing(dom.ctx, [(("v",), 3)], dom)
+    x = dom.coerce(MultiPoly.var(dom.ctx, ("x",), "x"))
+    f = r.one + r.var("v").scale(dom.one / (x + dom.one))
+    assert f * invert_unit(f) == r.one
+    monkeypatch.setattr(truncated, "SERIES_BUDGET", 9)
+    assert f * invert_unit(f) == r.one
+    monkeypatch.setattr(truncated, "SERIES_BUDGET", 8)
+    with pytest.raises(ResourceGuard, match="inverse series holds 9 terms, past the budget of 8"):
+        invert_unit(f)
+    # field values count nothing, whatever the budget
+    monkeypatch.setattr(truncated, "SERIES_BUDGET", 0)
+    r3 = _ring(3, 1, [(("v",), 3)])
+    assert invert_unit(r3.one + r3.var("v")) == r3.one + 2 * r3.var("v") + r3.var("v") ** 2
 
 
 def test_invert_unit_round_trip_random():
