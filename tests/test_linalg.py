@@ -447,6 +447,18 @@ def _packed(ctx, m):
     return _eliminate_gf3(m) if ctx.p == 3 else _eliminate_char2(ctx, m)
 
 
+def _assert_like_reference(ctx, mat, *eliminations):
+    """Each elimination, on a copy of mat, gives digit_eliminate's pivots
+    and whole block, zero rows included."""
+    rows = [[tuple(x) for x in row] for row in mat.tolist()]
+    want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, mat.shape[1])
+    want = [[list(x) for x in row] for row in want]
+    for eliminate in eliminations:
+        m = mat.copy()
+        assert eliminate(ctx, m) == want_pivots
+        assert m.tolist() == want
+
+
 @st.composite
 def _packed_blocks(draw):
     """(ctx, block): 0 to 70 rows by 0 to 130 columns over a field with a
@@ -475,13 +487,7 @@ def _packed_blocks(draw):
 @given(_packed_blocks())
 def test_packed_elimination_matches_one_pivot_at_a_time(case):
     ctx, mat = case
-    rows = [[tuple(x) for x in row] for row in mat.tolist()]
-    want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, mat.shape[1])
-    want = np.array(want, dtype=np.int64).reshape(mat.shape)
-    for eliminate in (_eliminate, _packed):
-        m = mat.copy()
-        assert eliminate(ctx, m) == want_pivots
-        assert np.array_equal(m, want)
+    _assert_like_reference(ctx, mat, _eliminate, _packed)
 
 
 @pytest.mark.parametrize("field", PACKED_FIELDS)
@@ -492,12 +498,7 @@ def test_packed_elimination_at_word_boundaries(field, cols):
     ctx = _ctx(*field)
     rng = np.random.default_rng(cols)
     for kind in ("random", "low"):
-        mat = _matrix(ctx, rng, 24, cols, kind)
-        rows = [[tuple(x) for x in row] for row in mat.tolist()]
-        want, want_pivots = digit_eliminate(ctx.p, ctx.modulus, rows, cols)
-        m = mat.copy()
-        assert _packed(ctx, m) == want_pivots
-        assert m.tolist() == [[list(x) for x in row] for row in want]
+        _assert_like_reference(ctx, _matrix(ctx, rng, 24, cols, kind), _packed)
 
 
 @st.composite
@@ -529,9 +530,9 @@ def test_eliminate_picks_the_packed_path_for_small_fields(monkeypatch):
     monkeypatch.setattr(FqContext, "_folded", lambda self, b: folds.append(1) or folded(self, b))
     rng = np.random.default_rng(23)
 
-    def eliminate(field, rows, cols, kind="random"):
+    def eliminate(field, rows, cols):
         ctx = _ctx(*field)
-        m = _matrix(ctx, rng, rows, cols, kind)
+        m = _matrix(ctx, rng, rows, cols, "random")
         folds.clear()
         pivots = _eliminate(ctx, m)
         assert pivots
