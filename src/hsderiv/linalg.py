@@ -26,12 +26,13 @@ stay on int64.
 ``_eliminate`` picks one of two eliminations for a block. Over GF(2^d) and
 GF(3) it works on packed rows, as M4RI does over GF(2) (Albrecht, Bard and
 Hart, ACM TOMS 2010) and bitslicing over GF(3) (Boothby and Bradshaw,
-arXiv:0901.1413): a row of GF(2^d) is one Python int of d-bit digit
-groups, column 0 most significant, and adding rows is XOR; a row of GF(3)
-is the pair of masks of its ones and its twos, negated by swapping them.
+arXiv:0901.1413): a row of GF(2^d) is one Python int with a group of bits
+per column, column 0 most significant, holding the column's d digits in a
+power-of-two width, and adding rows is XOR; a row of GF(3) is the pair of
+masks of its ones and its twos, negated by swapping them.
 Each pivot then costs a few integer operations per row instead of a dozen
-numpy calls. Every other field, and a GF(3) block of more than 32 rows
-that is neither twice as wide as tall nor sparse, takes the numpy
+numpy calls. Every other field, and the tall, dense GF(3) blocks that
+``_eliminate``'s docstring names with its timings, take the numpy
 elimination, which delays the reduction as FFLAS-FFPACK does: its rank-1
 updates go in unreduced on int64, and the whole block is reduced only
 every (2^62 - p) // (d*(p-1)^2) pivots and at the end.
@@ -65,9 +66,14 @@ from .gf import FqContext
 MIN_BLOCK_ROWS = 64
 
 
-# Bits one numpy word holds: a packed row is built and read back in runs of
-# columns whose groups fit one uint64.
+# Bits one numpy word holds. A packed row is built and read back as whole
+# words, so its groups are a power of two bits wide and none straddles two.
 PACK_WORD = 64
+
+# _eliminate packs a GF(3) block of at most GF3_PACK_ROWS rows, or one with
+# at most one nonzero entry in GF3_SPARSE; its docstring gives the timings.
+GF3_PACK_ROWS = 32
+GF3_SPARSE = 16
 
 
 @lru_cache(maxsize=None)
@@ -85,17 +91,20 @@ def _group_shifts(cols: int, d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
 def _pack(m: np.ndarray, b: int) -> list[int]:
     """One Python int per row of m (rows, cols, d): column j is the b-bit
     group at bit b*(cols-1-j), so column 0 is the most significant, and
-    digit t of the column sits at bit t of its group."""
+    digit t of the column sits at bit t of its group. A row past one word
+    is padded on the left to whole words, each packed with one product."""
     rows, cols, d = m.shape
     per = PACK_WORD // b
-    out = [0] * rows
-    for c0 in range(0, cols, per):
-        c1 = min(cols, c0 + per)
-        part = m[:, c0:c1].reshape(rows, (c1 - c0) * d).view(np.uint64)
-        part = (part @ _group_shifts(c1 - c0, d, b)[1]).tolist()
-        off = b * (cols - c1)
-        out = [x | (v << off) for x, v in zip(out, part)]
-    return out
+    if cols <= per:
+        flat = m.reshape(rows, cols * d).view(np.uint64)
+        return (flat @ _group_shifts(cols, d, b)[1]).tolist()
+    words = -(-cols // per)
+    padded = np.zeros((rows, words * per, d), dtype=m.dtype)
+    padded[:, words * per - cols :] = m
+    flat = padded.reshape(rows, words, per * d).view(np.uint64)
+    data = (flat @ _group_shifts(per, d, b)[1]).astype(">u8").tobytes()
+    n = 8 * words
+    return [int.from_bytes(data[i : i + n], "big") for i in range(0, rows * n, n)]
 
 
 def _unpack(rows: list[int], m: np.ndarray, b: int) -> None:
@@ -104,12 +113,17 @@ def _unpack(rows: list[int], m: np.ndarray, b: int) -> None:
     k, (cols, d) = len(rows), m.shape[1:]
     mask = np.uint64(1 if d > 1 else (1 << b) - 1)
     per = PACK_WORD // b
-    for c0 in range(0, cols, per):
-        c1 = min(cols, c0 + per)
-        off, width = b * (cols - c1), (1 << b * (c1 - c0)) - 1
-        part = rows if c1 - c0 == cols else [(x >> off) & width for x in rows]
-        words = np.array(part, dtype=np.uint64)[:, None, None]
-        m[:k, c0:c1] = (words >> _group_shifts(c1 - c0, d, b)[0]) & mask
+    if cols <= per:
+        m[:k] = (np.array(rows, dtype=np.uint64)[:, None, None]
+                 >> _group_shifts(cols, d, b)[0]) & mask
+    else:
+        words = -(-cols // per)
+        n = 8 * words
+        data = b"".join(x.to_bytes(n, "big") for x in rows)
+        flat = np.frombuffer(data, dtype=">u8").astype(np.uint64).reshape(k, words, 1, 1)
+        digits = flat >> _group_shifts(per, d, b)[0]
+        digits &= mask
+        m[:k] = digits.reshape(k, words * per, d)[:, words * per - cols :]
     m[k:] = 0
 
 
@@ -133,15 +147,17 @@ def _char2_tables(ctx: FqContext) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
 
 
 def _eliminate_char2(ctx: FqContext, m: np.ndarray) -> list[int]:
-    """Packed Gauss-Jordan over F_{2^d}: a row is one int of d-bit groups,
+    """Packed Gauss-Jordan over F_{2^d}: a row is one int of groups, each
+    d digits in the low bits of b bits, b the least power of two >= d;
     adding rows is XOR, and a multiple f*y is the XOR of y's digit planes
     that mul_matrix(f) selects, shifted within their groups."""
     d = ctx.d
+    b = 1 << (d - 1).bit_length()  # group width, a power of two
     cols = m.shape[1]
     qmask = (1 << d) - 1
     inverse, pairs = _char2_tables(ctx)
     # planes[s]: bit s of every group
-    planes = [(((1 << d * cols) - 1) // qmask) << s for s in range(d)]
+    planes = [(((1 << b * cols) - 1) // ((1 << b) - 1)) << s for s in range(d)]
 
     def times(y: int, f: int) -> int:
         out = 0
@@ -151,13 +167,15 @@ def _eliminate_char2(ctx: FqContext, m: np.ndarray) -> list[int]:
         return out
 
     done: list[int] = []
-    rest = [x for x in _pack(m, d) if x]
+    rest = [x for x in _pack(m, b) if x]
+    if not rest:  # a zero block is its own echelon form
+        return []
     pivots: list[int] = []
     while rest:
         # the row whose first nonzero column comes first
         y = max(rest)
         rest.remove(y)
-        sh = (y.bit_length() - 1) // d * d
+        sh = (y.bit_length() - 1) // b * b
         g = (y >> sh) & qmask
         if g != 1:
             y = times(y, inverse[g])
@@ -174,8 +192,8 @@ def _eliminate_char2(ctx: FqContext, m: np.ndarray) -> list[int]:
                     continue
             out.append(x)
         done, rest = out[: len(done)] + [y], out[len(done) :]
-        pivots.append(cols - 1 - sh // d)
-    _unpack(done, m, d)
+        pivots.append(cols - 1 - sh // b)
+    _unpack(done, m, b)
     return pivots
 
 
@@ -194,6 +212,8 @@ def _eliminate_gf3(m: np.ndarray) -> list[int]:
         if x:
             x1, x2 = x & evens, (x >> 1) & evens
             rest.append((x1 | x2, x1, x2))
+    if not rest:  # a zero block is its own echelon form
+        return []
     pivots: list[int] = []
     while rest:
         # the row whose first nonzero column comes first
@@ -243,12 +263,14 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
         391 GF(2) and GF(4) blocks of a coords benchmark pass (seed 1), and
         were 1.05 to 20 times faster on random, half-rank and one-hot
         blocks from 4 x 4 to 256 x 256;
-      - over GF(3), when the block has at most 32 rows, or at least twice
-        as many columns as rows, or at most one nonzero entry in 16. A
-        taller, denser block costs the packed loop a Python step per live
-        row per pivot, which lost to numpy by up to 22% from 48 x 48 to
-        128 x 128 with 10% or more nonzero entries, and by 2x on random
-        200 x 64 stacks.
+      - over GF(3), when the block has at most GF3_PACK_ROWS = 32 rows or
+        at most one nonzero entry in GF3_SPARSE = 16. A taller, denser
+        block costs the packed loop a Python step per live row per pivot,
+        which lost to numpy by up to 22% from 48 x 48 to 128 x 128 with
+        10% or more nonzero entries, and by 2x on random 200 x 64 stacks.
+        The GF(3) blocks past 32 rows of a coords pass (seed 1, its
+        once-run dim-243 tower included) are all sparse, under 1% nonzero
+        from 51 x 3 to 243 x 243: packed they took 8.4 ms against 33.6 ms.
 
     The numpy path: the pivot is the first nonzero entry, column by column,
     among the rows not yet used. Only the columns nonzero at entry are
@@ -267,7 +289,7 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
     if p == 2:
         return _eliminate_char2(ctx, m)
     if p == 3 and d == 1 and (
-            rows <= 32 or 2 * rows <= cols or 16 * np.count_nonzero(m) <= rows * cols):
+            rows <= GF3_PACK_ROWS or GF3_SPARSE * np.count_nonzero(m) <= rows * cols):
         return _eliminate_gf3(m)
     every = (2**62 - p) // (d * (p - 1) ** 2)
     pivots: list[int] = []

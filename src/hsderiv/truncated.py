@@ -20,12 +20,18 @@ from .errors import (
 from .gf import FqContext
 from .poly import FqDomain, power, product_terms, sorted_terms
 
-# polynomial terms the partial sum and the current term of invert_unit's
-# series may hold together. The shipped configs and the fields benchmark
-# streams (seeds 1-10) hold at most 20; a denominator x1 + x2^2 + 1 in a
-# witt2 (p = 5) Wronskian reaches 3167, while x1^2 + x2 + 1 reaches 6796 at
-# the third term, whose successor alone takes seconds.
+# Bounds on invert_unit's series, counted in polynomial terms of numerators
+# and denominators. SERIES_BUDGET: what the partial sum and the current term
+# may hold together. SERIES_PRODUCT_BUDGET: the current term's count times
+# the nilpotent part's, the monomial products of the coefficient products
+# that make the next term. The shipped configs and the fields benchmark
+# streams (seeds 1-10) reach at most 20 and 18. In a witt2 (p = 5)
+# Wronskian the denominator x1 + x2^2 + 1 reaches 3167 and 39842 (a 0.2 s
+# product); x1^2 + x2 + 1 holds 6796 at its third term, whose product alone
+# takes seconds, and x1^2 + x1*x2 + x2^2 + 1 would spend 0.8 s on a
+# product of 106330 to make its third term.
 SERIES_BUDGET = 5_000
+SERIES_PRODUCT_BUDGET = 50_000
 
 
 class TruncatedRing:
@@ -331,9 +337,11 @@ def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
     of the series can multiply the size of the denominators, and the next
     term costs more than everything before it. So before each term is added,
     the partial sum and the term must hold at most SERIES_BUDGET polynomial
-    terms together (``dom.poly_terms``: numerators and denominators);
-    ResourceGuard otherwise. Field values count nothing: over F_q the
-    series never holds more than twice the ring's own terms.
+    terms together (``dom.poly_terms``: numerators and denominators), and
+    before the next term is made, the term's count times the nilpotent
+    part's must be at most SERIES_PRODUCT_BUDGET; ResourceGuard otherwise.
+    Field values count nothing: over F_q the series never holds more than
+    twice the ring's own terms.
     """
     c0 = f.constant_term()
     dom = f.ring.dom
@@ -344,13 +352,18 @@ def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
     n = f.ring.one - f.scale(c0_inv)
     out = f.ring.one
     p = n
+    n_terms = sum(map(dom.poly_terms, n.terms.values()))
     while p:
-        held = sum(map(dom.poly_terms, out.terms.values())) + sum(
-            map(dom.poly_terms, p.terms.values()))
+        p_terms = sum(map(dom.poly_terms, p.terms.values()))
+        held = sum(map(dom.poly_terms, out.terms.values())) + p_terms
         if held > SERIES_BUDGET:
             raise ResourceGuard(
                 f"inverse series holds {held} terms, past the budget of {SERIES_BUDGET}")
         out = out + p
+        if p_terms * n_terms > SERIES_PRODUCT_BUDGET:
+            raise ResourceGuard(
+                f"inverse series term would take {p_terms * n_terms} products, "
+                f"past the budget of {SERIES_PRODUCT_BUDGET}")
         p = p * n
     return out.scale(c0_inv)
 

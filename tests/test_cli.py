@@ -269,7 +269,8 @@ def test_prime_past_the_int64_bound_exit_3(path):
 def test_inverse_series_guard_exit_3(tmp_path):
     # the denominator's geometric series over F_5(x1, x2) grows its rational
     # coefficients term by term; past truncated.SERIES_BUDGET the job is
-    # refused before the fourth term, which alone takes seconds
+    # refused before the fourth term, which alone takes seconds, and past
+    # SERIES_PRODUCT_BUDGET before a product that takes most of a second
     job = {"command": "wronskian", "context": {"p": 5, "m": 1},
            "law": {"type": "witt2", "alphas": ["1"]}, "test": "dependence",
            "elements": ["1 / (x1^2 + x2 + 1)", "x1"], "expect": "independent"}
@@ -278,6 +279,10 @@ def test_inverse_series_guard_exit_3(tmp_path):
     error = json.loads(res.stdout)["errors"][0]
     assert error["kind"] == "resource-guard"
     assert error["message"] == "inverse series holds 6796 terms, past the budget of 5000"
+    job["elements"][0] = "1 / (x1^2 + x1*x2 + x2^2 + 1)"
+    report, code = run(job)
+    assert code == 3 and report["errors"][0]["message"] == (
+        "inverse series term would take 106330 products, past the budget of 50000")
     # a denominator whose series stays under the budget still passes
     job["elements"][0] = "1 / (x1 + x2^2 + 1)"
     assert run(job)[1] == 0

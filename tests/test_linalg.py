@@ -541,16 +541,16 @@ def test_eliminate_picks_the_packed_path_for_small_fields(monkeypatch):
     for field in PACKED_FIELDS:
         assert eliminate(field, 8, 8)[0] == 0
         assert eliminate(field, 64, 64)[0] == 0 or field == (3, 1)
-    # F_3 keeps packed rows while they are few, wide or sparse
+    # F_3 keeps packed rows while they are few or sparse
     assert eliminate((3, 1), 32, 32)[0] == 0
-    assert eliminate((3, 1), 40, 80)[0] == 0
     sparse = _ctx(3, 1).zeros((81, 81))
     sparse[np.arange(81), rng.integers(0, 81, 81), 0] = 1
     folds.clear()
     assert _eliminate(_ctx(3, 1), sparse) and not folds
-    # a dense 64 x 64 block over F_3, and every other field, take the numpy
+    # dense F_3 blocks past 32 rows, and every other field, take the numpy
     # path with its delayed reduction: one fold per pivot
-    for field, rows, cols in [((3, 1), 64, 64), ((3, 1), 48, 24), ((3, 2), 8, 8),
+    for field, rows, cols in [((3, 1), 64, 64), ((3, 1), 48, 24), ((3, 1), 40, 80),
+                              ((3, 2), 8, 8),
                               ((5, 1), 8, 8), ((2147483647, 1), 8, 8)]:
         n_folds, n_pivots = eliminate(field, rows, cols)
         assert n_folds == n_pivots

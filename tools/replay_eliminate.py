@@ -4,14 +4,18 @@ Run from the repository root:
 
     python3 tools/replay_eliminate.py --workload coords --seed 1 --repeat 7
 
-One pass over the workload's timed jobs (``bench/streams.py`` generates
-them, ``bench/run.py``'s ``run_job`` runs them; both are imported, not
-changed) runs with ``linalg._eliminate`` wrapped to keep a copy of every
-input block. Every recorded block is then eliminated again --repeat times
-back to back, each time on a fresh copy, and its best time kept. The
-table gives, for each field (p, d), the call count, the largest block and
-the sum of the best times. A sample of the outputs (--check blocks, evenly
-spaced, the largest of each field among them) is compared with
+One pass over the workload's jobs (``bench/streams.py`` generates them,
+``bench/run.py``'s ``run_job`` runs them; both are imported, not changed)
+runs with ``linalg._eliminate`` wrapped to keep a copy of every input
+block, the timed jobs first and then those the benchmark runs once per
+run. Every recorded block is then eliminated again --repeat times back to
+back, each time on a fresh copy, and its best time kept. One table for the
+timed jobs and one for the once-run jobs give, for each field (p, d), the
+call count, the largest block and the sum of the best times. The GF(3)
+blocks are also counted by the path ``_eliminate`` gives them: packed rows
+for at most ``GF3_PACK_ROWS`` rows, packed rows for a sparse block past
+that, or numpy. A sample of the outputs (--check blocks, evenly spaced,
+the largest of each field among them) is compared with
 ``oracles.digit_eliminate``, the one-pivot-at-a-time reference of the
 tests; a mismatch exits 1.
 
@@ -54,23 +58,36 @@ SLOWER = 1.10
 
 
 def record(workload: str, seed: int) -> list:
-    """(ctx, block copy) for every _eliminate call of one pass over the
-    workload's timed jobs."""
+    """(ctx, block copy, timed) for every _eliminate call of one pass over
+    the workload's jobs, timed jobs first."""
     calls = []
     inner = linalg._eliminate
+    timed = True
 
     def wrapped(ctx, m):
-        calls.append((ctx, m.copy()))
+        calls.append((ctx, m.copy(), timed))
         return inner(ctx, m)
 
-    jobs = [j for j in streams.generate(workload, seed) if j["timed"]]
+    jobs = streams.generate(workload, seed)
     linalg._eliminate = wrapped
     try:
-        for job in jobs:
-            bench_run.run_job(job)
+        for timed in (True, False):
+            for job in jobs:
+                if job["timed"] == timed:
+                    bench_run.run_job(job)
     finally:
         linalg._eliminate = inner
     return calls
+
+
+def gf3_path(block: np.ndarray) -> str:
+    """The path _eliminate takes for a GF(3) block."""
+    rows, cols = block.shape[:2]
+    if rows <= linalg.GF3_PACK_ROWS:
+        return f"packed, <= {linalg.GF3_PACK_ROWS} rows"
+    if linalg.GF3_SPARSE * np.count_nonzero(block) <= rows * cols:
+        return "packed, sparse"
+    return "numpy"
 
 
 def best_times(calls: list, repeat: int, other=None) -> list:
@@ -80,7 +97,7 @@ def best_times(calls: list, repeat: int, other=None) -> list:
     best = []
     gc.disable()
     try:
-        for ctx, block in calls:
+        for ctx, block, _ in calls:
             t = [float("inf")] * len(sides)
             for k in range(repeat):
                 for side in (range(len(sides)) if k % 2 == 0 else reversed(range(len(sides)))):
@@ -109,14 +126,14 @@ def check(calls: list, count: int) -> int:
     block, with the reference; returns the number of mismatches."""
     picks = set(np.linspace(0, len(calls) - 1, count, dtype=int).tolist()) if calls else set()
     largest = {}
-    for i, (ctx, block) in enumerate(calls):
+    for i, (ctx, block, _) in enumerate(calls):
         key = (ctx.p, ctx.d)
         if key not in largest or block.size > calls[largest[key]][1].size:
             largest[key] = i
     picks |= set(largest.values())
     bad = 0
     for i in sorted(picks):
-        ctx, block = calls[i]
+        ctx, block, _ = calls[i]
         m = block.copy()
         pivots = linalg._eliminate(ctx, m)
         rows = [[tuple(int(v) for v in x) for x in row] for row in block.tolist()]
@@ -130,8 +147,17 @@ def check(calls: list, count: int) -> int:
 
 
 def report(calls: list, best: list, against: bool) -> None:
+    """Per-field sums, for the timed jobs and then for the once-run ones."""
+    for timed in (True, False):
+        picked = [(c, b) for c, b in zip(calls, best) if c[2] == timed]
+        print(f"{'timed' if timed else 'once-run'} jobs: {len(picked)} calls")
+        if picked:
+            table(*zip(*picked), against)
+
+
+def table(calls: list, best: list, against: bool) -> None:
     fields = defaultdict(lambda: [0, 0.0, 0.0, (0, 0)])
-    for (ctx, block), (here, there) in zip(calls, best):
+    for (ctx, block, _), (here, there) in zip(calls, best):
         f = fields[(ctx.p, ctx.d)]
         f[0] += 1
         f[1] += here
@@ -147,14 +173,27 @@ def report(calls: list, best: list, against: bool) -> None:
         print(line + (f" {there * 1e3:>11.2f}" if against else ""))
     line = f"{'all':>14} {total[0]:>6} {'':>9} {total[1] * 1e3:>9.2f}"
     print(line + (f" {total[2] * 1e3:>11.2f}" if against else ""))
-    if against:
-        slower = [(i, ctx, block, b) for i, ((ctx, block), b) in enumerate(zip(calls, best))
-                  if b[0] > SLOWER * b[1]]
-        print(f"calls more than {SLOWER - 1:.0%} slower than --against: "
-              f"{len(slower)} of {len(calls)}")
-        for i, ctx, block, (here, there) in slower:
-            print(f"  call {i}: p={ctx.p} d={ctx.d} {block.shape[0]}x{block.shape[1]} "
-                  f"{there * 1e6:.1f} -> {here * 1e6:.1f} us")
+
+
+def report_gf3(calls: list) -> None:
+    """GF(3) blocks by the path _eliminate gives them, timed and once-run."""
+    paths = defaultdict(lambda: [0, 0])
+    for ctx, block, timed in calls:
+        if (ctx.p, ctx.d) == (3, 1):
+            paths[gf3_path(block)][0 if timed else 1] += 1
+    print(f"GF(3) blocks by path: {'timed':>6} {'once':>6}")
+    for path, (timed, once) in sorted(paths.items()):
+        print(f"  {path:<19} {timed:>6} {once:>6}")
+
+
+def report_slower(calls: list, best: list) -> None:
+    slower = [(i, ctx, block, b) for i, ((ctx, block, _), b) in enumerate(zip(calls, best))
+              if b[0] > SLOWER * b[1]]
+    print(f"calls more than {SLOWER - 1:.0%} slower than --against: "
+          f"{len(slower)} of {len(calls)}")
+    for i, ctx, block, (here, there) in slower:
+        print(f"  call {i}: p={ctx.p} d={ctx.d} {block.shape[0]}x{block.shape[1]} "
+              f"{there * 1e6:.1f} -> {here * 1e6:.1f} us")
 
 
 def main(argv=None) -> int:
@@ -172,6 +211,9 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: {len(calls)} _eliminate calls, "
           f"best of {args.repeat}")
     report(calls, best, other is not None)
+    report_gf3(calls)
+    if other is not None:
+        report_slower(calls, best)
     return 1 if check(calls, args.check) else 0
 
 
