@@ -17,7 +17,9 @@ On top of the context sit three exact linear-algebra tests: the component
 matrix of a family over the [p)-box, its rank over K, and the derived
 dependence and p-independence classifications.  A dependence witness is
 checked on polynomials: the witness and each matrix row are cleared of
-their distinct denominators, and each row's cleared sum must vanish.
+their distinct denominators, and each row's cleared sum must vanish.  The
+dependence test clears each row once and hands the same polynomial rows to
+the rank and to the witness check.
 """
 
 import sys
@@ -211,17 +213,25 @@ def _cleared(entries) -> list[MultiPoly]:
     return out
 
 
+def _polynomial_rows(matrix) -> list[list[MultiPoly]]:
+    """Each row as polynomials: a row of MultiPoly entries is taken as it
+    is, as ``_cleared`` returns it; any other row is cleared of its
+    denominators. Clearing scales a row by a nonzero polynomial, which
+    changes neither the rank nor whether a vector annihilates the row."""
+    return [
+        row if all(type(e) is MultiPoly for e in row) else _cleared(
+            [e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row])
+        for row in matrix
+    ]
+
+
 def rank_over_field(matrix) -> int:
-    """Rank over K via fraction-free elimination with content stripping."""
+    """Rank over K via fraction-free elimination with content stripping.
+    Entries are rational functions or polynomials; see ``_polynomial_rows``."""
     if not matrix or not matrix[0]:
         return 0
     ncols = len(matrix[0])
-    # clearing scales a row by a nonzero polynomial, which leaves the rank alone
-    rows = [
-        _strip_content(_cleared(
-            [e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row]))
-        for row in matrix
-    ]
+    rows = [_strip_content(row) for row in _polynomial_rows(matrix)]
     nrows = len(rows)
     r = 0
     for c in range(ncols):
@@ -279,13 +289,15 @@ def _check_witness(matrix, w) -> None:
     """Raise HypothesisFailure unless matrix · w = 0 over K.
 
     With u the witness cleared of its denominators (w = u / L for the
-    product L of its distinct denominators) and each row cleared of its own,
-    row · w = 0 exactly when the cleared row times u is the zero polynomial.
+    product L of its distinct denominators) and each row cleared of its own
+    (``_polynomial_rows``: a row of polynomials is taken as already
+    cleared), row · w = 0 exactly when the cleared row times u is the zero
+    polynomial.
     """
     u = _cleared(w)
-    for row in matrix:
+    for row in _polynomial_rows(matrix):
         acc = MultiPoly.zero(w[0].ctx, w[0].vars)
-        for c, uj in zip(_cleared(row), u):
+        for c, uj in zip(row, u):
             if c and uj:
                 acc = acc + c * uj
         if acc:
@@ -296,15 +308,17 @@ def dependence_test(fctx: FieldDerivationContext, elements) -> dict:
     """Classify a family as independent or dependent over the constants.
 
     A dependent family comes with a kernel witness; the witness is checked
-    against every matrix row before it is returned.
+    against every matrix row before it is returned. Each row is cleared of
+    its denominators once, for the rank and for that check.
     """
     elems = [fctx.dom.coerce(f) for f in elements]
     mat = wronskian_matrix(fctx, elems)
-    rank = rank_over_field(mat)
+    rows = [_cleared(row) for row in mat]
+    rank = rank_over_field(rows)
     if rank == len(elems):
         return {"independent": True, "rank": rank, "witness": None}
     w = _kernel_vector(mat)
-    _check_witness(mat, w)
+    _check_witness(rows, w)
     return {"independent": False, "rank": rank, "witness": w}
 
 

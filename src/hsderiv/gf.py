@@ -210,6 +210,12 @@ class FqContext:
         # sum overflows
         self.width = ((LAZY_PRODUCTS + 1) * d * (p - 1) ** 2).bit_length()
         self.lazy = LAZY_PRODUCTS if d > 1 else sys.maxsize
+        if d == 1:
+            # a prime field's raw value is the int in [0, p) itself, so its
+            # reduction is one remainder; this closure shadows the method,
+            # which folds digits. (p.__rmod__ would not do: it returns
+            # NotImplemented for a numpy integer.)
+            self.reduce = lambda x: x % p
         self._mask = (1 << self.width) - 1
         self._neg_base = self.pack((p,) * d)
         self._mulmat_cache: dict[tuple[int, ...], np.ndarray] = {}
@@ -247,10 +253,9 @@ class FqContext:
     def reduce(self, x: int) -> int:
         """Reduced raw value of a plain sum of products of reduced values
         (see ``lazy``): each digit mod p, the digits at g^d .. g^(2d-2)
-        folded back through the modulus."""
+        folded back through the modulus. Over a prime field the instance
+        holds ``x % p`` in its place (see ``__init__``)."""
         p, d = self.p, self.d
-        if d == 1:
-            return x % p
         w, mask = self.width, self._mask
         out = [(x >> (w * t)) & mask for t in range(d)]
         x >>= w * d

@@ -11,8 +11,20 @@ field, whose ``lazy`` is unbounded). That loop, ``product_terms``, is
 also the truncated rings' product. When both factors have at least
 PACKED_MIN_TERMS terms, each exponent tuple is packed into one int, wide
 enough per variable for the largest exponent sum, so adding exponents is
-one int addition. FqScalar views are made only at the boundary (``coeff``,
-and each printed coefficient in textform).
+one int addition. A factor with one term needs no sums: the product moves
+and scales each term of the other factor, in its key order, as
+``product_terms`` would (a field has no zero divisors, so no term
+vanishes); a factor one returns the other, and a zero factor gives zero.
+FqScalar views are made only at the boundary (``coeff``, and each printed
+coefficient in textform).
+
+A rational function keeps its denominator monic in its leading term. The
+constructor finds that term and scales by its inverse; sums, products and
+negations do not search for it, because the canonical order is graded and
+invariant under adding an exponent (a < b implies a + c < b + c), so the
+leading term of a product is the product of the leading terms and a
+product of monic polynomials is monic. A sum with a zero operand is the
+other operand, and a zero numerator gets denominator one.
 
 The canonical term order used everywhere (printing, leading terms, matrix
 bases) is ascending total degree with ties broken by descending lexicographic
@@ -58,11 +70,17 @@ def product_terms(left: dict, right: dict, reduce, lazy: int, bounds=None) -> di
                 out[e] = reduce(c)
             rows = 0
         rows += 1
-        for e2, c2 in right:
-            e = tuple(map(add, e1, e2))
-            if bounds is None or all(map(lt, e, bounds)):
+        if bounds is None:
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
                 s = get(e)
                 out[e] = c1 * c2 if s is None else s + c1 * c2
+        else:
+            for e2, c2 in right:
+                e = tuple(map(add, e1, e2))
+                if all(map(lt, e, bounds)):
+                    s = get(e)
+                    out[e] = c1 * c2 if s is None else s + c1 * c2
     return {e: v for e, c in out.items() if (v := reduce(c))}
 
 
@@ -244,19 +262,31 @@ class MultiPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        # a polynomial entry of a rational function has denominator one
-        if o._is_one():
-            return self
-        if self._is_one():
-            return o
-        if min(len(self.terms), len(o.terms)) >= PACKED_MIN_TERMS:
-            return self._mul_packed(o)
-        ctx = self.ctx
+        if type(other) is MultiPoly and other.ctx is self.ctx and other.vars == self.vars:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return NotImplemented
+        ctx, a, b = self.ctx, self.terms, o.terms
+        if len(a) > 1 and len(b) > 1:
+            if min(len(a), len(b)) >= PACKED_MIN_TERMS:
+                return self._mul_packed(o)
+            return MultiPoly(ctx, self.vars, product_terms(a, b, ctx.reduce, ctx.lazy))
+        if not a or not b:
+            return MultiPoly(ctx, self.vars, {})
+        # a single-term factor moves and scales each term of the other
+        # factor, keeping its key order as product_terms would; a field has
+        # no zero divisors, so no term vanishes
+        single, f = (b, self) if len(b) == 1 else (a, o)
+        (e, c), = single.items()
+        if c == 1 and not any(e):
+            # one: the denominator of every polynomial entry of a rational
+            # function
+            return f
+        reduce = ctx.reduce
         return MultiPoly(
-            ctx, self.vars, product_terms(self.terms, o.terms, ctx.reduce, ctx.lazy))
+            ctx, self.vars, {tuple(map(add, e1, e)): reduce(c1 * c) for e1, c1 in f.terms.items()})
 
     __rmul__ = __mul__
 
@@ -349,7 +379,18 @@ class MultiPoly:
 
 class RationalFunc:
     """Quotient of MultiPoly values; denominator kept monic in its last term
-    in canonical order."""
+    in canonical order, and one for a zero numerator.
+
+    The constructor normalises: it finds the denominator's leading term and
+    scales both sides by the inverse of its coefficient. Sums, products,
+    negations and ``from_poly`` skip that search. The canonical order is
+    graded and invariant under adding an exponent, so the leading term of
+    a product is the product of the leading terms, and a product of monic
+    denominators is monic: ``_monic`` takes such a pair as it is. A sum
+    with a zero operand is the other operand. ``inverse`` and
+    ``textform.parse_ratfunc``, whose denominators are not monic products,
+    keep the normalising constructor.
+    """
 
     __slots__ = ("num", "den")
 
@@ -370,7 +411,16 @@ class RationalFunc:
 
     @classmethod
     def from_poly(cls, num: MultiPoly) -> "RationalFunc":
-        return cls(num, MultiPoly.one(num.ctx, num.vars))
+        return cls._monic(num, MultiPoly.one(num.ctx, num.vars))
+
+    @classmethod
+    def _monic(cls, num: MultiPoly, den: MultiPoly) -> "RationalFunc":
+        """num / den for a monic den of the same ring, taken as given; a zero
+        numerator gets denominator one."""
+        f = cls.__new__(cls)
+        f.num = num
+        f.den = den if num.terms else MultiPoly.one(num.ctx, num.vars)
+        return f
 
     @property
     def ctx(self):
@@ -394,12 +444,16 @@ class RationalFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        return RationalFunc._monic(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunc(-self.num, self.den)
+        return RationalFunc._monic(-self.num, self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -414,7 +468,7 @@ class RationalFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return RationalFunc(self.num * o.num, self.den * o.den)
+        return RationalFunc._monic(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 

@@ -10,6 +10,8 @@ model. A product is poly.product_terms with the ring's bounds as its filter.
 
 from __future__ import annotations
 
+from operator import lt
+
 from .errors import (
     ContextMismatch,
     NonNilpotentImage,
@@ -77,7 +79,7 @@ class TruncatedRing:
         return i
 
     def in_bounds(self, exps) -> bool:
-        return all(e < b for e, b in zip(exps, self.bounds))
+        return all(map(lt, exps, self.bounds))
 
     @property
     def zero(self) -> "TruncatedPoly":

@@ -483,11 +483,10 @@ class ReferenceParser:
 
     def _mul(self, f, g):
         if self.ring is None:
-            cost = len(f.terms) * len(g.terms) * self.ctx.d
-            if cost > textform.TABLE_BUDGET:
+            if len(f.terms) * len(g.terms) > textform.PARSE_PRODUCT_BUDGET:
                 raise ResourceGuard(
                     f"product of {len(f.terms)} and {len(g.terms)} terms exceeds "
-                    f"the budget of {textform.TABLE_BUDGET} digits"
+                    f"the budget of {textform.PARSE_PRODUCT_BUDGET} term pairs"
                 )
         return f * g
 

@@ -433,7 +433,7 @@ def test_hn_degree_guard_exit_3(tmp_path):
     assert json.loads(res.stdout)["errors"][0]["kind"] == "resource-guard"
 
 
-# every untruncated product of a parsed element is guarded at the table budget
+# every untruncated product of a parsed element is guarded at the parse budget
 
 _POWER_FAMILIES = [
     (["(x1 + x2 + 1)^40", "x1 + x2^2", "x1*x2"],
@@ -474,6 +474,31 @@ def test_wronskian_parse_guard_exit_3(monkeypatch):
     assert code == 3
     assert report["errors"][0]["kind"] == "resource-guard"
     assert "28224 and 28224 terms" in report["errors"][0]["message"]
+
+
+def test_wronskian_parse_guard_refuses_a_large_product_early(monkeypatch):
+    # over GF(251) each power has 6903 terms, and the product of the two is
+    # 47.6M term pairs, which took seconds under the dense-table budget; the
+    # first power's chain ends in a product of 1431 and 2145 terms (3.07M
+    # pairs), past PARSE_PRODUCT_BUDGET, and is refused there
+    job = {"command": "wronskian", "context": {"p": 251, "m": 1},
+           "law": {"type": "additive", "e": 2},
+           "elements": ["(x1 + x2 + 1)^116 * (x1 + 2*x2 + 3)^116", "x1"],
+           "test": "dependence"}
+    pairs = []
+    mul = MultiPoly.__mul__
+
+    def counting(f, g):
+        if isinstance(g, MultiPoly):
+            pairs.append(len(f.terms) * len(g.terms))
+        return mul(f, g)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    report, code = run(job)
+    assert code == 3
+    assert report["errors"][0]["message"] == (
+        "product of 1431 and 2145 terms exceeds the budget of 1500000 term pairs")
+    assert sum(pairs) < 500_000
 
 
 def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):

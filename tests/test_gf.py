@@ -435,3 +435,12 @@ def test_row_blocked_product_peaks_below_the_int64_product():
     got, float_peak = peak(lambda: ctx.mat_mul(a, b))
     assert np.array_equal(got, want)
     assert float_peak <= int64_peak
+
+
+@pytest.mark.parametrize("p", [2, 5, 65521])
+def test_prime_field_reduce_is_the_remainder(p):
+    # over a prime field reduce is the closure x % p, for numpy integers too
+    reduce = FqContext(p).reduce
+    for x in (0, p - 1, 7 * p + 3, 10**30 + 1, -1, -5 * p - 2, np.int64(3 * p + 1), np.int64(-4)):
+        assert reduce(x) == x % p
+        assert type(reduce(x)) is type(x % p)

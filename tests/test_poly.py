@@ -335,7 +335,7 @@ def _parse_cases(draw):
         else:
             stray = draw(st.sampled_from(list("()^*+-/ 0x") + ["y", "g", "*g"]))
             text = text[:at] + stray + text[at:]
-    budget = draw(st.sampled_from((textform.TABLE_BUDGET, 2, 12)))
+    budget = draw(st.sampled_from((textform.PARSE_PRODUCT_BUDGET, 2, 12)))
     return ctx, names, ring, budget, text
 
 
@@ -351,7 +351,7 @@ def _outcome(parse):
 @given(_parse_cases())
 def test_parser_matches_the_factor_by_factor_reference(case):
     ctx, names, ring, budget, text = case
-    with mock.patch.object(textform, "TABLE_BUDGET", budget):
+    with mock.patch.object(textform, "PARSE_PRODUCT_BUDGET", budget):
         if ring is None:
             got = _outcome(lambda: parse_poly(ctx, names, text))
         else:
@@ -374,8 +374,8 @@ def test_parser_monomial_products():
     # a product by a monomial keeps the polynomial's key order
     f = parse_poly(ctx, names, "x2*(x2 + x1 + 1)*x1")
     assert list(f.terms) == [(1, 2), (2, 1), (1, 1)]
-    with mock.patch.object(textform, "TABLE_BUDGET", 5):
-        # 3 terms by 2 terms at d = 2 is 12 digits; a monomial product is 2
+    with mock.patch.object(textform, "PARSE_PRODUCT_BUDGET", 5):
+        # 3 terms by 2 terms is 6 pairs; a monomial product is 2
         assert parse_poly(ctx, names, "x1*x2*(x1 + x2)*x2^7")
         with pytest.raises(ResourceGuard):
             parse_poly(ctx, names, "(x1 + x2 + 1)*(x1 + 1)")
@@ -507,3 +507,79 @@ def test_square_whose_terms_collect_hundreds_of_products(p, d):
     assert _digits(f * f) == want
     got = {e: ctx.unpack(c) for e, c in (t * t).terms.items()}
     assert got == {e: c for e, c in want.items() if e[0] < bound}
+
+
+# -- the product kernel's shortcuts against product_terms and the normalising
+# constructor --
+
+KERNEL_FIELDS = [(2, 1), (5, 1), (2, 2), (3, 2)]  # GF(2), GF(5), GF(4), GF(9)
+
+
+def _kernel_poly(draw, ctx, nonzero=False):
+    """Zero, one, a single term (coefficient one or not, constant or not) or
+    2-12 terms in x, y."""
+    vars = ("x", "y")
+    kinds = ("one", "single", "many") if nonzero else ("zero", "one", "single", "many")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zero":
+        return MultiPoly.zero(ctx, vars)
+    if kind == "one":
+        return MultiPoly.one(ctx, vars)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+    digit = st.tuples(*[st.integers(0, ctx.p - 1)] * ctx.d).filter(any)
+    if kind == "single":
+        coeff = st.just((1,) + (0,) * (ctx.d - 1)) | digit
+        return poly_of(ctx, vars, {draw(exps): draw(coeff)})
+    return poly_of(ctx, vars, draw(st.dictionaries(exps, digit, min_size=2, max_size=12)))
+
+
+@st.composite
+def _kernel_pair(draw):
+    ctx = _field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    return ctx, _kernel_poly(draw, ctx), _kernel_poly(draw, ctx)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kernel_pair())
+def test_product_gives_the_product_terms_in_order(case):
+    ctx, f, g = case
+    for a, b in ((f, g), (g, f)):
+        want = poly.product_terms(a.terms, b.terms, ctx.reduce, ctx.lazy)
+        assert list((a * b).terms.items()) == list(want.items())
+
+
+def _pair_of(r):
+    return list(r.num.terms.items()), list(r.den.terms.items())
+
+
+@st.composite
+def _ratfunc_pair(draw):
+    ctx = _field(*draw(st.sampled_from(KERNEL_FIELDS)))
+    return ctx, *(RationalFunc(_kernel_poly(draw, ctx), _kernel_poly(draw, ctx, nonzero=True))
+                  for _ in range(2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ratfunc_pair())
+def test_ratfunc_arithmetic_matches_the_normalising_constructor(case):
+    # sums, differences and products skip the leading-term search and
+    # return the other operand of a sum with zero; the normalising
+    # constructor applied to the same raw products gives the same pairs
+    ctx, a, b = case
+    neg = RationalFunc(-b.num, b.den)
+    want = [
+        (a + b, RationalFunc(a.num * b.den + b.num * a.den, a.den * b.den)),
+        (b + a, RationalFunc(b.num * a.den + a.num * b.den, b.den * a.den)),
+        (a - b, RationalFunc(a.num * neg.den + neg.num * a.den, a.den * neg.den)),
+        (-b, neg),
+        (a * b, RationalFunc(a.num * b.num, a.den * b.den)),
+    ]
+    if b:
+        inv = RationalFunc(b.den, b.num)
+        want.append((a / b, RationalFunc(a.num * inv.num, a.den * inv.den)))
+    for got, ref in want:
+        assert _pair_of(got) == _pair_of(ref)
+        den = got.den.terms
+        assert den[max(den, key=term_key)] == 1
+        if not got.num:
+            assert got.den == 1

@@ -326,3 +326,27 @@ def test_witness_check_on_rational_families(data):
     assume(s != fctx.dom.one)
     with pytest.raises(HypothesisFailure):
         fieldmodel._check_witness(mat, w[:j] + [w[j] * s] + w[j + 1:])
+
+
+def test_dependence_test_clears_each_row_once(monkeypatch):
+    # the rank and the witness check share the cleared rows: one clearing
+    # per row of the [p)-box and one for the witness
+    fctx = _fctx(make_additive(FqContext(3, 1), 2, 1))
+    x1, x2 = _x(fctx, 0), _x(fctx, 1)
+    f = x1 * (x2 + fctx.dom.one).inverse()
+    g = (x1 + x2) * (x1 * x1 + fctx.dom.one).inverse()
+    family = [f, g, f + fctx.dom.coerce(2) * g]
+    calls = []
+    cleared = fieldmodel._cleared
+
+    def counting(entries):
+        calls.append(len(entries))
+        return cleared(entries)
+
+    monkeypatch.setattr(fieldmodel, "_cleared", counting)
+    res = dependence_test(fctx, family)
+    assert not res["independent"] and res["rank"] == 2
+    assert calls == [3] * 9 + [3]
+    calls.clear()
+    assert dependence_test(fctx, family[:2])["independent"]
+    assert calls == [2] * 9
