@@ -135,7 +135,7 @@ class ArtinianModel:
     def poly_from_vec(self, vec: np.ndarray) -> TruncatedPoly:
         pack, monos = self.ctx.pack, self.xidx.monomials
         nz = np.flatnonzero(vec.any(axis=1))
-        return TruncatedPoly.from_clean(self.ring, {
+        return self.ring.element({
             monos[i]: pack(row) for i, row in zip(nz.tolist(), vec[nz].tolist())})
 
     def cube_from_vec(self, vec: np.ndarray) -> np.ndarray:

@@ -56,6 +56,7 @@ from .grouplaw import (
     truncate_law,
 )
 from .linalg import inv_matrix
+from .poly import add_terms
 from .truncated import TruncatedPoly, TruncatedRing, convert, rename
 
 
@@ -256,7 +257,7 @@ class HSDerivation:
         for pos, row in zip(nz.tolist(), flat[nz].tolist()):
             b, i = divmod(pos, dim)
             terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = ctx.pack(row)
-        return TruncatedPoly.from_clean(model.ring_xv, terms)
+        return model.ring_xv.element(terms)
 
     def check_iterativity(self) -> bool:
         """Test the composition identities against the law, exactly.
@@ -326,15 +327,11 @@ def evp_point(law: FormalGroupLaw):
     ring = TruncatedRing(ctx, [(law.vnames, ctx.p**law.m)])
     out = []
     for f in comps:
-        merged = {}
-        for ex, c in f.terms.items():
-            tot = tuple(sum(ex[t * e + l] for t in range(p)) for l in range(e))
-            acc = merged.get(tot)
-            merged[tot] = c if acc is None else ctx.reduce(acc + c)
+        merged = add_terms({}, [
+            (tuple(sum(ex[t * e + l] for t in range(p)) for l in range(e)), c)
+            for ex, c in f.terms.items()], ring.dom.add)
         terms = {}
         for tot, c in merged.items():
-            if not c:
-                continue
             if any(x % p for x in tot):
                 raise FractionalExponent(
                     "a p-series exponent is not divisible by the characteristic"

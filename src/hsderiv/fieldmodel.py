@@ -22,17 +22,13 @@ dependence test clears each row once and hands the same polynomial rows to
 the rank and to the witness check.
 """
 
-import sys
 from operator import add
 
 from .artinian import graded_indexing
 from .errors import HypothesisFailure, IndexRange, TooManyElements
 from .grouplaw import FormalGroupLaw, make_additive
-from .poly import MultiPoly, RatFuncDomain, RationalFunc
+from .poly import NO_BOUND, MultiPoly, RatFuncDomain, RationalFunc, add_terms
 from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, invert_unit, rename
-
-# the x block of the flat ring is not truncated: a bound no exponent reaches
-NO_BOUND = sys.maxsize
 
 
 class _Ordered:
@@ -109,15 +105,15 @@ class FieldDerivationContext:
         """The image of the polynomial with raw terms {e: c}, in ``ring``.
 
         Each term is a product of ladder powers in the flat ring, summed
-        into its v-exponent's x-terms; a v-exponent is dropped the moment
-        its terms cancel, so the v-exponents come out in the order of a
-        term-by-term sum of the images in ``ring``.
+        into its v-exponent's x-terms by ``poly.add_terms``; a v-exponent is
+        dropped the moment its terms cancel, so the v-exponents come out in
+        the order of a term-by-term sum of the images in ``ring``.
         """
-        e, reduce, flat = self.e, self.ctx.reduce, self.flat
+        e, flat = self.e, self.flat
         origin, v0 = (0,) * (2 * e), (0,) * e
         out: dict = {}
         for ex, c in terms.items():
-            term = _Ordered(TruncatedPoly.from_clean(flat, {origin: c}), (v0,))
+            term = _Ordered(flat.element({origin: c}), (v0,))
             for lad, x in zip(self._ladders, ex):
                 if x:
                     term = term * lad[x]
@@ -128,20 +124,11 @@ class FieldDerivationContext:
                 acc = out.get(b)
                 if acc is None:
                     out[b] = g
-                    continue
-                for a, v in g.items():
-                    s = acc.get(a)
-                    if s is not None:
-                        v = reduce(s + v)
-                        if not v:
-                            del acc[a]
-                            continue
-                    acc[a] = v
-                if not acc:
+                elif not add_terms(acc, g.items(), flat.dom.add):
                     del out[b]
-        ctx, xvars = self.ctx, self.xvars
-        return TruncatedPoly.from_clean(self.ring, {
-            b: RationalFunc.from_poly(MultiPoly(ctx, xvars, g)) for b, g in out.items()})
+        xring = self.dom.ring
+        return self.ring.element({
+            b: RationalFunc.from_poly(xring.element(g)) for b, g in out.items()})
 
     def apply(self, f) -> TruncatedPoly:
         """Image of a field element: a polynomial in v with coefficients in K."""
@@ -276,8 +263,8 @@ def _kernel_vector(matrix) -> list[RationalFunc]:
         pivots.append(c)
         r += 1
     free = next(c for c in range(ncols) if c not in pivots)
-    one = RationalFunc.from_poly(MultiPoly.one(matrix[0][0].ctx, matrix[0][0].vars))
-    zero = RationalFunc.from_poly(MultiPoly.zero(matrix[0][0].ctx, matrix[0][0].vars))
+    ring = matrix[0][0].num.ring
+    one, zero = RationalFunc.from_poly(ring.one), RationalFunc.from_poly(ring.zero)
     w = [zero] * ncols
     w[free] = one
     for row_i, c in enumerate(pivots):
@@ -296,7 +283,7 @@ def _check_witness(matrix, w) -> None:
     """
     u = _cleared(w)
     for row in _polynomial_rows(matrix):
-        acc = MultiPoly.zero(w[0].ctx, w[0].vars)
+        acc = w[0].num.ring.zero
         for c, uj in zip(row, u):
             if c and uj:
                 acc = acc + c * uj

@@ -219,6 +219,11 @@ class FqContext:
         self._mask = (1 << self.width) - 1
         self._neg_base = self.pack((p,) * d)
         self._mulmat_cache: dict[tuple[int, ...], np.ndarray] = {}
+        # the reduced sum and difference of two reduced values; p in every
+        # digit keeps each digit of x - y nonnegative
+        reduce, neg_base = self.reduce, self._neg_base
+        self.add = lambda x, y: reduce(x + y)
+        self.sub = lambda x, y: reduce(x + neg_base - y)
 
     def __eq__(self, other):
         return other is self or (

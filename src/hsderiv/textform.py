@@ -2,7 +2,10 @@
 
 Syntax: terms joined by + or -, factors joined by *, powers with ^, parentheses
 allowed, g is the extension field generator. Printing always emits the canonical
-ascending term order and round-trips through the parser.
+ascending term order and round-trips through the parser. The parser evaluates
+inside one ring: ``parse_poly`` in the untruncated ``poly_ring``, whose
+products PARSE_PRODUCT_BUDGET guards, and ``parse_trunc`` in a truncated ring,
+where every product truncates.
 """
 
 from __future__ import annotations
@@ -11,8 +14,7 @@ import re
 
 from .errors import ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
-from .poly import FqDomain, MultiPoly, RationalFunc, power, sorted_terms
-from .truncated import TruncatedPoly
+from .poly import FqDomain, MultiPoly, RationalFunc, poly_ring, power, sorted_terms
 
 # term pairs (|f| * |g|) one untruncated product of the parser may take.
 # Over GF(65521) on a 2-vCPU Xeon host, (x1 + x2 + 1)^60 * (x1 + 2*x2 + 3)^60,
@@ -98,7 +100,7 @@ def _coeff_factor(c, dom) -> str:
 
 
 def format_poly(f: MultiPoly) -> str:
-    return _format_terms(f.vars, f.terms, FqDomain(f.ctx))
+    return _format_terms(f.ring.vars, f.terms, f.ring.dom)
 
 
 def format_trunc(f) -> str:
@@ -113,17 +115,17 @@ def format_ratfunc(f: RationalFunc) -> str:
 
 
 class _Parser:
-    """Recursive descent building MultiPoly values in vars, or, given a
-    truncated ring on vars, the ring's elements: every product truncates.
+    """Recursive descent building elements of a ring over the field; in a
+    truncated ring every product truncates.
 
-    A MultiPoly product does not truncate, so before each one (a power is
-    poly.power's square-and-multiply chain, product by product)
+    A product of the untruncated ring does not, so before each one (a power
+    is poly.power's square-and-multiply chain, product by product)
     ResourceGuard is raised when the product of the two term counts exceeds
     PARSE_PRODUCT_BUDGET."""
 
-    def __init__(self, ctx: FqContext, vars: tuple[str, ...], text: str, ring):
-        self.ctx = ctx
-        self.vars = tuple(vars)
+    def __init__(self, ring, text: str):
+        self.ctx = ring.ctx
+        self.vars = ring.vars
         self.ring = ring
         self.tokens: list[str] = []
         pos = 0
@@ -238,10 +240,8 @@ class _Parser:
 
     def _monomial(self, coef: int, exps):
         exps = tuple(exps)
-        if self.ring is None:
-            return MultiPoly(self.ctx, self.vars, {exps: coef} if coef else {})
         if coef and self.ring.in_bounds(exps):
-            return TruncatedPoly.from_clean(self.ring, {exps: coef})
+            return self.ring.element({exps: coef})
         return self.ring.zero
 
     def factor(self):
@@ -252,22 +252,19 @@ class _Parser:
         k = self._exponent()
         if k is None:
             return base
-        if self.ring is None:
-            return power(MultiPoly.one(self.ctx, self.vars), base, k, self._mul)
-        return base ** k
+        return power(self.ring.one, base, k, self._mul)
 
     def _mul(self, f, g):
-        if self.ring is None:
-            if len(f.terms) * len(g.terms) > PARSE_PRODUCT_BUDGET:
-                raise ResourceGuard(
-                    f"product of {len(f.terms)} and {len(g.terms)} terms exceeds "
-                    f"the budget of {PARSE_PRODUCT_BUDGET} term pairs"
-                )
+        if self.ring.filter is None and len(f.terms) * len(g.terms) > PARSE_PRODUCT_BUDGET:
+            raise ResourceGuard(
+                f"product of {len(f.terms)} and {len(g.terms)} terms exceeds "
+                f"the budget of {PARSE_PRODUCT_BUDGET} term pairs"
+            )
         return f * g
 
 
 def parse_poly(ctx: FqContext, vars, text: str) -> MultiPoly:
-    return _Parser(ctx, tuple(vars), text, None).parse()
+    return _Parser(poly_ring(ctx, tuple(vars)), text).parse()
 
 
 def parse_scalar(ctx: FqContext, text) -> FqScalar:
@@ -283,7 +280,7 @@ def parse_trunc(ring, text: str):
     is parse_poly's polynomial truncated."""
     if not isinstance(ring.dom, FqDomain):
         raise ValueError("parse_trunc needs a field coefficient domain")
-    return _Parser(ring.ctx, ring.vars, text, ring).parse()
+    return _Parser(ring, text).parse()
 
 
 def _split_top_slash(text: str):

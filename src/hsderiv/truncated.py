@@ -1,16 +1,17 @@
-"""Truncated polynomial rings: named variable blocks modulo per-block power bounds.
+"""Maps between truncated polynomial rings, and units.
 
-A ring with block (vars, n) satisfies v^n = 0 for each v in the block. Terms with
-any exponent at or above its bound are dropped on construction, which is exactly
-reduction in the quotient ring. Coefficients are values of a pluggable domain
-(raw field values as in MultiPoly, or rational functions), so the same ring
-machinery serves both the artinian model and the rational function field
-model. A product is poly.product_terms with the ring's bounds as its filter.
+The rings and their arithmetic are ``poly.TruncatedRing`` and
+``poly.TruncatedPoly``, imported here: a ring with block (vars, n)
+satisfies v^n = 0 for each v in the block, and its coefficients are values
+of a pluggable domain (raw field values, or rational functions), so the
+same machinery serves both the artinian model and the rational function
+field model. This module moves elements between rings (``rename``,
+``convert``), evaluates term dicts at power ladders (``evaluate``,
+``substitute``) and inverts units by their geometric series
+(``invert_unit``).
 """
 
 from __future__ import annotations
-
-from operator import lt
 
 from .errors import (
     ContextMismatch,
@@ -19,8 +20,7 @@ from .errors import (
     ResourceGuard,
     UnknownVariable,
 )
-from .gf import FqContext
-from .poly import FqDomain, power, product_terms, sorted_terms
+from .poly import TruncatedPoly, TruncatedRing, add_terms
 
 # Bounds on invert_unit's series, counted in polynomial terms of numerators
 # and denominators. SERIES_BUDGET: what the partial sum and the current term
@@ -36,181 +36,6 @@ SERIES_BUDGET = 5_000
 SERIES_PRODUCT_BUDGET = 50_000
 
 
-class TruncatedRing:
-    """Immutable ring descriptor: coefficient domain plus ordered variable blocks."""
-
-    def __init__(self, ctx: FqContext, blocks, dom=None):
-        self.ctx = ctx
-        self.dom = dom if dom is not None else FqDomain(ctx)
-        self.blocks = tuple((tuple(names), int(bound)) for names, bound in blocks)
-        vars: list[str] = []
-        bounds: list[int] = []
-        for names, bound in self.blocks:
-            if bound < 1:
-                raise ValueError("block bound must be >= 1")
-            vars.extend(names)
-            bounds.extend([bound] * len(names))
-        if len(set(vars)) != len(vars):
-            raise ValueError("duplicate variable names across blocks")
-        self.vars = tuple(vars)
-        self.bounds = tuple(bounds)
-        self._index = {v: i for i, v in enumerate(vars)}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncatedRing)
-            and self.ctx == other.ctx
-            and self.dom == other.dom
-            and self.vars == other.vars
-            and self.bounds == other.bounds
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, self.dom, self.vars, self.bounds))
-
-    def __repr__(self):
-        parts = ", ".join(f"{'/'.join(n)}^<{b}" for n, b in self.blocks)
-        return f"TruncatedRing({parts})"
-
-    def var_index(self, name: str) -> int:
-        i = self._index.get(name)
-        if i is None:
-            raise UnknownVariable(f"variable {name!r} not in ring {self!r}")
-        return i
-
-    def in_bounds(self, exps) -> bool:
-        return all(map(lt, exps, self.bounds))
-
-    @property
-    def zero(self) -> "TruncatedPoly":
-        return TruncatedPoly(self, {})
-
-    @property
-    def one(self) -> "TruncatedPoly":
-        return TruncatedPoly(self, {(0,) * len(self.vars): self.dom.one})
-
-    def const(self, c) -> "TruncatedPoly":
-        return TruncatedPoly(self, {(0,) * len(self.vars): self.dom.coerce(c)})
-
-    def var(self, name: str, exp: int = 1) -> "TruncatedPoly":
-        i = self.var_index(name)
-        e = tuple(exp if j == i else 0 for j in range(len(self.vars)))
-        return TruncatedPoly(self, {e: self.dom.one})
-
-    def monomial(self, exps, c=1) -> "TruncatedPoly":
-        return TruncatedPoly(self, {tuple(exps): self.dom.coerce(c)})
-
-
-class TruncatedPoly:
-    """Element of a TruncatedRing; terms map exponents to nonzero values of
-    ring.dom, taken as given (public field elements go through ring.const)."""
-
-    __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: TruncatedRing, terms: dict):
-        self.ring = ring
-        dom = ring.dom
-        self.terms = {
-            e: c
-            for e, c in terms.items()
-            if not dom.is_zero(c) and ring.in_bounds(e)
-        }
-
-    @classmethod
-    def from_clean(cls, ring: TruncatedRing, terms: dict) -> "TruncatedPoly":
-        """Element holding terms as they are, for a producer whose terms are
-        already nonzero and inside the ring's bounds; the constructor
-        filters, this does not."""
-        f = cls.__new__(cls)
-        f.ring = ring
-        f.terms = terms
-        return f
-
-    def _coerce(self, other):
-        if isinstance(other, TruncatedPoly):
-            if other.ring != self.ring:
-                raise ContextMismatch("elements of different truncated rings")
-            return other
-        return self.ring.const(other)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        reduce = self.ring.dom.reduce
-        out = dict(self.terms)
-        for e, c in o.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else reduce(s + c)
-        return TruncatedPoly(self.ring, out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        neg = self.ring.dom.neg
-        return TruncatedPoly.from_clean(self.ring, {e: neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        ring, dom = self.ring, self.ring.dom
-        # iterate the sparser factor outside
-        a, b = (self.terms, o.terms)
-        if len(a) > len(b):
-            a, b = b, a
-        return TruncatedPoly.from_clean(
-            ring, product_terms(a, b, dom.reduce, dom.lazy, ring.bounds))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power in a truncated ring")
-        return power(self.ring.one, self, n)
-
-    def scale(self, c) -> "TruncatedPoly":
-        """Product with a domain value, taken as given (over the field, raw)."""
-        dom = self.ring.dom
-        if dom.is_zero(c):
-            return self.ring.zero
-        # a product of nonzero values of a field is nonzero
-        reduce = dom.reduce
-        return TruncatedPoly.from_clean(
-            self.ring, {e: reduce(v * c) for e, v in self.terms.items()})
-
-    def __eq__(self, other):
-        if isinstance(other, TruncatedPoly):
-            return self.ring == other.ring and self.terms == other.terms
-        try:
-            o = self._coerce(other)
-        except (ContextMismatch, TypeError):
-            return NotImplemented
-        return self.terms == o.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.dom.zero)
-
-    def constant_term(self):
-        return self.coeff((0,) * len(self.ring.vars))
-
-    def sorted_terms(self):
-        return sorted_terms(self.terms)
-
-    def __repr__(self):
-        from .textform import format_trunc
-
-        return format_trunc(self)
-
-
 def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedPoly:
     """Move f into target, renaming variables by mapping; overflow terms drop.
 
@@ -221,7 +46,7 @@ def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedP
     names = [mapping.get(v, v) for v in f.ring.vars]
     pos = [target._index.get(v) for v in names]
     width = len(target.vars)
-    out: dict = {}
+    moved = []
     for e, c in f.terms.items():
         ne = [0] * width
         for v, p_i, x in zip(names, pos, e):
@@ -229,10 +54,8 @@ def rename(f: TruncatedPoly, target: TruncatedRing, mapping: dict) -> TruncatedP
                 if p_i is None:
                     raise UnknownVariable(f"variable {v!r} not in ring {target!r}")
                 ne[p_i] = x
-        ne = tuple(ne)
-        s = out.get(ne)
-        out[ne] = c if s is None else f.ring.dom.reduce(s + c)
-    return TruncatedPoly(target, out)
+        moved.append((tuple(ne), c))
+    return TruncatedPoly(target, add_terms({}, moved, f.ring.dom.add))
 
 
 def convert(f: TruncatedPoly, target: TruncatedRing) -> TruncatedPoly:
@@ -273,26 +96,19 @@ def evaluate(terms: dict, ladders, target: TruncatedRing) -> TruncatedPoly:
 
     The c are raw field values, made constants by target.dom.from_raw.
     Plain evaluation: images may have constant terms. Each term is summed
-    into one dict in place, and a key is deleted the moment its sum cancels,
-    so keys come out in the order of a term-by-term sum of TruncatedPolys.
+    into one dict in place by ``poly.add_terms``, so keys come out in the
+    order of a term-by-term sum of TruncatedPolys.
     """
     dom = target.dom
     origin = (0,) * len(target.vars)
     out: dict = {}
     for e, c in terms.items():
-        term = TruncatedPoly(target, {origin: dom.from_raw(c)})
+        term = target.element({origin: dom.from_raw(c)})
         for lad, x in zip(ladders, e):
             if x:
                 term = term * lad[x]
-        for k, v in term.terms.items():
-            s = out.get(k)
-            if s is not None:
-                v = dom.reduce(s + v)
-                if dom.is_zero(v):
-                    del out[k]
-                    continue
-            out[k] = v
-    return TruncatedPoly(target, out)
+        add_terms(out, term.terms.items(), dom.add)
+    return target.element(out)
 
 
 def _is_power(n: int, p: int) -> bool:
@@ -322,7 +138,7 @@ def substitute(
         img = images[v]
         if img.ring != target:
             raise ContextMismatch(f"image of {v!r} lives in a different ring")
-        if not target.dom.is_zero(img.constant_term()):
+        if img.constant_term():
             raise NonNilpotentImage(f"image of {v!r} has a nonzero constant term")
         if not (top <= bound and _is_power(bound, p)) and img**bound:
             raise NonNilpotentImage(
@@ -347,7 +163,7 @@ def invert_unit(f: TruncatedPoly) -> TruncatedPoly:
     """
     c0 = f.constant_term()
     dom = f.ring.dom
-    if dom.is_zero(c0):
+    if not c0:
         raise NotAUnit("constant term is zero")
     c0_inv = dom.inverse(c0)
     # f = c0 * (1 - n) with n nilpotent; 1/f = c0^-1 * sum n^k

@@ -231,7 +231,7 @@ def _xv_of_cube(model, cube: np.ndarray) -> TruncatedPoly:
     for b, i in itertools.product(range(model.dim), repeat=2):
         if cube[b, i].any():
             terms[mons[b] + mons[i]] = ctx.pack(cube[b, i].tolist())
-    return TruncatedPoly.from_clean(model.ring_xv, terms)
+    return model.ring_xv.element(terms)
 
 
 def _units(e: int) -> list:

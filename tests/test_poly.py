@@ -1,6 +1,7 @@
 """Sparse polynomials, rational functions, and the shared text syntax."""
 
 import functools
+import operator
 import random
 import time
 from unittest import mock
@@ -10,9 +11,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsderiv import poly, textform
-from hsderiv.errors import DivisionByZero, ResourceGuard, UnknownVariable
+from hsderiv.errors import ContextMismatch, DivisionByZero, ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext
-from hsderiv.poly import MultiPoly, RationalFunc, term_key
+from hsderiv.poly import MultiPoly, RatFuncDomain, RationalFunc, term_key
 from hsderiv.textform import (
     format_poly,
     format_ratfunc,
@@ -392,7 +393,15 @@ def _field(p, d):
 
 
 def _digits(f):
-    return {e: f.coeff(e).digits for e in f.terms}
+    return {e: f.ring.ctx.unpack(c) for e, c in f.terms.items()}
+
+
+def _in_ring(bound, *fs):
+    """The polynomials as they are (bound None), or truncated in x, y^<bound."""
+    if bound is None:
+        return fs
+    ring = TruncatedRing(fs[0].ctx, [(("x", "y"), bound)])
+    return tuple(TruncatedPoly(ring, f.terms) for f in fs)
 
 
 def _ref_add(p, a, b):
@@ -437,35 +446,41 @@ def _poly_pair(draw):
     return ctx, f, g, draw(st.integers(0, 3))
 
 
+# untruncated, in x, y^<3 (the factors lose terms) and in x, y^<5 (only
+# products lose terms)
+BOUNDS = st.sampled_from((None, 3, 5))
+
+
 @settings(max_examples=150, deadline=None)
-@given(_poly_pair())
-def test_poly_arithmetic_matches_digit_reference(case):
+@given(_poly_pair(), BOUNDS)
+def test_poly_arithmetic_matches_digit_reference(case, bound):
     ctx, f, g, n = case
+    f, g = _in_ring(bound, f, g)
+
+    def cut(terms):
+        return {e: c for e, c in terms.items() if bound is None or max(e) < bound}
+
     p, mod = ctx.p, ctx.modulus
     a, b = _digits(f), _digits(g)
     neg_b = {e: digit_neg(p, c) for e, c in b.items()}
     assert _digits(f + g) == _ref_add(p, a, b)
     assert _digits(-g) == neg_b
     assert _digits(f - g) == _ref_add(p, a, neg_b)
-    assert _digits(f * g) == _ref_mul(p, mod, a, b)
+    assert _digits(f * g) == cut(_ref_mul(p, mod, a, b))
     want = {(0, 0): (1,) + (0,) * (ctx.d - 1)}
     for _ in range(n):
-        want = _ref_mul(p, mod, want, a)
+        want = cut(_ref_mul(p, mod, want, a))
     assert _digits(f**n) == want
 
 
 @settings(max_examples=150, deadline=None)
-@given(_poly_pair())
-def test_packed_product_gives_the_tuple_loop_terms_in_order(case):
+@given(_poly_pair(), BOUNDS)
+def test_packed_product_gives_the_tuple_loop_terms_in_order(case, bound):
     ctx, f, g, _ = case
-    assume(f and g)
-    packed = f._mul_packed(g)
-    saved = poly.PACKED_MIN_TERMS
-    poly.PACKED_MIN_TERMS = float("inf")
-    try:
-        plain = f * g
-    finally:
-        poly.PACKED_MIN_TERMS = saved
+    f, g = _in_ring(bound, f, g)
+    packed = poly.product(f, g)
+    with mock.patch.object(poly, "PACKED_MIN_TERMS", float("inf")):
+        plain = poly.product(f, g)
     assert list(packed.terms.items()) == list(plain.terms.items())
 
 
@@ -540,12 +555,69 @@ def _kernel_pair(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_kernel_pair())
-def test_product_gives_the_product_terms_in_order(case):
+@given(_kernel_pair(), BOUNDS)
+def test_product_gives_the_product_terms_in_order(case, bound):
+    # a MultiPoly product keeps its own terms outermost, a truncated one the
+    # sparser factor's (the left one on a tie)
     ctx, f, g = case
+    f, g = _in_ring(bound, f, g)
     for a, b in ((f, g), (g, f)):
-        want = poly.product_terms(a.terms, b.terms, ctx.reduce, ctx.lazy)
+        if bound is not None and len(b.terms) < len(a.terms):
+            a, b = b, a
+        want = poly.product_terms(a.terms, b.terms, ctx.reduce, ctx.lazy, a.ring.filter)
         assert list((a * b).terms.items()) == list(want.items())
+
+
+def test_kv_product_by_an_unreduced_one_keeps_the_pairs():
+    # x/x is one in K = F_3(x) but not as held: a product by it in K[v]
+    # scales every (num, den) pair, as product_terms does
+    ctx = FqContext(3, 1)
+    dom = RatFuncDomain(ctx, ("x",))
+    ring = TruncatedRing(ctx, [(("v",), 3)], dom)
+    x, one = MultiPoly.var(ctx, ("x",), "x"), MultiPoly.one(ctx, ("x",))
+    f = ring.const(1 + x) + ring.var("v") * RationalFunc(one, x + 2)
+    u = ring.const(RationalFunc(x, x))
+    for a, b in ((u, f), (f, u)):
+        got = a * b
+        assert format_trunc(got) == "(x + x^2) / (x) + ((x) / (2*x + x^2))*v"
+        want = poly.product_terms(u.terms, f.terms, dom.reduce, dom.lazy, ring.bounds)
+        assert ([(e, _pair_of(c)) for e, c in got.terms.items()]
+                == [(e, _pair_of(c)) for e, c in want.items()])
+    # a one held as 1/1 returns the other factor
+    assert ring.one * f is f and f * ring.one is f
+
+
+def test_one_coercion_and_equality_rule():
+    ctx, other = FqContext(5), FqContext(7)
+    x = MultiPoly.var(ctx, ("x",), "x")
+    v = TruncatedRing(ctx, [(("v",), 3)]).var("v")
+    r = RationalFunc.from_poly(x)
+    assert x == r and r == x
+    assert x != RationalFunc.from_poly(x + 1) and RationalFunc.from_poly(x + 1) != x
+    for f in (x, v):
+        # a field element of another field is no element of the ring
+        assert (f == other.scalar(1)) is False and (f.ring.one == other.scalar(1)) is False
+        with pytest.raises(ContextMismatch):
+            f + other.scalar(1)
+        assert f.ring.one == 1 and f.ring.one == ctx.scalar(6)
+        for bad in ("a", 1.5, None):
+            for op in (operator.add, operator.sub, operator.mul):
+                with pytest.raises(TypeError):
+                    op(f, bad)
+                with pytest.raises(TypeError):
+                    op(bad, f)
+            assert f != bad
+    with pytest.raises(ContextMismatch):
+        x + v
+    assert x != v and v != x
+    # a polynomial is a constant of K[v]: either side takes it
+    kv = TruncatedRing(ctx, [(("v",), 3)], RatFuncDomain(ctx, ("x",))).var("v")
+    assert x * kv == kv * x and x + kv == kv + x and x - kv == -(kv - x)
+    assert kv.ring.const(x) == x and x == kv.ring.const(x)
+    with pytest.raises(UnknownVariable):
+        MultiPoly.var(ctx, ("x",), "y")
+    with pytest.raises(UnknownVariable):
+        v.ring.var("y")
 
 
 def _pair_of(r):
