@@ -42,6 +42,14 @@ TABLE_BUDGET = 50_000_000
 # conjugations run in blocks sized to stay within it
 TABLE_BLOCK = 1 << 16
 
+# digits up to which a derivation's table costs less than its e axis stacks
+# (HSDerivation._reads_table): in a twisted basis-find (witt2, and products
+# with the multiplicative law; best of 15 on a 2-vCPU host), the
+# table route was up to 18% faster at dims 9 and 16 (up to 8192 digits),
+# and the stack route 7-10% faster at dims 25 and 27, 28% at dim 49 and 57%
+# at dim 64, where each product's fixed cost no longer dominates
+SMALL_TABLE = 1 << 13
+
 
 class GradedIndexing:
     """Monomial enumeration for exponent boxes [0,n_1) x ... x [0,n_k).
@@ -105,7 +113,6 @@ class ArtinianModel:
         self.ring = TruncatedRing(ctx, [(self.xvars, self.n)])
         self.ring_xv = TruncatedRing(ctx, [(self.xvars, self.n), (self.vvars, self.n)])
         self.xidx = graded_indexing(self.bounds)
-        self.vidx = self.xidx
         self.dense = DenseRing(ctx, self.bounds)
 
     def __eq__(self, other):
@@ -137,6 +144,26 @@ class ArtinianModel:
         nz = np.flatnonzero(vec.any(axis=1))
         return self.ring.element({
             monos[i]: pack(row) for i, row in zip(nz.tolist(), vec[nz].tolist())})
+
+    def mat_from_xv(self, f: TruncatedPoly) -> np.ndarray:
+        """mat[b, i] = coefficient of x^b v^i in f, an element of ring_xv."""
+        e, rank = self.e, self.xidx.rank
+        out = self.ctx.zeros((self.dim, self.dim))
+        for ex, c in f.terms.items():
+            out[rank[ex[:e]], rank[ex[e:]]] = self.ctx.unpack(c)
+        return out
+
+    def xv_from_mat(self, mat: np.ndarray) -> TruncatedPoly:
+        """The element of ring_xv with coefficient mat[b, i] at x^b v^i, its
+        terms in the order of (b, i)."""
+        dim, pack, monos = self.dim, self.ctx.pack, self.xidx.monomials
+        flat = mat.reshape(dim * dim, self.ctx.d)
+        nz = np.flatnonzero(flat.any(axis=1))
+        terms = {}
+        for pos, row in zip(nz.tolist(), flat[nz].tolist()):
+            b, i = divmod(pos, dim)
+            terms[monos[b] + monos[i]] = pack(row)
+        return self.ring_xv.element(terms)
 
     def cube_from_vec(self, vec: np.ndarray) -> np.ndarray:
         """Dense cube of a coordinate vector, or of each row of a stack."""

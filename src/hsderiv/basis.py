@@ -34,8 +34,8 @@ from .errors import (
     NoSolution,
 )
 from .grouplaw import FormalGroupLaw, make_additive
-from .lattice import constants_indices, divisible_restriction, joint_kernel, \
-    restrict_matrix
+from .lattice import AxisComponents, constants_indices, divisible_restriction, \
+    joint_kernel, restrict_matrix
 from .linalg import Subspace, kernel_space, preimage_solve, rref
 from .poly import term_key
 from .truncated import PowerLadder, TruncatedPoly, convert, evaluate
@@ -222,10 +222,12 @@ class _View:
     coords lists the model coordinates the block covers, a block of D's law
     (the whole law, a product factor or an additive coordinate); within
     constrains every solve, kernel, and correction. Indices are local to the
-    block and embedded into the full exponent tuple on access.
+    block and embedded into the full exponent tuple on access. Components
+    are read through comps, the search's AxisComponents of D, which the
+    sub-views of one search share.
     """
 
-    def __init__(self, D, coords, law, within=None, found=None):
+    def __init__(self, D, coords, law, within=None, found=None, comps=None):
         self.D = D
         self.model = D.model
         self.ctx = D.model.ctx
@@ -237,7 +239,7 @@ class _View:
         # model coordinate -> (z, law, D(z), law value) of each coordinate a
         # finder checked, shared by the sub-views of one search
         self.found = {} if found is None else found
-        self._mats = {}
+        self.comps = AxisComponents(D) if comps is None else comps
         self._spaces = {}
         self._restricted = {}
 
@@ -251,9 +253,7 @@ class _View:
         return tuple(power if t == slot else 0 for t in range(len(self.coords)))
 
     def mat(self, local) -> np.ndarray:
-        if local not in self._mats:
-            self._mats[local] = self.D.component(self.embed(local)).mat
-        return self._mats[local]
+        return self.comps.mat(self.embed(local))
 
     def divisible(self, local, space: Subspace) -> np.ndarray:
         """divisible_restriction of the component at local to space, certified
@@ -262,7 +262,7 @@ class _View:
         key = (local, space.basis.tobytes())
         if key not in self._restricted:
             self._restricted[key] = divisible_restriction(
-                self.D, self.embed(local), space)
+                self.comps, self.embed(local), space)
         return self._restricted[key]
 
     def _constants(self, absolute: bool) -> Subspace:
@@ -275,7 +275,7 @@ class _View:
         key = ("constants", absolute)
         if key not in self._spaces:
             idxs = constants_indices(self.D, self.coords, absolute)
-            self._spaces[key] = joint_kernel(self.D, idxs, self.within)
+            self._spaces[key] = joint_kernel(self.comps, idxs, self.within)
         return self._spaces[key]
 
     def box_constants(self) -> Subspace:
@@ -295,7 +295,7 @@ class _View:
             above = self.within if l == 0 else self.level(l - 1)
             units = [self.embed(self.unit(slot, self.ctx.p**l))
                      for slot in range(len(self.coords))]
-            self._spaces[key] = joint_kernel(self.D, units, above)
+            self._spaces[key] = joint_kernel(self.comps, units, above)
         return self._spaces[key]
 
     def correction(self, l) -> Subspace:
@@ -303,7 +303,7 @@ class _View:
         key = ("correction", l)
         if key not in self._spaces:
             idx = self.embed(self.unit(0, self.ctx.p**l))
-            self._spaces[key] = joint_kernel(self.D, [idx], self.level(l - 1))
+            self._spaces[key] = joint_kernel(self.comps, [idx], self.level(l - 1))
         return self._spaces[key]
 
     def steps(self, l) -> list:
@@ -322,7 +322,7 @@ class _View:
         idxs = [self.unit(1, 1), self.unit(0, p**l)]
         for u in range(1, l):
             idxs += [self.unit(0, p**u), self.unit(1, p**u)]
-        return joint_kernel(self.D, [self.embed(i) for i in idxs], self.within)
+        return joint_kernel(self.comps, [self.embed(i) for i in idxs], self.within)
 
 
 def _ratio_guard(view: _View, expect: int) -> None:
@@ -379,8 +379,8 @@ def _power_identity(view: _View, l: int):
     def certify(local, space) -> None:
         name = view.embed(local)
         wsp = view.wspace(l)
-        rt = restrict_matrix(view.D, name, wsp)
-        rm = restrict_matrix(view.D, view.embed(view.unit(0, 1)), wsp)
+        rt = restrict_matrix(view.comps, name, wsp)
+        rm = restrict_matrix(view.comps, view.embed(view.unit(0, 1)), wsp)
         rtp = rt
         for _ in range(ctx.p - 1):
             rtp = ctx.mat_mul(rtp, rt)
@@ -512,8 +512,10 @@ def _one_dim_multiplicative(view: _View) -> TruncatedPoly:
 
 def _inside_constants(view: _View, coords, law, others) -> _View:
     """Sub-view on coords, searched inside the absolute constants of others."""
-    con = _View(view.D, others, None, within=view.within).abs_constants()
-    return _View(view.D, coords, law, within=con, found=view.found)
+    con = _View(view.D, others, None, within=view.within,
+                comps=view.comps).abs_constants()
+    return _View(view.D, coords, law, within=con, found=view.found,
+                 comps=view.comps)
 
 
 def _assemble(view: _View):

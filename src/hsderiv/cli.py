@@ -332,12 +332,19 @@ def _cmd_structure_constants(config):
         "i": list(i), "j": list(j), "constants": table})]
 
 
-def _cmd_tower(config):
+def _admitted_derivation(config) -> HSDerivation:
+    """The config's derivation, refused with ResourceGuard unless its dense
+    table fits. Admission stays at the table's dim^3 * d digits, the limit
+    bench/oracle.py predicts, for the commands that read only axis stacks
+    and images (tower, basis-find, basis-verify): e axis stacks of
+    dim^2 * n * d digits each."""
     D = _derivation_of(config)
-    # admission stays at the dense table's dim^3 * d digits, the limit
-    # bench/oracle.py predicts, though tower() makes only e axis stacks of
-    # dim^2 * n * d digits each
     D.model.guard_table((D.model.dim,) * 3)
+    return D
+
+
+def _cmd_tower(config):
+    D = _admitted_derivation(config)
     t = tower(D)
     dims = [int(V.dim) for V in t.levels]
     step = D.model.ctx.p ** D.model.e
@@ -351,7 +358,7 @@ def _cmd_tower(config):
 
 
 def _cmd_basis_verify(config):
-    D = _derivation_of(config)
+    D = _admitted_derivation(config)
     els = config.get("elements")
     _require(isinstance(els, list) and els, "basis-verify needs elements")
     e = D.model.e
@@ -361,7 +368,7 @@ def _cmd_basis_verify(config):
 
 
 def _cmd_basis_find(config):
-    D = _derivation_of(config)
+    D = _admitted_derivation(config)
     found = assemble_product_basis(D)
     listed = _check("found-elements", True, detail={
         "elements": [format_trunc(el) for el in found]})

@@ -10,10 +10,17 @@ reconstruction keeps the stack it rebuilt. Otherwise it is built from the
 images by the Frobenius ladder of ArtinianModel.power_table.
 
 A twist and a reconstruction are derivations built from their matrices
-(HSDerivation._from_matrices): a table source, an axis-stack source and
-whether the input was known to be iterative. Their weight-zero component
-is the identity by construction, and their images are read off the table
-by apply on the generators the first time they are asked for.
+(HSDerivation._from_matrices): a table source, an axis-stack source,
+whether the input was known to be iterative and, for a twist, its image
+route through the derivation it twists. Their weight-zero component is the
+identity by construction.
+
+apply needs no table: it evaluates f at the images, and a twist T of D
+takes T(f) = Phi D(Phi^-1 f), coefficientwise in v, through D's own route;
+a twist's images are that route on the generators, not read off T's
+table. A reconstruction reads its rebuilt stack. Where the table is built,
+or is small (SMALL_TABLE), or e = 1 (the axis stack is the table), apply
+reads the table instead (HSDerivation._reads_table).
 
 A reader that needs only the axis components D_{j e_l}, j < n (the
 p-power and unit components among them), takes the e per-axis stacks of
@@ -21,9 +28,11 @@ axis_stack instead: dim^2 * n digits each, against dim^3 for the table.
 They are read from the table when it is built, and otherwise made from the
 same sources: the ladder on the images with v_k = 0 for k != l, the
 conjugation of the twisted derivation's axis stack, or a slice of a
-reconstructed stack. An axis stack is not kept: its reader (the tower)
-copies the few matrices it needs and lets the stack go. So a twisted tower
-conjugates the untwisted derivation's axis stacks and builds no table.
+reconstructed stack. axis_stack does not keep a stack: the tower copies
+the few matrices it needs and lets each go, and the basis search keeps
+the stacks it reads in its lattice.AxisComponents. So a twisted tower or
+basis search conjugates the untwisted derivation's axis stacks and builds
+no table.
 
 Iterativity over a formal group law F is the family of identities
 D_j D_i = sum_k c(k) D_k where c(k) is the coefficient of v^i w^j in F^k.
@@ -38,7 +47,7 @@ import threading
 
 import numpy as np
 
-from .artinian import TABLE_BLOCK, ArtinianModel
+from .artinian import SMALL_TABLE, TABLE_BLOCK, ArtinianModel
 from .errors import (
     ContextMismatch,
     FractionalExponent,
@@ -57,7 +66,8 @@ from .grouplaw import (
 )
 from .linalg import inv_matrix
 from .poly import add_terms
-from .truncated import TruncatedPoly, TruncatedRing, convert, rename
+from .truncated import PowerLadder, TruncatedPoly, TruncatedRing, convert, \
+    evaluate, rename
 
 
 class OperatorMatrix:
@@ -106,8 +116,8 @@ class HSDerivation:
 
     The weight-zero component must be the identity; that much is enforced at
     construction. A derivation built from its matrices (_from_matrices: a
-    twist, a reconstruction) has it by construction, and reads its images
-    off its table when they are first asked for. Whether the family
+    twist, a reconstruction) has it by construction, and applies itself to
+    the generators when its images are first asked for. Whether the family
     actually satisfies the iterativity identities for its law is a separate
     question answered by check_iterativity. known_iterative records that it
     does: it is set for a canonical derivation, a twist or reconstruction of
@@ -131,41 +141,59 @@ class HSDerivation:
                 raise LawAxiomFailure("the weight-zero component must act as the identity")
         self._setup(model, law, imgs, None, None, False)
 
-    def _setup(self, model, law, images, source, axis_source, known_iterative):
+    def _setup(self, model, law, images, source, axis_source, known_iterative,
+               through=None):
         self.model = model
         self.law = law
-        # None: read off the table by apply, on first use
+        # None: made by apply on the generators, on first use
         self._images = images
         self.known_iterative = known_iterative
         # callables returning the table, and an axis stack, from matrices
         # already in hand; None builds them from the images
         self._source = source
         self._axis_source = axis_source
+        # a twist's image route through the derivation it twists
+        # (twist_by_automorphism); None evaluates at the images
+        self._through = through
         self._tab = None
         self._tab_lock = threading.Lock()
 
     @classmethod
-    def _from_matrices(cls, model, law, source, axis_source, known_iterative):
+    def _from_matrices(cls, model, law, source, axis_source, known_iterative,
+                       through=None):
         """The derivation whose table is source() and whose axis stack l is
-        axis_source(l). Its images are read off the table the first time
-        they are asked for; its weight-zero component is the identity by
-        construction, so nothing checks it."""
+        axis_source(l), and for a twist through(vec) its image route (see
+        _image). Its images are made by apply the first time they are asked
+        for; its weight-zero component is the identity by construction, so
+        nothing checks it."""
         D = cls.__new__(cls)
-        D._setup(model, law, None, source, axis_source, known_iterative)
+        D._setup(model, law, None, source, axis_source, known_iterative, through)
         return D
 
     @property
     def images(self) -> tuple:
         """D(x_t) for t < e, in ring_xv."""
         if self._images is None:
-            # built first, so that apply under the lock finds the table and
-            # does not take the lock again
-            self.table()
+            if self._reads_table():
+                # built first, so that apply under the lock finds the
+                # table and does not take the lock again
+                self.table()
             with self._tab_lock:
                 if self._images is None:
                     self._images = tuple(self.apply(self.model.ring.var(x))
                                          for x in self.model.xvars)
         return self._images
+
+    def _reads_table(self) -> bool:
+        """Whether the readers of components and images take the table: it
+        is built; there is no other route (a reconstruction, whose table is
+        the stack it rebuilt); e = 1, where the axis stack is the table; or
+        the table is small (SMALL_TABLE), where it costs less than the e
+        axis stacks and the images route."""
+        model = self.model
+        return (self._tab is not None or model.e == 1
+                or model.dim**3 * model.ctx.d <= SMALL_TABLE
+                or self._images is None and self._through is None)
 
     def __eq__(self, other):
         return (
@@ -234,10 +262,16 @@ class HSDerivation:
             return tab.transpose(2, 1, 0, 3)[ranks]
         return self._build_table(l)
 
-    def component(self, i) -> OperatorMatrix:
+    def _index(self, i) -> tuple:
+        """i as a tuple of ints; IndexRange outside the exponent cube."""
         i = tuple(int(t) for t in i)
         if len(i) != self.model.e or any(t < 0 or t >= self.model.n for t in i):
             raise IndexRange(f"component index {i} outside the exponent cube")
+        return i
+
+    def component(self, i) -> OperatorMatrix:
+        """D_i, read off the table."""
+        i = self._index(i)
         return OperatorMatrix(self.model, self.matrix_stack()[self.model.xidx.rank[i]])
 
     def compose(self, j, i) -> OperatorMatrix:
@@ -245,19 +279,30 @@ class HSDerivation:
         return self.component(j) @ self.component(i)
 
     def apply(self, f: TruncatedPoly) -> TruncatedPoly:
-        """Image of a model element under the packaged map into ring_xv."""
+        """Image of a model element under the packaged map into ring_xv,
+        its terms in graded order of x and then of v."""
+        return self.model.xv_from_mat(self._image(self.model.vec_from_poly(f)))
+
+    def _image(self, vec: np.ndarray) -> np.ndarray:
+        """mat[b, i] = coefficient of x^b v^i in D(f), f the element with
+        coordinates vec.
+
+        Read off the table when _reads_table says so. Otherwise a twist
+        goes through the derivation it twists (twist_by_automorphism), and
+        any other derivation evaluates f at its images, one PowerLadder per
+        image, consumed and not stored. No table is built either way.
+        """
         model, ctx = self.model, self.model.ctx
         dim, d = model.dim, ctx.d
-        stack = self.matrix_stack().reshape(dim * dim, dim, d)
-        # flat[b * dim + i] = coefficient of x^b v^i in D(f)
-        flat = ctx.mat_vec(stack, model.vec_from_poly(f)).reshape(dim, dim, d)
-        flat = flat.transpose(1, 0, 2).reshape(dim * dim, d)
-        nz = np.flatnonzero(flat.any(axis=1))
-        terms = {}
-        for pos, row in zip(nz.tolist(), flat[nz].tolist()):
-            b, i = divmod(pos, dim)
-            terms[model.xidx.monomials[b] + model.vidx.monomials[i]] = ctx.pack(row)
-        return model.ring_xv.element(terms)
+        if self._reads_table():
+            # flat[i * dim + b] = coefficient of x^b v^i in D(f)
+            stack = self.matrix_stack().reshape(dim * dim, dim, d)
+            return ctx.mat_vec(stack, vec).reshape(dim, dim, d).swapaxes(0, 1)
+        if self._through is not None:
+            return self._through(vec)
+        ladders = [PowerLadder(x, g) for x, g in zip(model.xvars, self.images)]
+        f = model.poly_from_vec(vec)
+        return model.mat_from_xv(evaluate(f.terms, ladders, model.ring_xv))
 
     def check_iterativity(self) -> bool:
         """Test the composition identities against the law, exactly.
@@ -453,8 +498,11 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     twist holds D's table and T's, not a third for the product with
     Phi^-1; T's axis stacks are Phi D_{j e_l} Phi^-1 from D's axis stacks,
     and need no table at all. Both give the bytes of the product ladder on
-    T's images. T's table is admitted before any elimination on Phi, and
-    nothing is built until T is read. T is known iterative when D is.
+    T's images. T(f) = Phi D(Phi^-1 f), coefficientwise in v, goes through
+    D's own route (HSDerivation._image), and so do T's images, the case
+    f = x_t; where T reads its table it takes that instead. T's table is
+    admitted before any elimination on Phi, and nothing is built until T
+    is read. T is known iterative when D is.
     """
     model, ctx = D.model, D.model.ctx
     e = model.e
@@ -475,12 +523,14 @@ def twist_by_automorphism(D: HSDerivation, phi) -> HSDerivation:
     model.guard_table((model.dim,) * 3)
     # phimat[b, a] = coefficient of x^b in phi^a
     phimat = model.power_table(phi).transpose(1, 0, 2)
-    conjugate = _conjugation(model, phimat, inv_matrix(ctx, phimat))
+    phiinv = inv_matrix(ctx, phimat)
+    conjugate = _conjugation(model, phimat, phiinv)
     return HSDerivation._from_matrices(
         model, D.law,
         lambda: conjugate(D.matrix_stack()).transpose(2, 1, 0, 3),
         lambda l: conjugate(D.axis_stack(l)),
-        D.known_iterative)
+        D.known_iterative,
+        lambda vec: ctx.mat_mul(phimat, D._image(ctx.mat_vec(phiinv, vec))))
 
 
 def reconstruct_from_ppowers(D: HSDerivation) -> HSDerivation:

@@ -16,8 +16,12 @@ a derivation level by level: level s is the kernel of the component
 p^s e_l inside what the component p^s e_(l-1) left, starting from level
 s-1, so each elimination sees one matrix, on the coordinates of the space
 above it. For a derivation known to be iterative the constants need only
-p-power components too (constants_indices); the other readers take
-components from the full table.
+p-power components too (constants_indices). The other readers
+(joint_kernel, restrict_matrix, divisible_restriction, and through them
+the basis search) take components through AxisComponents: an on-axis
+index from an axis stack, which a search keeps and shares between its
+sub-views, and the table only for a list with an index off the axes, or
+where the derivation reads its table anyway (HSDerivation._reads_table).
 """
 
 from __future__ import annotations
@@ -33,14 +37,62 @@ from .linalg import Subspace, kernel_space, rref
 from .linalg import preimage_solve as _vec_preimage_solve
 
 
-def joint_kernel(D: HSDerivation, idxs, within: Subspace | None = None) -> Subspace:
+class AxisComponents:
+    """The component matrices a search reads from a derivation D.
+
+    An index j e_l on an axis comes from D's axis stack l, made on first
+    use and kept for the rest of the search; a search that shares this
+    object between its sub-views makes each stack once. D's table serves
+    instead where D reads it (HSDerivation._reads_table: it is built, it is
+    small, or e = 1), and for every index of a list that holds one off the
+    axes (the constants of a derivation not known to be iterative). The
+    matrices are those of HSDerivation.component, byte for byte.
+    """
+
+    def __init__(self, D: HSDerivation):
+        self.D = D
+        self.model = D.model
+        self._stacks = {}
+        # index -> matrix, for the readers that take one at a time
+        self._mats = {}
+
+    def mats(self, idxs) -> list:
+        D = self.D
+        if not D._reads_table():
+            idxs = [D._index(i) for i in idxs]
+            # the axes each index lies on; the zero index is on axis 0
+            axes = [[t for t, x in enumerate(i) if x] or [0] for i in idxs]
+            if all(len(a) == 1 for a in axes):
+                return [self._stack(l)[i[l]] for i, (l,) in zip(idxs, axes)]
+        return [D.component(i).mat for i in idxs]
+
+    def _stack(self, l: int) -> np.ndarray:
+        if l not in self._stacks:
+            self._stacks[l] = self.D.axis_stack(l)
+        return self._stacks[l]
+
+    def mat(self, i) -> np.ndarray:
+        i = tuple(i)
+        if i not in self._mats:
+            self._mats[i] = self.mats([i])[0]
+        return self._mats[i]
+
+
+def _components(D) -> AxisComponents:
+    """D itself when it is a search's AxisComponents; else one for this call."""
+    return D if isinstance(D, AxisComponents) else AxisComponents(D)
+
+
+def joint_kernel(D, idxs, within: Subspace | None = None) -> Subspace:
     """Joint kernel of the components at idxs, computed inside within, in
     its echelon coordinates.
 
-    Every component kernel in the package is taken here. An empty index
-    list gives the whole model, or within.
+    Every component kernel in the package is taken here. D is a
+    derivation, or the AxisComponents of a search that keeps its matrices.
+    An empty index list gives the whole model, or within.
     """
-    return _stacked_kernel(D.model, [D.component(i).mat for i in idxs], within)
+    comps = _components(D)
+    return _stacked_kernel(comps.model, comps.mats(idxs), within)
 
 
 def _stacked_kernel(model: ArtinianModel, mats, within: Subspace | None = None) -> Subspace:
@@ -191,17 +243,19 @@ def _zm(ctx, mat: np.ndarray) -> dict:
     return {"nilpotent_p": nilpotent, "ker_im_equal": balanced}
 
 
-def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:
-    """Matrix of the component D_i on V's echelon basis coordinates.
+def restrict_matrix(D, i, V: Subspace) -> np.ndarray:
+    """Matrix of the component D_i on V's echelon basis coordinates; D as
+    in joint_kernel.
 
     D_i must map V into itself; a basis image escaping V is a hypothesis
     failure, not a recoverable condition, since every caller divides
     through the restricted operator.
     """
-    ctx = D.model.ctx
+    comps = _components(D)
+    ctx = comps.model.ctx
     if V.dim == 0:
         return ctx.zeros((0, 0))
-    rows = ctx.mat_mul(V.basis, D.component(i).mat.swapaxes(0, 1))
+    rows = ctx.mat_mul(V.basis, comps.mat(i).swapaxes(0, 1))
     try:
         coords = V.coords_of(rows)
     except NoSolution:
@@ -211,10 +265,10 @@ def restrict_matrix(D: HSDerivation, i, V: Subspace) -> np.ndarray:
     return np.ascontiguousarray(coords.swapaxes(0, 1))
 
 
-def divisible_restriction(D: HSDerivation, i, V: Subspace) -> np.ndarray:
+def divisible_restriction(D, i, V: Subspace) -> np.ndarray:
     """restrict_matrix, certified for dividing through: T^p = 0, ker T^(p-1) = im T."""
     rmat = restrict_matrix(D, i, V)
-    cert = _zm(D.model.ctx, rmat)
+    cert = _zm(V.ctx, rmat)
     if not cert["nilpotent_p"]:
         raise HypothesisFailure(
             f"component {i} is not p-nilpotent on its correction space"

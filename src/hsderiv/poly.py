@@ -512,7 +512,8 @@ class RationalFunc:
     graded and invariant under adding an exponent, so the leading term of
     a product is the product of the leading terms, and a product of monic
     denominators is monic: ``_monic`` takes such a pair as it is. A sum
-    with a zero operand is the other operand. ``inverse`` and
+    with a zero operand is the other operand; a difference is built as
+    num * o.den - o.num * den, with no negated copy of either side. ``inverse`` and
     ``textform.parse_ratfunc``, whose denominators are not monic products,
     keep the normalising constructor.
     """
@@ -584,7 +585,11 @@ class RationalFunc:
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        return self + (-o)
+        if not o.num:
+            return self
+        if not self.num:
+            return -o
+        return RationalFunc._monic(self.num * o.den - o.num * self.den, self.den * o.den)
 
     def __rsub__(self, other):
         return (-self) + other

@@ -257,6 +257,16 @@ def twist_images_through_the_table(D: HSDerivation, phi) -> tuple:
     return tuple(out)
 
 
+def apply_through_the_table(D: HSDerivation, f: TruncatedPoly) -> TruncatedPoly:
+    """D(f) read off D's dense table: sum_a f[a] D(x^a), one matrix-vector
+    product over every (x^b, v^i) position, terms in the order of (b, i)."""
+    model, ctx = D.model, D.model.ctx
+    dim, d = model.dim, ctx.d
+    # by_a[b * dim + i, a] = coefficient of x^b v^i in D(x^a)
+    by_a = D.table().transpose(1, 2, 0, 3).reshape(dim * dim, dim, d)
+    return _xv_of_cube(model, ctx.mat_vec(by_a, model.vec_from_poly(f)).reshape(dim, dim, d))
+
+
 def reconstruction_images_by_columns(D: HSDerivation) -> tuple:
     """The images of reconstruct_from_ppowers(D), read off the columns at
     x_t of D's component stack: D(x_t) = sum_i D_i(x_t) v^i."""

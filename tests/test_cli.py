@@ -266,6 +266,25 @@ def test_prime_past_the_int64_bound_exit_3(path):
     assert code == 3 and report["errors"][0]["kind"] == "resource-guard"
 
 
+@pytest.mark.parametrize("job", [
+    {"command": "basis-verify", "context": {"p": 5, "m": 2},
+     "law": {"type": "witt2", "alphas": [1, 2]}, "elements": ["x1", "x2"]},
+    {"command": "basis-find", "context": {"p": 5, "m": 2},
+     "law": {"type": "witt2", "alphas": [1, 2]},
+     "derivation": {"type": "twist", "phi": ["x1 + 2*x2 + x1^5", "x2 + x1^2"]}},
+    {"command": "basis-find", "context": {"p": 5, "m": 2},
+     "law": {"type": "witt2", "alphas": [1, 2]}},
+], ids=["basis-verify-canonical", "basis-find-twisted", "basis-find-canonical"])
+def test_basis_admission_stays_at_the_table_size(job):
+    # dim 625: the basis search reads axis stacks and images only, but is
+    # admitted only when the dim^3 table would fit, before any work (a
+    # twist is refused by its own guard first)
+    report, code = run(job)
+    assert code == 3
+    assert report["errors"][0]["kind"] == "resource-guard"
+    assert report["checks"] == []
+
+
 def test_inverse_series_guard_exit_3(tmp_path):
     # the denominator's geometric series over F_5(x1, x2) grows its rational
     # coefficients term by term; past truncated.SERIES_BUDGET the job is

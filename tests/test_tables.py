@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hsderiv.artinian as artinian_mod
+import hsderiv.derivation as derivation_mod
 import hsderiv.lattice as lattice_mod
 from hsderiv.artinian import TABLE_BLOCK, ArtinianModel
-from hsderiv.basis import _View
+from hsderiv.basis import _View, assemble_product_basis, verify_canonical_basis
 from hsderiv.cli import run
 from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import (
@@ -34,6 +35,7 @@ from hsderiv.errors import IndexRange
 from hsderiv.gf import FLOAT_BLOCK, FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, product_law
 from hsderiv.lattice import (
+    AxisComponents,
     absolute_constants,
     constants,
     joint_kernel,
@@ -42,6 +44,7 @@ from hsderiv.lattice import (
 )
 from hsderiv.truncated import TruncatedPoly, TruncatedRing
 from oracles import (
+    apply_through_the_table,
     derivation_zoo,
     power_table_by_products,
     reconstruction_images_by_columns,
@@ -217,8 +220,9 @@ def test_lazy_images_match_the_eager_constructions(case):
 
 
 def test_lazy_images_are_read_once_under_threads(monkeypatch):
-    # more threads than cores read a fresh twist's images at once: one table
-    # build, and every thread gets the one tuple the first reader stored
+    # more threads than cores read a fresh twist's images at once: they go
+    # through D's table, the one build, and every thread gets the one tuple
+    # the first reader stored
     builds = []
     real = HSDerivation._build_table
 
@@ -243,8 +247,104 @@ def test_lazy_images_are_read_once_under_threads(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
     assert len(seen) == 8 and all(imgs is seen[0] for imgs in seen)
-    assert builds == [None, None]  # D's table, then T's, each once
+    assert builds == [None]  # D's table, once; T builds none
+    assert T._tab is None
     assert seen[0] == twist_images_through_the_table(D, phi)
+
+
+@st.composite
+def _routes(draw):
+    """(fresh, phi, f): fresh() makes a new canonical derivation of a law of
+    _LAWS over p in {2, 3, 5}, d in {1, 2}, dim <= 27, with its own law
+    object; phi is a unipotent twist and f a dense element, every
+    coefficient drawn."""
+    name = draw(st.sampled_from(sorted(_LAWS)))
+    e, build = _LAWS[name]
+    p, d = draw(st.sampled_from(sorted(_CTX)))
+    ctx = _CTX[p, d]
+    m = draw(st.integers(1, max(k for k in (1, 2, 3, 4) if p ** (e * k) <= 27)))
+    alphas = [ctx.scalar(tuple(draw(st.integers(0, p - 1)) for _ in range(d)))
+              for _ in range(m)]
+    model = ArtinianModel(ctx, e, m)
+    coeffs = draw(st.lists(st.integers(0, ctx.q - 1), min_size=model.dim,
+                           max_size=model.dim))
+    f = model.ring.element({ex: ctx.pack([k // p**i % p for i in range(d)])
+                            for ex, k in zip(model.xidx.monomials, coeffs)})
+    return (lambda: canonical_derivation(model, build(ctx, m, alphas)),
+            _unipotent(draw, model), f)
+
+
+def _same_terms(got, want):
+    return list(got.terms.items()) == list(want.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(_routes())
+def test_images_route_matches_the_table(case):
+    # with no table counted small, a twist's images and apply go through D
+    # (Phi D(Phi^-1 f), coefficientwise in v) and D's apply evaluates f at
+    # its images: term for term and in key order what the tables give, and
+    # no table is built, D's, T's or the law's, except with e = 1, where
+    # the axis stack is the table and both read it
+    fresh, phi, f = case
+    ref = fresh()
+    want_images = twist_images_through_the_table(ref, phi)
+    want_D = apply_through_the_table(ref, f)
+    want_T = apply_through_the_table(twist_by_automorphism(ref, phi), f)
+    with mock.patch.object(derivation_mod, "SMALL_TABLE", 0):
+        D = fresh()
+        T = twist_by_automorphism(D, phi)
+        assert _same_terms(T.apply(f), want_T)
+        assert all(map(_same_terms, T.images, want_images))
+        assert _same_terms(D.apply(f), want_D)
+    assert (T._tab is None and D._tab is None and D.law._ptable is None) == (D.model.e > 1)
+    # the default routes give the same terms
+    D = fresh()
+    T = twist_by_automorphism(D, phi)
+    assert _same_terms(T.apply(f), want_T) and _same_terms(D.apply(f), want_D)
+    assert all(map(_same_terms, T.images, want_images))
+
+
+def _search_case(p, d, m, name):
+    ctx = _CTX[p, d]
+    e, build = _LAWS[name] if name in _LAWS else (3, lambda ctx, m, al: product_law(
+        make_witt2(ctx, m, al), make_multiplicative(ctx, m)))
+    law = build(ctx, m, [ctx.one] * m)
+    model = ArtinianModel(ctx, e, m)
+    xs = [model.ring.var(v) for v in model.xvars]
+    phi = [x + xs[(t + 1) % e] ** 2 for t, x in enumerate(xs)]
+    phi[0] = phi[0] + xs[1]
+    return law, canonical_derivation(model, law), phi
+
+
+@pytest.mark.parametrize("p, d, m, name", [
+    (2, 1, 3, "witt2"), (3, 1, 2, "witt2"), (5, 1, 1, "witt2"), (2, 2, 3, "witt2"),
+    (5, 2, 1, "addxmult"), (3, 1, 1, "witt2xmult"), (5, 1, 1, "additive2"),
+], ids=lambda v: str(v))
+def test_basis_search_builds_no_table(monkeypatch, p, d, m, name):
+    # past SMALL_TABLE, basis-find on a twist and basis-verify on the
+    # canonical derivation read axis stacks and images only: no _tab on T
+    # or D, and no power table of the law; one search, sub-views included,
+    # makes each of T's axis stacks, and D's under them, at most once
+    law, D, phi = _search_case(p, d, m, name)
+    assert D.model.dim**3 * d > derivation_mod.SMALL_TABLE
+    T = twist_by_automorphism(D, phi)
+    builds = []
+    real = HSDerivation._build_table
+
+    def recording_build(self, axis=None):
+        builds.append((self is T, axis))
+        return real(self, axis)
+
+    monkeypatch.setattr(HSDerivation, "_build_table", recording_build)
+    found = assemble_product_basis(T)
+    assert builds and len(set(builds)) == len(builds)
+    assert all(axis is not None for _, axis in builds)
+    assert found.report.passed
+    assert verify_canonical_basis(T, law, list(found)).passed
+    xs = [D.model.ring.var(v) for v in D.model.xvars]
+    assert verify_canonical_basis(D, law, xs).passed
+    assert T._tab is None and D._tab is None and law._ptable is None
 
 
 # laws of dimension e >= 2, for the per-axis stacks
@@ -336,6 +436,33 @@ def test_axis_stacks_match_the_table(case):
         assert V == joint_kernel(F, ppower_indices(model, range(e), s + 1))
     # once F's table is built, its axis stacks are read from it
     assert F.axis_stack(e - 1).tobytes() == A.axis_stack(e - 1).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_derivations(), st.data())
+def test_search_components_and_apply_match_the_table(case, data):
+    # every kind of derivation, with no table counted small: apply gives
+    # the table's terms in its order, and a search's AxisComponents the
+    # table's matrices byte for byte, an on-axis list from the axis stacks
+    # and a list with an index off the axes from the table
+    kind, factory = case
+    F = factory()
+    model, ctx = F.model, F.model.ctx
+    coeffs = data.draw(st.lists(st.integers(0, ctx.q - 1), min_size=model.dim,
+                                max_size=model.dim))
+    f = model.ring.element({ex: ctx.pack([k // ctx.p**i % ctx.p for i in range(ctx.d)])
+                            for ex, k in zip(model.xidx.monomials, coeffs)})
+    on_axis = [i for i in model.xidx.monomials if sum(map(bool, i)) == 1]
+    off = data.draw(st.sampled_from(
+        [i for i in model.xidx.monomials if sum(map(bool, i)) > 1]))
+    want = apply_through_the_table(F, f)
+    with mock.patch.object(derivation_mod, "SMALL_TABLE", 0):
+        A = factory()
+        assert _same_terms(A.apply(f), want)
+        comps = AxisComponents(A)
+        for idxs in (on_axis, on_axis[:1] + [off]):
+            for got, i in zip(comps.mats(idxs), idxs):
+                assert got.tobytes() == F.component(i).mat.tobytes()
 
 
 def _full_lists(D, coords):
