@@ -1,10 +1,10 @@
 """Batch driver: structured job configs in, deterministic reports out.
 
 A job is a JSON object naming one command plus the data it needs (field
-context, law, derivation, command parameters).  run() never raises on
-domain failures; everything lands in the report as a structured entry, and
-the exit code says what happened: 0 all checks passed, 1 a check or domain
-error failed, 2 the config is malformed, 3 a resource guard tripped.
+context, law, derivation, command parameters).  run() never raises: the
+report holds every outcome as a structured entry, and the exit code says
+what happened: 0 all checks passed, 1 a check failed or a domain or internal
+error stopped the job, 2 a field's reader found it malformed, 3 a guard tripped.
 
 Reports are byte-deterministic for a fixed config: keys are sorted, all
 symbolic values print in the canonical text form, and nothing time- or
@@ -14,7 +14,7 @@ host-dependent is recorded.
 import argparse
 import json
 import sys
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -22,7 +22,8 @@ from .artinian import ArtinianModel
 from .basis import assemble_product_basis, verify_canonical_basis
 from .derivation import HSDerivation, canonical_derivation, p_fold_evP, \
     truncate_derivation, twist_by_automorphism, witt2_pfold_expansion
-from .errors import HsderivError, MalformedConfig, ResourceGuard
+from .errors import DivisionByZero, HsderivError, MalformedConfig, ParseError, \
+    ResourceGuard, UnknownVariable
 from .fieldmodel import FieldDerivationContext, dependence_test, \
     p_independence_test
 from .gf import FqContext, is_prime
@@ -36,12 +37,6 @@ from .truncated import TruncatedPoly
 
 SCHEMA_VERSION = 1
 MAX_DIM = 2**16
-
-COMMANDS = (
-    "law-check", "pseries", "hn", "iterativity", "evp-check",
-    "structure-constants", "tower", "basis-verify", "basis-find",
-    "wronskian", "selftest",
-)
 
 
 def _require(cond, msg: str):
@@ -60,12 +55,23 @@ def _int_value(v, name, minimum=None, below=None):
     return v
 
 
-def _strings(values, name):
-    """values, a list, as a list of strings; MalformedConfig naming the
-    first entry that is not a JSON string."""
+def _parsed(values, name, parse, count=None, ints=False):
+    """values, a list (of count entries, when given) of JSON strings, or of
+    integers too with ints, each read by parse; MalformedConfig naming the
+    list, or its first entry of another type or whose text does not parse."""
+    size = "" if count is None else f" of {count} entries"
+    _require(isinstance(values, list) and count in (None, len(values)),
+             f"field {name!r} must be a list{size}")
+    kinds = "an integer or a string" if ints else "a string"
+    out = []
     for k, v in enumerate(values):
-        _require(isinstance(v, str), f"field '{name}[{k}]' must be a string, got {v!r}")
-    return values
+        _require(isinstance(v, str) or ints and type(v) is int,
+                 f"field '{name}[{k}]' must be {kinds}, got {v!r}")
+        try:
+            out.append(parse(v))
+        except (ParseError, UnknownVariable, DivisionByZero) as ex:
+            raise MalformedConfig(f"field '{name}[{k}]' does not parse: {ex}") from ex
+    return out
 
 
 def _get_int(obj, key, default=None, minimum=None):
@@ -74,51 +80,49 @@ def _get_int(obj, key, default=None, minimum=None):
     return _int_value(v, key, minimum)
 
 
-def _context_of(config) -> FqContext:
+def _prime_of(config) -> int:
     c = config.get("context")
     _require(isinstance(c, dict), "config needs a context object")
     p = _get_int(c, "p")
     _require(is_prime(p), f"context.p must be prime, got {p}")
+    return p
+
+
+def _context_of(config) -> FqContext:
+    p, c = _prime_of(config), config["context"]
     d = _get_int(c, "d", default=1, minimum=1)
     modulus = c.get("modulus")
     if modulus is not None:
         _require(isinstance(modulus, list), "context.modulus must be a list of integers")
         modulus = tuple(_int_value(a, f"context.modulus[{k}]")
                         for k, a in enumerate(modulus))
-    return FqContext(p, d, modulus)
+    try:
+        return FqContext(p, d, modulus)
+    except ValueError as ex:
+        raise MalformedConfig(f"field 'context' does not define a field: {ex}") from ex
 
 
-def _spec_dim(spec) -> int:
-    _require(isinstance(spec, dict), "law spec must be an object")
+def _law_spec(spec, name="law"):
+    """The dimension of a law spec, and build(ctx, m) making the law once
+    the resource guard has seen that dimension."""
+    _require(isinstance(spec, dict), f"field {name!r} must be an object")
     typ = spec.get("type")
     if typ == "additive":
-        return _get_int(spec, "e", default=1, minimum=1)
+        e = _get_int(spec, "e", default=1, minimum=1)
+        return e, lambda ctx, m: make_additive(ctx, e, m)
     if typ == "multiplicative":
-        return 1
+        return 1, make_multiplicative
     if typ == "witt2":
-        return 2
+        return 2, lambda ctx, m: make_witt2(ctx, m, _parsed(
+            spec.get("alphas", []), f"{name}.alphas", partial(parse_scalar, ctx), ints=True))
     if typ == "product":
         factors = spec.get("factors")
         _require(isinstance(factors, list) and len(factors) >= 2,
-                 "product law needs a list of at least two factors")
-        return sum(_spec_dim(s) for s in factors)
+                 f"field '{name}.factors' must list at least two law specs")
+        parts = [_law_spec(s, f"{name}.factors[{k}]") for k, s in enumerate(factors)]
+        return sum(e for e, _ in parts), lambda ctx, m: reduce(
+            product_law, [build(ctx, m) for _, build in parts])
     raise MalformedConfig(f"unknown law type {typ!r}")
-
-
-def _build_law(spec, ctx: FqContext, m: int):
-    typ = spec["type"]
-    if typ == "additive":
-        return make_additive(ctx, _get_int(spec, "e", default=1, minimum=1), m)
-    if typ == "multiplicative":
-        return make_multiplicative(ctx, m)
-    if typ == "witt2":
-        alphas = spec.get("alphas", [])
-        _require(isinstance(alphas, list), "witt2 alphas must be a list")
-        for k, a in enumerate(alphas):
-            _require(isinstance(a, str) or type(a) is int,
-                     f"field 'alphas[{k}]' must be an integer or a string, got {a!r}")
-        return make_witt2(ctx, m, [parse_scalar(ctx, a) for a in alphas])
-    return reduce(product_law, [_build_law(s, ctx, m) for s in spec["factors"]])
 
 
 def _law_of(config):
@@ -128,17 +132,18 @@ def _law_of(config):
     m = _get_int(c, "m", default=1)
     spec = config.get("law")
     _require(spec is not None, f"command {config.get('command')!r} needs a law")
-    e = _spec_dim(spec)
+    e, build = _law_spec(spec)
     ce = c.get("e")
     if ce is not None:
         _require(_int_value(ce, "context.e") == e,
                  f"context.e = {ce} but the law spec has dimension {e}")
     if not 1 <= m <= 3:
         raise ResourceGuard(f"m must lie in [1, 3], got {m}")
-    if ctx.p ** (e * m) > MAX_DIM:
+    # 2^(e*m) already exceeds MAX_DIM once e*m reaches its bit length
+    if e * m >= MAX_DIM.bit_length() or ctx.p ** (e * m) > MAX_DIM:
         raise ResourceGuard(
             f"model dimension p^(e*m) = {ctx.p}^{e * m} exceeds {MAX_DIM}")
-    return _build_law(spec, ctx, m)
+    return build(ctx, m)
 
 
 def _derivation_of(config) -> HSDerivation:
@@ -150,18 +155,11 @@ def _derivation_of(config) -> HSDerivation:
     if typ == "canonical":
         return canonical_derivation(model, law)
     if typ == "images":
-        images = spec.get("images")
-        _require(isinstance(images, list) and len(images) == law.e,
-                 f"images derivation needs {law.e} image strings")
-        return HSDerivation(model, law, [
-            parse_trunc(model.ring_xv, s) for s in _strings(images, "derivation.images")])
+        return HSDerivation(model, law, _parsed(spec.get("images"), "derivation.images",
+                                                partial(parse_trunc, model.ring_xv), law.e))
     if typ == "twist":
-        phi = spec.get("phi")
-        _require(isinstance(phi, list) and len(phi) == law.e,
-                 f"twist needs {law.e} substitution strings")
-        D = canonical_derivation(model, law)
-        return twist_by_automorphism(
-            D, [parse_trunc(model.ring, s) for s in _strings(phi, "derivation.phi")])
+        return twist_by_automorphism(canonical_derivation(model, law), _parsed(
+            spec.get("phi"), "derivation.phi", partial(parse_trunc, model.ring), law.e))
     raise MalformedConfig(f"unknown derivation type {typ!r}")
 
 
@@ -262,10 +260,7 @@ def _cmd_pseries(config):
 
 
 def _cmd_hn(config):
-    c = config.get("context")
-    _require(isinstance(c, dict), "config needs a context object")
-    p = _get_int(c, "p")
-    _require(is_prime(p), f"context.p must be prime, got {p}")
+    p = _prime_of(config)
     n = _get_int(config, "n", minimum=0)
     # H_n enters a law only at levels n < m, so p^(n+1) <= p^m <= MAX_DIM;
     # 2^(n+1) already exceeds MAX_DIM once n + 1 reaches its bit length
@@ -359,11 +354,8 @@ def _cmd_tower(config):
 
 def _cmd_basis_verify(config):
     D = _admitted_derivation(config)
-    els = config.get("elements")
-    _require(isinstance(els, list) and els, "basis-verify needs elements")
-    e = D.model.e
-    _require(len(els) == e, f"field 'elements' must list {e} elements, got {len(els)}")
-    elements = [parse_trunc(D.model.ring, s) for s in _strings(els, "elements")]
+    elements = _parsed(config.get("elements"), "elements",
+                       partial(parse_trunc, D.model.ring), D.model.e)
     return _basis_checks(D, elements, verify_canonical_basis(D, D.law, elements))
 
 
@@ -377,9 +369,9 @@ def _cmd_basis_find(config):
 
 def _cmd_wronskian(config):
     fctx = FieldDerivationContext(_law_of(config))
-    els = config.get("elements")
-    _require(isinstance(els, list) and els, "wronskian needs elements")
-    elements = [parse_ratfunc(fctx.ctx, fctx.xvars, s) for s in _strings(els, "elements")]
+    elements = _parsed(config.get("elements"), "elements",
+                       partial(parse_ratfunc, fctx.ctx, fctx.xvars))
+    _require(elements, "field 'elements' must list at least one element")
     mode = config.get("test", "dependence")
     expect = config.get("expect")
     if mode == "dependence":
@@ -533,6 +525,7 @@ _HANDLERS = {
     "wronskian": _cmd_wronskian,
     "selftest": _cmd_selftest,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _report(config, command=None, checks=(), error=None) -> dict:
@@ -565,9 +558,6 @@ def run(config) -> tuple[dict, int]:
         return _report(config, command, error=("resource-guard", str(ex))), 3
     except HsderivError as ex:
         return _report(config, command, error=(type(ex).__name__, str(ex))), 1
-    except (KeyError, TypeError, ValueError) as ex:
-        message = f"{type(ex).__name__}: {ex}"
-        return _report(config, command, error=("malformed-config", message)), 2
     except Exception as ex:
         message = f"{type(ex).__name__}: {ex}"
         return _report(config, command, error=("internal-error", message)), 1

@@ -13,6 +13,10 @@ class DivisionByZero(HsderivError):
     """Zero denominator or inversion of the zero field element."""
 
 
+class ParseError(HsderivError, ValueError):
+    """Text out of the canonical syntax: a stray token, an unclosed bracket, a bad exponent."""
+
+
 class UnknownVariable(HsderivError):
     """A substitution or parse referenced a variable the ring does not have."""
 

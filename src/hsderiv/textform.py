@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import ResourceGuard, UnknownVariable
+from .errors import ParseError, ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
 from .poly import FqDomain, MultiPoly, RationalFunc, poly_ring, power, sorted_terms
 
@@ -114,6 +114,13 @@ def format_ratfunc(f: RationalFunc) -> str:
     return f"({num}) / ({format_poly(f.den)})"
 
 
+def _number(t: str) -> int:
+    try:
+        return int(t)
+    except ValueError:  # past Python's limit on the digits of an int
+        raise ParseError(f"a number of {len(t)} digits is too long") from None
+
+
 class _Parser:
     """Recursive descent building elements of a ring over the field; in a
     truncated ring every product truncates.
@@ -131,14 +138,13 @@ class _Parser:
         pos = 0
         while pos < len(text):
             m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
+            if not m:
                 rest = text[pos:].strip()
                 if not rest:
                     break
-                raise ValueError(f"cannot tokenize near {rest[:20]!r}")
+                raise ParseError(f"cannot tokenize near {rest[:20]!r}")
             self.tokens.append(m.group(0).strip())
             pos = m.end()
-        self.tokens = [t for t in self.tokens if t]
         self.i = 0
 
     def peek(self):
@@ -152,12 +158,12 @@ class _Parser:
     def expect(self, t):
         got = self.take()
         if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
+            raise ParseError(f"expected {t!r}, got {got!r}")
 
     def parse(self):
         out = self.expression()
         if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
+            raise ParseError(f"trailing input at {self.peek()!r}")
         return out
 
     def expression(self):
@@ -212,9 +218,9 @@ class _Parser:
         a constant, (None, variable index, k) for a variable."""
         t = self.take()
         if t is None:
-            raise ValueError("unexpected end of input")
+            raise ParseError("unexpected end of input")
         if t.isdigit():
-            out = (self.ctx.raw(int(t)), None)
+            out = (self.ctx.raw(_number(t)), None)
         elif t == "g":
             if self.ctx.d == 1:
                 raise UnknownVariable("g is not available over a prime field")
@@ -224,7 +230,7 @@ class _Parser:
                 raise UnknownVariable(f"unknown variable {t!r}")
             out = (None, self.vars.index(t))
         else:
-            raise ValueError(f"unexpected token {t!r}")
+            raise ParseError(f"unexpected token {t!r}")
         k = self._exponent()
         return out + (1 if k is None else k,)
 
@@ -235,8 +241,8 @@ class _Parser:
         self.take()
         e = self.take()
         if e is None or not e.isdigit():
-            raise ValueError("exponent must be a nonnegative integer")
-        return int(e)
+            raise ParseError("exponent must be a nonnegative integer")
+        return _number(e)
 
     def _monomial(self, coef: int, exps):
         exps = tuple(exps)

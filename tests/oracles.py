@@ -16,7 +16,7 @@ from hsderiv.artinian import ArtinianModel
 from hsderiv.densepoly import DenseRing
 from hsderiv.derivation import HSDerivation, canonical_derivation, \
     twist_by_automorphism
-from hsderiv.errors import ResourceGuard, UnknownVariable
+from hsderiv.errors import ParseError, ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext, FqScalar, is_prime
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
@@ -433,7 +433,7 @@ class ReferenceParser:
                 rest = text[pos:].strip()
                 if not rest:
                     break
-                raise ValueError(f"cannot tokenize near {rest[:20]!r}")
+                raise ParseError(f"cannot tokenize near {rest[:20]!r}")
             self.tokens.append(m.group(0).strip())
             pos = m.end()
         self.tokens = [t for t in self.tokens if t]
@@ -450,12 +450,12 @@ class ReferenceParser:
     def expect(self, t):
         got = self.take()
         if got != t:
-            raise ValueError(f"expected {t!r}, got {got!r}")
+            raise ParseError(f"expected {t!r}, got {got!r}")
 
     def parse(self):
         out = self.expression()
         if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
+            raise ParseError(f"trailing input at {self.peek()!r}")
         return out
 
     def expression(self):
@@ -484,7 +484,7 @@ class ReferenceParser:
             self.take()
             e = self.take()
             if e is None or not e.isdigit():
-                raise ValueError("exponent must be a nonnegative integer")
+                raise ParseError("exponent must be a nonnegative integer")
             if self.ring is None:
                 base = power(self._const(1), base, int(e), self._mul)
             else:
@@ -508,7 +508,7 @@ class ReferenceParser:
     def primary(self):
         t = self.take()
         if t is None:
-            raise ValueError("unexpected end of input")
+            raise ParseError("unexpected end of input")
         if t.isdigit():
             return self._const(int(t))
         if t == "(":
@@ -525,4 +525,4 @@ class ReferenceParser:
             if self.ring is None:
                 return MultiPoly.var(self.ctx, self.vars, t)
             return self.ring.var(t)
-        raise ValueError(f"unexpected token {t!r}")
+        raise ParseError(f"unexpected token {t!r}")

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsderiv import cli
 from hsderiv.cli import render_report, run
@@ -231,6 +234,75 @@ def test_string_list_fields_are_checked_entry_by_entry(base, change, field):
     assert run(json.loads(json.dumps(base)))[1] == 0
 
 
+# text that no parser slot reads: syntax errors, unknown variables, a zero
+# denominator (a parse error outside the Wronskian's rational functions), and
+# a number and an exponent past Python's limit on the digits of an int
+_BAD_TEXT = ["", "x1 +", "x1 *", "(x1", "x1)", "x1^", "x1^x2", "x1 $ x2", "x1 x2",
+             "x1 + * x2", "2^-1", "x3", "y", "1/0", "1" + "0" * 5000, "2^1" + "0" * 5000]
+
+
+def _slot_jobs(d):
+    """Per text slot: the job with text in the slot, its field name, and
+    text the slot reads."""
+    ctx = {"p": 2, "m": 1, **({"d": 2} if d == 2 else {})}
+    additive = {"type": "additive", "e": 2}
+    return {
+        "basis-verify-elements": (lambda s: {
+            "command": "basis-verify", "context": ctx,
+            "law": {"type": "witt2", "alphas": [1]}, "elements": ["x1", s]},
+            "'elements[1]'", "x2"),
+        "wronskian-elements": (lambda s: {
+            "command": "wronskian", "context": ctx, "law": additive,
+            "elements": [s, "x2"]}, "'elements[0]'", "x1"),
+        "phi": (lambda s: {
+            "command": "iterativity", "context": ctx, "law": additive,
+            "derivation": {"type": "twist", "phi": ["x1", s]}},
+            "'derivation.phi[1]'", "x2"),
+        "images": (lambda s: {
+            "command": "iterativity", "context": ctx, "law": additive,
+            "derivation": {"type": "images", "images": [s, "x2 + v2"]}},
+            "'derivation.images[0]'", "x1 + v1"),
+        "alphas": (lambda s: {
+            "command": "law-check", "context": dict(ctx, m=2),
+            "law": {"type": "witt2", "alphas": [1, s]}}, "'law.alphas[1]'", "1"),
+    }
+
+
+_SLOTS = sorted(_slot_jobs(1))
+
+
+@pytest.mark.parametrize("text", _BAD_TEXT, ids=lambda t: t if len(t) < 20 else f"{t[:3]}...")
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_text_that_does_not_parse_is_malformed(slot, d, text):
+    # a syntax error, an unknown variable or a zero denominator in a parsed
+    # field is a malformed config naming the entry, whichever parser met it
+    job, field, _ = _slot_jobs(d)[slot]
+    report, code = run(job(text))
+    error = report["errors"][0]
+    assert (code, error["kind"]) == (2, "malformed-config")
+    assert field in error["message"] and not report["checks"]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("slot", _SLOTS)
+def test_text_slots_read_good_text(slot, d):
+    job, _, good = _slot_jobs(d)[slot]
+    assert run(job(good))[1] == 0
+
+
+@pytest.mark.parametrize("context", [
+    {"p": 2, "d": 5}, {"p": 2, "d": 2, "modulus": [0, 0, 1]},
+    {"p": 3, "d": 2, "modulus": [1, 1]}, {"p": 3, "d": 2, "modulus": [1, 0, 2]},
+], ids=["d-past-4", "reducible", "wrong-degree", "not-monic"])
+def test_context_that_gives_no_field_is_malformed(context):
+    report, code = run({"command": "law-check", "context": context,
+                        "law": {"type": "additive"}})
+    error = report["errors"][0]
+    assert (code, error["kind"]) == (2, "malformed-config")
+    assert "'context'" in error["message"]
+
+
 def test_invalid_json_exit_2(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ command:")
@@ -252,6 +324,11 @@ def test_resource_guard_exit_3(tmp_path):
     assert _invoke(wide, "--quiet", tmp_path=tmp_path).returncode == 3
     report = json.loads(_invoke(wide, "--quiet", tmp_path=tmp_path).stdout)
     assert report["errors"][0]["kind"] == "resource-guard"
+    # p^(e*m) is compared with MAX_DIM only while e*m is below its bit
+    # length: at e = 2^40 the power would be an integer of 3 * 2^40 bits
+    report, code = run(dict(wide, law={"type": "additive", "e": 2**40}))
+    assert code == 3 and report["errors"][0]["message"] == (
+        f"model dimension p^(e*m) = 2^{3 * 2**40} exceeds 65536")
 
 
 @pytest.mark.parametrize(
@@ -520,11 +597,14 @@ def test_wronskian_parse_guard_refuses_a_large_product_early(monkeypatch):
     assert sum(pairs) < 500_000
 
 
-def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):
-    def broken(config):
-        raise ZeroDivisionError("division by zero")
+def _raising(ex):
+    def broken(*args, **kwargs):
+        raise ex
+    return broken
 
-    monkeypatch.setitem(cli._HANDLERS, "hn", broken)
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "hn", _raising(ZeroDivisionError("division by zero")))
     job = {"command": "hn", "context": {"p": 3}, "n": 0}
     report, code = run(job)
     assert code == 1
@@ -537,3 +617,71 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, tmp_path, capsys
     assert cli.main(["run", str(path), "--quiet"]) == 1
     printed = json.loads(capsys.readouterr().out)
     assert printed["errors"] == report["errors"]
+    # a KeyError, TypeError or ValueError from the library inside a handler
+    # is a bug there, not a malformed config
+    for name, target, ex in [("tower_product", "tower", TypeError("library bug")),
+                             ("pseries_witt2", "n_series", KeyError("library bug")),
+                             ("law_check_witt2", "check_axioms", ValueError("library bug"))]:
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, target, _raising(ex))
+            report, code = run(json.loads((ROOT / "configs" / f"{name}.json").read_text()))
+        assert code == 1 and report["checks"] == []
+        assert report["errors"] == [
+            {"kind": "internal-error", "message": f"{type(ex).__name__}: {ex}"}]
+
+
+def _spots(value, path=()):
+    """(path, value) of every entry below value, a JSON config."""
+    if isinstance(value, (dict, list)):
+        for k, v in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield path + (k,), v
+            yield from _spots(v, path + (k,))
+
+
+@st.composite
+def _mutated_configs(draw):
+    """A shipped config with one key dropped, one value of another JSON type,
+    or one integer out of range; with the mutation and the path it took."""
+    config = json.loads(draw(st.sampled_from(CONFIGS)).read_text())
+    path, value = draw(st.sampled_from(list(_spots(config))))
+    kinds = ["type"] + ["drop"] * isinstance(path[-1], str) + ["range"] * (type(value) is int)
+    kind = draw(st.sampled_from(kinds))
+    parent = config
+    for k in path[:-1]:
+        parent = parent[k]
+    if kind == "drop":
+        del parent[path[-1]]
+    elif kind == "type":
+        parent[path[-1]] = draw(st.sampled_from(
+            [v for v in (None, True, 7, 1.5, "s", [], {}) if type(v) is not type(value)]))
+    else:
+        parent[path[-1]] = draw(st.sampled_from([-1, 0, 2**40]))
+    return config, kind, path
+
+
+def _names(message, path):
+    """Whether message names the entry at path: key[index] for a list
+    entry, the key as a word otherwise."""
+    if isinstance(path[-1], int):
+        return f"{path[-2]}[{path[-1]}]" in message
+    return re.search(rf"\b{path[-1]}\b", message) is not None
+
+
+@settings(max_examples=400, deadline=None)
+@given(_mutated_configs())
+def test_mutated_shipped_configs_fail_in_their_field(case):
+    # a mutation is refused by the reader of the field it touched, or runs to
+    # a check or a guard; it never reaches an internal error
+    config, kind, path = case
+    report, code = run(config)
+    for error in report["errors"]:
+        assert error["kind"] != "internal-error"
+        assert not re.match(r"[A-Za-z]*(Error|Exception): ", error["message"])
+    if code == 2:
+        # a dropped key reads as its default, against which a list entry
+        # still in the config can be what is malformed: without law.e the
+        # law of wronskian_pindep is one-dimensional, and its 'elements[1]',
+        # "x2", names an unknown variable
+        entries = [p for p, _ in _spots(config) if isinstance(p[-1], int)]
+        named = [path] + entries * (kind == "drop")
+        assert any(_names(report["errors"][0]["message"], p) for p in named)
