@@ -125,6 +125,12 @@ def _law_spec(spec, name="law"):
     raise MalformedConfig(f"unknown law type {typ!r}")
 
 
+def _guard_power(what: str, p: int, k: int):
+    # 2^k already exceeds MAX_DIM once k reaches its bit length
+    if k >= MAX_DIM.bit_length() or p**k > MAX_DIM:
+        raise ResourceGuard(f"{what} = {p}^{k} exceeds {MAX_DIM}")
+
+
 def _law_of(config):
     """The config's law over its context, after the resource guard has cleared."""
     ctx = _context_of(config)
@@ -139,10 +145,7 @@ def _law_of(config):
                  f"context.e = {ce} but the law spec has dimension {e}")
     if not 1 <= m <= 3:
         raise ResourceGuard(f"m must lie in [1, 3], got {m}")
-    # 2^(e*m) already exceeds MAX_DIM once e*m reaches its bit length
-    if e * m >= MAX_DIM.bit_length() or ctx.p ** (e * m) > MAX_DIM:
-        raise ResourceGuard(
-            f"model dimension p^(e*m) = {ctx.p}^{e * m} exceeds {MAX_DIM}")
+    _guard_power("model dimension p^(e*m)", ctx.p, e * m)
     return build(ctx, m)
 
 
@@ -151,7 +154,7 @@ def _derivation_of(config) -> HSDerivation:
     model = ArtinianModel(law.ctx, law.e, law.m)
     spec = config.get("derivation", {"type": "canonical"})
     _require(isinstance(spec, dict), "derivation spec must be an object")
-    typ = spec.get("type", "canonical")
+    typ = spec.get("type")
     if typ == "canonical":
         return canonical_derivation(model, law)
     if typ == "images":
@@ -160,7 +163,8 @@ def _derivation_of(config) -> HSDerivation:
     if typ == "twist":
         return twist_by_automorphism(canonical_derivation(model, law), _parsed(
             spec.get("phi"), "derivation.phi", partial(parse_trunc, model.ring), law.e))
-    raise MalformedConfig(f"unknown derivation type {typ!r}")
+    raise MalformedConfig(
+        f"field 'derivation.type' must be canonical, images or twist; got {typ!r}")
 
 
 def _check(name, ok, expected=None, actual=None, detail=None):
@@ -262,10 +266,8 @@ def _cmd_pseries(config):
 def _cmd_hn(config):
     p = _prime_of(config)
     n = _get_int(config, "n", minimum=0)
-    # H_n enters a law only at levels n < m, so p^(n+1) <= p^m <= MAX_DIM;
-    # 2^(n+1) already exceeds MAX_DIM once n + 1 reaches its bit length
-    if n + 1 >= MAX_DIM.bit_length() or p ** (n + 1) > MAX_DIM:
-        raise ResourceGuard(f"hn degree p^(n+1) = {p}^{n + 1} exceeds {MAX_DIM}")
+    # H_n enters a law only at levels n < m, so p^(n+1) <= p^m <= MAX_DIM
+    _guard_power("hn degree p^(n+1)", p, n + 1)
     f = h_n(p, n)
     s = format_poly(f)
     ok = parse_poly(f.ctx, f.vars, s) == f

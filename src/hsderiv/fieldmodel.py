@@ -13,13 +13,16 @@ each v-exponent's terms become one polynomial in x over denominator one.
 Only a rational element then goes through ``invert_unit`` and a product of
 rational functions.
 
-On top of the context sit three exact linear-algebra tests: the component
-matrix of a family over the [p)-box, its rank over K, and the derived
-dependence and p-independence classifications.  A dependence witness is
-checked on polynomials: the witness and each matrix row are cleared of
-their distinct denominators, and each row's cleared sum must vanish.  The
-dependence test clears each row once and hands the same polynomial rows to
-the rank and to the witness check.
+On top of the context sit the component matrix of a family over the
+[p)-box, its rank over K, and the dependence and p-independence tests.  One
+fraction-free elimination gives the rank and the witness: rows cleared of
+their distinct denominators are cross-multiplied and stripped of monomial
+content (``_step``) to echelon form; for a dependent family the same step
+runs upward from the last pivot to a reduced form R.  The witness is 1 at
+the first non-pivot column f, -R[i][f] / R[i][c_i] (monic denominator, no
+gcd) at each pivot column c_i and 0 elsewhere: the one kernel vector over K
+with those free entries.  It is checked on the cleared rows: cleared of its
+own denominators, it must make each row's sum vanish.
 """
 
 from operator import add
@@ -200,89 +203,68 @@ def _cleared(entries) -> list[MultiPoly]:
     return out
 
 
-def _polynomial_rows(matrix) -> list[list[MultiPoly]]:
-    """Each row as polynomials: a row of MultiPoly entries is taken as it
-    is, as ``_cleared`` returns it; any other row is cleared of its
-    denominators. Clearing scales a row by a nonzero polynomial, which
-    changes neither the rank nor whether a vector annihilates the row."""
-    return [
-        row if all(type(e) is MultiPoly for e in row) else _cleared(
-            [e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row])
-        for row in matrix
-    ]
+def _step(pivot_row, row, c):
+    """row with its column c cleared by pivot_row: cross-multiplied by the
+    two column-c entries, then stripped of monomial content."""
+    a, b = pivot_row[c], row[c]
+    return _strip_content([a * row[j] - b * pivot_row[j] for j in range(len(row))])
+
+
+def _echelon(rows) -> tuple[list, list[int]]:
+    """Fraction-free echelon form of polynomial rows and its pivot columns,
+    as many as the rank: each step scales a row by a nonzero polynomial."""
+    rows = [_strip_content(row) for row in rows]
+    nrows = len(rows)
+    pivots: list[int] = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for k in range(r + 1, nrows):
+            if rows[k][c]:
+                rows[k] = _step(rows[r], rows[k], c)
+        pivots.append(c)
+        if len(pivots) == nrows:
+            break
+    return rows, pivots
 
 
 def rank_over_field(matrix) -> int:
-    """Rank over K via fraction-free elimination with content stripping.
-    Entries are rational functions or polynomials; see ``_polynomial_rows``."""
-    if not matrix or not matrix[0]:
-        return 0
-    ncols = len(matrix[0])
-    rows = [_strip_content(row) for row in _polynomial_rows(matrix)]
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for k in range(r + 1, nrows):
+    """Rank over K by fraction-free elimination with content stripping.
+    Entries are rational functions or polynomials; each row is cleared of
+    its denominators, which scales it by a nonzero polynomial."""
+    return len(_echelon([_cleared([
+        e if isinstance(e, RationalFunc) else RationalFunc.from_poly(e) for e in row])
+        for row in matrix])[1])
+
+
+def _witness(rows, pivots) -> list[RationalFunc]:
+    """The kernel vector of echelon rows of rank below their width that is
+    one at the first non-pivot column: the same step, run upward from the
+    last pivot, leaves row i nonzero at no pivot column but its own."""
+    rows = list(rows)
+    for i in range(len(pivots) - 1, 0, -1):
+        c = pivots[i]
+        for k in range(i):
             if rows[k][c]:
-                a, b = pr[c], rows[k][c]
-                rows[k] = _strip_content(
-                    [a * rows[k][j] - b * pr[j] for j in range(ncols)]
-                )
-        r += 1
-        if r == nrows:
-            break
-    return r
-
-
-def _kernel_vector(matrix) -> list[RationalFunc]:
-    """One kernel vector of a rank-deficient matrix, by field elimination.
-
-    The free column is the first non-pivot column, and its witness entry is
-    one; that makes the output canonical for a fixed input matrix.
-    """
-    rows = [list(row) for row in matrix]
-    nrows, ncols = len(rows), len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * x for x in rows[r]]
-        for k in range(nrows):
-            if k != r and rows[k][c]:
-                f = rows[k][c]
-                rows[k] = [rows[k][j] - f * rows[r][j] for j in range(ncols)]
-        pivots.append(c)
-        r += 1
-    free = next(c for c in range(ncols) if c not in pivots)
-    ring = matrix[0][0].num.ring
-    one, zero = RationalFunc.from_poly(ring.one), RationalFunc.from_poly(ring.zero)
-    w = [zero] * ncols
-    w[free] = one
-    for row_i, c in enumerate(pivots):
-        w[c] = zero - rows[row_i][free]
+                rows[k] = _step(rows[i], rows[k], c)
+    ring = rows[0][0].ring
+    w = [RationalFunc.from_poly(ring.zero)] * len(rows[0])
+    free = next(c for c in range(len(w)) if c not in pivots)
+    w[free] = RationalFunc.from_poly(ring.one)
+    for row, c in zip(rows, pivots):
+        w[c] = RationalFunc(-row[free], row[c])
     return w
 
 
-def _check_witness(matrix, w) -> None:
-    """Raise HypothesisFailure unless matrix · w = 0 over K.
-
-    With u the witness cleared of its denominators (w = u / L for the
-    product L of its distinct denominators) and each row cleared of its own
-    (``_polynomial_rows``: a row of polynomials is taken as already
-    cleared), row · w = 0 exactly when the cleared row times u is the zero
-    polynomial.
-    """
+def _check_witness(rows, w) -> None:
+    """Raise HypothesisFailure unless the matrix with these cleared rows
+    kills w over K: with u = w cleared of its denominators (w = u / L for
+    the product L of the distinct ones), each row times u must vanish."""
     u = _cleared(w)
-    for row in _polynomial_rows(matrix):
+    for row in rows:
         acc = w[0].num.ring.zero
         for c, uj in zip(row, u):
             if c and uj:
@@ -296,15 +278,16 @@ def dependence_test(fctx: FieldDerivationContext, elements) -> dict:
 
     A dependent family comes with a kernel witness; the witness is checked
     against every matrix row before it is returned. Each row is cleared of
-    its denominators once, for the rank and for that check.
+    its denominators once, for the elimination and for that check.
     """
     elems = [fctx.dom.coerce(f) for f in elements]
     mat = wronskian_matrix(fctx, elems)
     rows = [_cleared(row) for row in mat]
-    rank = rank_over_field(rows)
+    echelon, pivots = _echelon(rows)
+    rank = len(pivots)
     if rank == len(elems):
         return {"independent": True, "rank": rank, "witness": None}
-    w = _kernel_vector(mat)
+    w = _witness(echelon, pivots)
     _check_witness(rows, w)
     return {"independent": False, "rank": rank, "witness": w}
 

@@ -57,18 +57,32 @@ def float_pays(n: int, k: int, m: int, d: int) -> bool:
     return n > 1 and k > 1 and m > 1 and n * m * (k + 8) * d * d >= FLOAT_MIN_WORK
 
 
+# Miller-Rabin to the prime bases up to 41 decides primality exactly below
+# 3.3e24 (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    """Whether n is prime, by Miller-Rabin to the bases above, O(log n)
+    products each. Past the exact range a base that proves n composite still
+    answers False, and a strong probable prime raises ResourceGuard rather
+    than a guess: no guard admits a p that large."""
+    if n < 2 or n in _MR_BASES or any(n % b == 0 for b in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # 2^s exactly divides n - 1
+    for b in _MR_BASES:
+        x = pow(b, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
-        f += 2
+    if n >= _MR_EXACT_BELOW:
+        raise ResourceGuard(f"primality is decided only below {_MR_EXACT_BELOW}; got {n}")
     return True
 
 

@@ -21,7 +21,7 @@ from hsderiv.gf import FqContext, FqScalar, is_prime
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
 from hsderiv.linalg import Subspace, image_space, inv_matrix, kernel_space
-from hsderiv.poly import MultiPoly, power, term_key
+from hsderiv.poly import MultiPoly, RationalFunc, power, term_key
 from hsderiv.truncated import PowerLadder, TruncatedPoly, evaluate, invert_unit
 
 
@@ -412,6 +412,39 @@ def nested_field_apply(fctx, f) -> TruncatedPoly:
     if g.den == 1:
         return num
     return num * invert_unit(evaluate(g.den.terms, ladders, fctx.ring))
+
+
+def field_kernel_vector(matrix) -> tuple[list, int]:
+    """One kernel vector of a rank-deficient matrix of rational functions,
+    by Gauss-Jordan elimination over K, and its free column: the first
+    non-pivot column, whose entry is one. It divides by each pivot as a
+    rational function, where ``fieldmodel`` clears rows to polynomials and
+    cross-multiplies."""
+    rows = [list(row) for row in matrix]
+    nrows, ncols = len(rows), len(rows[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((k for k in range(r, nrows) if rows[k][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for k in range(nrows):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                rows[k] = [rows[k][j] - f * rows[r][j] for j in range(ncols)]
+        pivots.append(c)
+        r += 1
+    free = next(c for c in range(ncols) if c not in pivots)
+    ring = matrix[0][0].num.ring
+    one, zero = RationalFunc.from_poly(ring.one), RationalFunc.from_poly(ring.zero)
+    w = [zero] * ncols
+    w[free] = one
+    for row_i, c in enumerate(pivots):
+        w[c] = zero - rows[row_i][free]
+    return w, free
 
 
 class ReferenceParser:

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -115,7 +116,7 @@ GOLDEN_SHA256 = {
     "tower_product":
         "bdccaeba364623669c81c37719b3ef2ee8f457771870edfb2705a74b508ff72b",
     "wronskian_dependence":
-        "340976a907d903acc01c60fdc4e3e78ae2aaaf364e839b22afd733a6293802d0",
+        "9064f0461db7b006eedee19a1599c0275b8ca2c52a7a96918fd6d395d0dab6ad",
     "wronskian_pindep":
         "5e15535dee92e62ad19b2027bdb8b6fcb7fb5d731d401a4d71eefdae2f9ef0da",
 }
@@ -529,13 +530,53 @@ def test_hn_degree_guard_exit_3(tmp_path):
     assert json.loads(res.stdout)["errors"][0]["kind"] == "resource-guard"
 
 
+@pytest.mark.parametrize("config", [
+    {"command": "hn", "context": {"p": 2**61 - 1}, "n": 0},
+    {"command": "law-check", "context": {"p": 2**61 - 1, "m": 1},
+     "law": {"type": "additive"}},
+], ids=["hn", "law-check"])
+def test_large_prime_reaches_its_guard_at_once(config):
+    # primality is Miller-Rabin, not trial division up to sqrt(p)
+    start = time.perf_counter()
+    report, code = run(config)
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and report["errors"][0]["kind"] == "resource-guard"
+
+
+def test_primality_past_its_exact_range_exit_3():
+    # 2^89 - 1 is prime, but past 3.3e24 the bases up to 41 do not decide
+    # it; 10^30 has a base as a factor and is still not a prime
+    config = {"command": "hn", "context": {"p": 2**89 - 1}, "n": 0}
+    assert run(config)[1] == 3
+    report, code = run(dict(config, context={"p": 10**30}))
+    assert code == 2 and "context.p must be prime" in report["errors"][0]["message"]
+
+
+@pytest.mark.parametrize(
+    "path", [c for c in CONFIGS if "derivation" in json.loads(c.read_text())],
+    ids=lambda p: p.stem)
+def test_derivation_needs_its_type(path):
+    # read as canonical, a derivation object without a type would drop its
+    # phi or images without a word
+    config = json.loads(path.read_text())
+    del config["derivation"]["type"]
+    report, code = run(config)
+    assert code == 2 and report["errors"] == [{"kind": "malformed-config", "message":
+        "field 'derivation.type' must be canonical, images or twist; got None"}]
+    # no derivation object at all is the canonical derivation
+    del config["derivation"]
+    report, code = run(config)
+    canonical, want = run(dict(config, derivation={"type": "canonical"}))
+    assert (report["checks"], code) == (canonical["checks"], want)
+
+
 # every untruncated product of a parsed element is guarded at the parse budget
 
 _POWER_FAMILIES = [
     (["(x1 + x2 + 1)^40", "x1 + x2^2", "x1*x2"],
      "71f276f61616fbd29b6b050c029b81a167d5affe2d2007c90d6a2a46ac53459d"),
     (["(x1 + x2 + 1)^40", "x2^3*(x1 + x2 + 1)^40", "x1"],
-     "bb67133c659922705a691ebb4e3ae19515b2470ff2d5489f04e3fdc8878cc1f0"),
+     "15911d10e874999d34667b944351b507be08381772a63c1bcd25690937b4aa6c"),
 ]
 
 

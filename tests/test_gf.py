@@ -17,6 +17,7 @@ from hsderiv.gf import (
     default_modulus,
     exact_in_float64,
     float_pays,
+    is_prime,
     lambda_coeffs,
     multinomial_mod_p,
 )
@@ -53,6 +54,52 @@ def test_binom_mod_p_out_of_range_and_bad_p():
     assert binom_mod_p(3, -1, 2) == 0
     with pytest.raises(ValueError):
         binom_mod_p(3, 1, 4)
+
+
+def _by_trial_division(n: int) -> bool:
+    return n >= 2 and all(n % f for f in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_agrees_with_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == \
+        [n for n in range(10**5) if _by_trial_division(n)]
+
+
+# the least strong pseudoprimes to the first k prime bases (for the k where
+# it grows), with their factors; the last passes every base up to 41 and is
+# where that set of bases stops being exact
+_STRONG_PSEUDOPRIMES = {
+    2047: (23, 89),
+    1373653: (829, 1657),
+    25326001: (2251, 11251),
+    3215031751: (151, 751, 28351),
+    2152302898747: (6763, 10627, 29947),
+    3474749660383: (1303, 16927, 157543),
+    341550071728321: (10670053, 32010157),
+    3825123056546413051: (149491, 747451, 34233211),
+    318665857834031151167461: (399165290221, 798330580441),
+    3317044064679887385961981: (1287836182261, 2575672364521),
+}
+
+
+@pytest.mark.parametrize("n,factors", _STRONG_PSEUDOPRIMES.items(),
+                         ids=[str(n) for n in _STRONG_PSEUDOPRIMES])
+def test_is_prime_on_strong_pseudoprimes(n, factors):
+    # composite by a trial divisor; past 3.3e24 a strong probable prime is
+    # refused rather than guessed
+    assert math.prod(factors) == n and n % factors[0] == 0 and 1 < factors[0] < n
+    if n < 3317044064679887385961981:
+        assert not is_prime(n)
+    else:
+        with pytest.raises(ResourceGuard):
+            is_prime(n)
+
+
+def test_is_prime_on_large_numbers():
+    assert is_prime(2**61 - 1) and is_prime(99999999999973) and is_prime(2**31 - 1)
+    assert not is_prime((2**31 - 1) * (2**61 - 1)) and not is_prime(10**30)
+    with pytest.raises(ResourceGuard):
+        is_prime(2**89 - 1)
 
 
 def test_lambda_coeffs_known_values():

@@ -17,7 +17,7 @@ import streams  # noqa: E402
 STREAM_SHA256 = {
     "coords": "f2fffebe6138860fd5c962642fde081a55f0a480f7f4460b292a45ed647289f3",
     "identities": "e142536adfb271e78a42ebb26f28c250bbf878fe058be4b18fc22fb5a3d06ec5",
-    "fields": "a2c129033474a59c1e34153f283e8c643388e73fdbb520e5368ffefac9f1a83d",
+    "fields": "e4b87fe93ba78438054593878fba497cb80daee4215636f46fbc049fcbf71e67",
 }
 
 

@@ -3,12 +3,13 @@
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hsderiv import fieldmodel
+from hsderiv import cli, fieldmodel
 from hsderiv.artinian import ArtinianModel
 from hsderiv.derivation import canonical_derivation
 from hsderiv.errors import HypothesisFailure, TooManyElements
@@ -23,7 +24,8 @@ from hsderiv.gf import FqContext
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2
 from hsderiv.lattice import constants
 from hsderiv.poly import MultiPoly, RationalFunc
-from oracles import poly_of
+from hsderiv.textform import parse_ratfunc
+from oracles import field_kernel_vector, poly_of
 
 
 def _fctx(law):
@@ -91,6 +93,9 @@ def test_rank_examples():
     # fractions clear row by row
     inv = (one + x).inverse()
     assert rank_over_field([[inv, x * inv], [one, x]]) == 1
+    # rows of polynomials, and rows that mix them with rational functions
+    assert rank_over_field([[one.num, x.num], [zero.num, one.num]]) == 2
+    assert rank_over_field([[inv, x * inv], [one.num, x.num]]) == 1
 
 
 def test_scalar_multiple_dependent():
@@ -256,7 +261,7 @@ from hsderiv.grouplaw import make_additive
 from hsderiv.poly import MultiPoly
 fctx = fieldmodel.FieldDerivationContext(make_additive(FqContext(2, 1), 1, 1))
 x = fctx.dom.coerce(MultiPoly.var(fctx.ctx, fctx.xvars, "x1"))
-fieldmodel._kernel_vector = lambda mat: [fctx.dom.one, fctx.dom.zero]
+fieldmodel._witness = lambda rows, pivots: [fctx.dom.one, fctx.dom.zero]
 try:
     fieldmodel.dependence_test(fctx, [fctx.dom.one, x * x])
 except HypothesisFailure:
@@ -268,8 +273,8 @@ sys.exit(1)
 def test_dependence_witness_is_checked(monkeypatch):
     fctx = _fctx(make_additive(FqContext(2, 1), 1, 1))
     x = _x(fctx)
-    monkeypatch.setattr(fieldmodel, "_kernel_vector",
-                        lambda mat: [fctx.dom.one, fctx.dom.zero])
+    monkeypatch.setattr(fieldmodel, "_witness",
+                        lambda rows, pivots: [fctx.dom.one, fctx.dom.zero])
     with pytest.raises(HypothesisFailure):
         dependence_test(fctx, [fctx.dom.one, x * x])
 
@@ -284,17 +289,28 @@ def test_dependence_witness_is_checked_under_optimize():
 def _ratpoly(draw, fctx, top, nonconstant=False):
     # one to three terms with nonzero coefficients, one of them of degree
     # at least one when nonconstant
-    ctx = fctx.ctx
-    exps = draw(st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True))
-    if nonconstant and not any(exps):
-        exps.append(draw(st.integers(1, top)))
-    return poly_of(ctx, fctx.xvars, {(k,): (draw(st.integers(1, ctx.p - 1)),) + tuple(
+    ctx, e = fctx.ctx, len(fctx.xvars)
+    exps = draw(st.lists(st.tuples(*[st.integers(0, top)] * e),
+                         min_size=1, max_size=3, unique=True))
+    if nonconstant and not any(map(any, exps)):
+        exps.append((draw(st.integers(1, top)),) + (0,) * (e - 1))
+    return poly_of(ctx, fctx.xvars, {k: (draw(st.integers(1, ctx.p - 1)),) + tuple(
         draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d - 1)) for k in exps})
 
 
 @st.composite
 def _ratfunc(draw, fctx):
     return RationalFunc(draw(_ratpoly(fctx, 3)), draw(_ratpoly(fctx, 2, nonconstant=True)))
+
+
+@st.composite
+def _kp_const(draw, fctx):
+    # an element of K^p, killed by every component of the depth-one
+    # additive law: c0 + c_1 x_1^p + ... + c_e x_e^p
+    ctx, e = fctx.ctx, len(fctx.xvars)
+    exps = [(0,) * e] + [tuple(ctx.p * (s == t) for s in range(e)) for t in range(e)]
+    return fctx.dom.coerce(poly_of(ctx, fctx.xvars, {
+        k: tuple(draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d)) for k in exps}))
 
 
 @settings(max_examples=60)
@@ -305,27 +321,70 @@ def test_witness_check_on_rational_families(data):
     # one entry, by a sum or a scaling, fails it
     fctx = _fctx(make_additive(FqContext(*data.draw(
         st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2)]))), 1, 1))
-    p, ctx, xvars = fctx.ctx.p, fctx.ctx, fctx.xvars
     f1, f2 = data.draw(_ratfunc(fctx)), data.draw(_ratfunc(fctx))
     assume(f1.den != f2.den)
-    c1, c2 = (fctx.dom.coerce(poly_of(ctx, xvars, {
-        (0,): tuple(data.draw(st.integers(0, p - 1)) for _ in range(ctx.d)),
-        (p,): tuple(data.draw(st.integers(0, p - 1)) for _ in range(ctx.d)),
-    })) for _ in range(2))
+    c1, c2 = data.draw(_kp_const(fctx)), data.draw(_kp_const(fctx))
     f3 = c1 * f1 + c2 * f2
     assume(f3)
-    mat = wronskian_matrix(fctx, [f1, f2, f3])
-    assert rank_over_field(mat) < 3
-    w = fieldmodel._kernel_vector(mat)
-    fieldmodel._check_witness(mat, w)
+    rows = [fieldmodel._cleared(row) for row in wronskian_matrix(fctx, [f1, f2, f3])]
+    echelon, pivots = fieldmodel._echelon(rows)
+    assert len(pivots) < 3
+    w = fieldmodel._witness(echelon, pivots)
+    fieldmodel._check_witness(rows, w)
     j = data.draw(st.sampled_from([i for i, wi in enumerate(w) if wi]))
     r = data.draw(_ratfunc(fctx))
     with pytest.raises(HypothesisFailure):
-        fieldmodel._check_witness(mat, w[:j] + [w[j] + r] + w[j + 1:])
+        fieldmodel._check_witness(rows, w[:j] + [w[j] + r] + w[j + 1:])
     s = data.draw(_ratfunc(fctx))
     assume(s != fctx.dom.one)
     with pytest.raises(HypothesisFailure):
-        fieldmodel._check_witness(mat, w[:j] + [w[j] * s] + w[j + 1:])
+        fieldmodel._check_witness(rows, w[:j] + [w[j] * s] + w[j + 1:])
+
+
+def _assert_reference_witness(fctx, family, res):
+    # the witness is the field-elimination kernel vector, entry by entry as
+    # values, and holds its free entry as 1 itself
+    ref, free = field_kernel_vector(wronskian_matrix(fctx, family))
+    assert res["witness"] == ref
+    one = res["witness"][free]
+    assert one.num._is_one() and one.den._is_one()
+
+
+@settings(max_examples=40)
+@given(st.data())
+def test_witness_is_the_field_elimination_kernel_vector(data):
+    # random rational families over F_q(x_1..x_e), d and e in {1, 2}: a
+    # K^p-combination of two elements rides at a random place among them.
+    # Without a gcd the two-variable entries grow fast, so e = 2 keeps to
+    # p = 2 and at most three elements
+    p, e = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2)]))
+    fctx = _fctx(make_additive(FqContext(p, data.draw(st.sampled_from([1, 2]))), e, 1))
+    family = [data.draw(_ratfunc(fctx)) for _ in range(data.draw(st.integers(1, 4 - e)))]
+    comb = data.draw(_kp_const(fctx)) * family[0] + data.draw(_kp_const(fctx)) * family[-1]
+    family.insert(data.draw(st.integers(0, len(family))), comb)
+    res = dependence_test(fctx, family)
+    assert not res["independent"] and res["rank"] < len(family)
+    _assert_reference_witness(fctx, family, res)
+
+
+def test_stream_witnesses_are_the_field_elimination_kernel_vectors():
+    # every dependent job of the fields streams, seeds 1 to 10
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    import streams
+
+    seen = 0
+    for seed in range(1, 11):
+        for job in streams.generate("fields", seed):
+            config = job["config"]
+            if config.get("command") != "wronskian" or config.get("test") != "dependence":
+                continue
+            fctx = _fctx(cli._law_of(config))
+            family = [parse_ratfunc(fctx.ctx, fctx.xvars, f) for f in config["elements"]]
+            res = dependence_test(fctx, family)
+            if not res["independent"]:
+                _assert_reference_witness(fctx, family, res)
+                seen += 1
+    assert seen == 290
 
 
 def test_dependence_test_clears_each_row_once(monkeypatch):
