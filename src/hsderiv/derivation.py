@@ -374,7 +374,7 @@ def evp_point(law: FormalGroupLaw):
     for f in comps:
         merged = add_terms({}, [
             (tuple(sum(ex[t * e + l] for t in range(p)) for l in range(e)), c)
-            for ex, c in f.terms.items()], ring.dom.add)
+            for ex, c in f.terms.items()], ring.ctx.add)
         terms = {}
         for tot, c in merged.items():
             if any(x % p for x in tot):

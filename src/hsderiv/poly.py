@@ -1,14 +1,15 @@
 """Sparse polynomials over F_{p^d}, truncated or not, and rational functions.
 
-One arithmetic serves every polynomial. A ``TruncatedRing`` is a
-coefficient domain and ordered variable blocks, each with a power bound
-(v^bound = 0) or ``NO_BOUND``; a ``TruncatedPoly`` maps exponent tuples
-inside the bounds to nonzero domain values. ``poly_ring(ctx, vars)`` is the
-untruncated ring over the field, and its elements are ``MultiPoly``: the
-same arithmetic, with ``FqScalar`` coefficients at the boundary (``coeff``)
-and the helpers of the rational function field.
+One arithmetic serves every polynomial. A ``TruncatedRing`` is a field
+and ordered variable blocks, each with a power bound (v^bound = 0) or
+``NO_BOUND``; a ``TruncatedPoly`` maps exponent tuples inside the bounds to
+nonzero field values. ``poly_ring(ctx, vars)`` is the untruncated ring, and
+its elements are ``MultiPoly``: the same arithmetic, with ``FqScalar``
+coefficients at the boundary (``coeff``) and the helpers of the rational
+function field K = F_q(vars), whose elements are ``RationalFunc`` and
+whose coercions ``RatFuncDomain`` holds.
 
-Over the field a coefficient is the raw value: one int with digit i at bit
+A coefficient is the raw value: one int with digit i at bit
 offset ``ctx.width * i`` (for d = 1 the int in [0, p) itself). A product
 f*g sums the unreduced coefficient products for each exponent and reduces
 once per output term. An output term collects at most one product per term
@@ -45,7 +46,7 @@ from __future__ import annotations
 import sys
 from functools import lru_cache
 from itertools import chain
-from operator import add, lshift, lt, mul, neg, sub
+from operator import add, lshift, lt, mul, neg
 
 from .errors import ContextMismatch, DivisionByZero, UnknownVariable
 from .gf import FqContext, FqScalar
@@ -150,10 +151,10 @@ def product(f: "TruncatedPoly", g: "TruncatedPoly") -> "TruncatedPoly":
     shortcuts of the module docstring."""
     ring = f.ring
     a, b = f.terms, g.terms
-    dom = ring.dom
+    ctx = ring.ctx
     if len(a) > 1 and len(b) > 1:
         terms = _packed_terms if min(len(a), len(b)) >= PACKED_MIN_TERMS else product_terms
-        return ring.element(terms(a, b, dom.reduce, dom.lazy, ring.filter))
+        return ring.element(terms(a, b, ctx.reduce, ctx.lazy, ring.filter))
     if not a:
         return f
     if not b:
@@ -163,17 +164,17 @@ def product(f: "TruncatedPoly", g: "TruncatedPoly") -> "TruncatedPoly":
     # product; a field has no zero divisors, so no term vanishes
     if len(b) == 1:
         (e2, c2), = b.items()
-        if dom.is_one(c2) and not any(e2):
+        if c2 == 1 and not any(e2):
             return f
         pairs = [(tuple(map(add, e1, e2)), c1 * c2) for e1, c1 in a.items()]
     else:
         (e1, c1), = a.items()
-        if dom.is_one(c1) and not any(e1):
+        if c1 == 1 and not any(e1):
             # one: the denominator of every polynomial entry of a rational
             # function
             return g
         pairs = [(tuple(map(add, e1, e2)), c1 * c2) for e2, c2 in b.items()]
-    reduce, bounds = dom.reduce, ring.filter
+    reduce, bounds = ctx.reduce, ring.filter
     if bounds is not None:
         pairs = [(e, c) for e, c in pairs if all(map(lt, e, bounds))]
     return ring.element({e: reduce(c) for e, c in pairs})
@@ -192,51 +193,14 @@ def power(one, base, n: int, times=mul):
     return out
 
 
-class FqDomain:
-    """Coefficient domain of raw field values; ``coerce`` takes the public
-    ones, of the types in ``consts``."""
-
-    zero, one = 0, 1
-    consts = (int, FqScalar)
-
-    def __init__(self, ctx: FqContext):
-        self.ctx = ctx
-        self.reduce, self.lazy = ctx.reduce, ctx.lazy
-        self.add, self.sub = ctx.add, ctx.sub
-        self.neg, self.inverse = ctx.neg, ctx.inv
-
-    def __eq__(self, other):
-        return isinstance(other, FqDomain) and self.ctx == other.ctx
-
-    def __hash__(self):
-        return hash(("FqDomain", self.ctx))
-
-    def coerce(self, v) -> int:
-        return self.ctx.raw(v)
-
-    @staticmethod
-    def from_raw(x: int) -> int:
-        return x
-
-    @staticmethod
-    def is_one(c) -> bool:
-        return c == 1
-
-    @staticmethod
-    def poly_terms(c) -> int:
-        """Polynomial terms a coefficient holds: none, it is a field value."""
-        return 0
-
-
 class TruncatedRing:
-    """Immutable ring descriptor: coefficient domain plus ordered variable
-    blocks, each variable v of a block with v^bound = 0 (no relation for
-    NO_BOUND). Terms at or above a bound are dropped, which is exactly
-    reduction in the quotient ring."""
+    """Immutable ring descriptor: the field plus ordered variable blocks,
+    each variable v of a block with v^bound = 0 (no relation for NO_BOUND).
+    Terms at or above a bound are dropped, which is exactly reduction in the
+    quotient ring."""
 
-    def __init__(self, ctx: FqContext, blocks, dom=None):
+    def __init__(self, ctx: FqContext, blocks):
         self.ctx = ctx
-        self.dom = dom if dom is not None else FqDomain(ctx)
         self.blocks = tuple((tuple(names), int(bound)) for names, bound in blocks)
         vars: list[str] = []
         bounds: list[int] = []
@@ -251,23 +215,20 @@ class TruncatedRing:
         self.bounds = tuple(bounds)
         self._index = {v: i for i, v in enumerate(vars)}
         # the products' filter, None where no variable is truncated; such a
-        # ring over the field holds MultiPoly elements
+        # ring holds MultiPoly elements
         self.filter = None if min(bounds, default=NO_BOUND) == NO_BOUND else self.bounds
-        self.element_class = (
-            MultiPoly if self.filter is None and isinstance(self.dom, FqDomain)
-            else TruncatedPoly)
+        self.element_class = MultiPoly if self.filter is None else TruncatedPoly
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedRing)
             and self.ctx == other.ctx
-            and self.dom == other.dom
             and self.vars == other.vars
             and self.bounds == other.bounds
         )
 
     def __hash__(self):
-        return hash((self.ctx, self.dom, self.vars, self.bounds))
+        return hash((self.ctx, self.vars, self.bounds))
 
     def __repr__(self):
         parts = ", ".join("/".join(n) + ("" if b == NO_BOUND else f"^<{b}")
@@ -298,7 +259,7 @@ class TruncatedRing:
 
     @property
     def one(self) -> "TruncatedPoly":
-        return self.element({(0,) * len(self.vars): self.dom.one})
+        return self.element({(0,) * len(self.vars): 1})
 
     def const(self, c) -> "TruncatedPoly":
         return self.monomial((0,) * len(self.vars), c)
@@ -308,19 +269,18 @@ class TruncatedRing:
         return self.monomial(tuple(exp if j == i else 0 for j in range(len(self.vars))))
 
     def monomial(self, exps, c=1) -> "TruncatedPoly":
-        v, exps = self.dom.coerce(c), tuple(exps)
+        v, exps = self.ctx.raw(c), tuple(exps)
         return self.element({exps: v} if v and self.in_bounds(exps) else {})
 
 
 class TruncatedPoly:
-    """Element of a TruncatedRing; terms map exponents to nonzero values of
-    ring.dom, taken as given (public field elements go through ring.const).
+    """Element of a TruncatedRing; terms map exponents to nonzero raw field
+    values, taken as given (public field elements go through ring.const).
 
-    An operand is an element of the same ring or a constant of a type in
-    ring.dom.consts; any other operand gives NotImplemented, and an element
-    of another ring raises ContextMismatch (equality: False) unless this
-    polynomial is a constant of that ring, whose reflected method then
-    takes it."""
+    An operand is an element of the same ring or a field element (an int or
+    an FqScalar of the ring's field); any other operand gives
+    NotImplemented, and an element of another ring or a scalar of another
+    field raises ContextMismatch (equality: False)."""
 
     __slots__ = ("ring", "terms")
 
@@ -336,11 +296,8 @@ class TruncatedPoly:
         if isinstance(other, TruncatedPoly):
             if other.ring is ring or other.ring == ring:
                 return other
-            if not isinstance(other, ring.dom.consts):
-                if isinstance(self, other.ring.dom.consts):
-                    return None
-                raise ContextMismatch("elements of different rings")
-        elif not isinstance(other, ring.dom.consts):
+            raise ContextMismatch("elements of different rings")
+        if not isinstance(other, (int, FqScalar)):
             return None
         return ring.const(other)
 
@@ -349,20 +306,20 @@ class TruncatedPoly:
         if o is None:
             return NotImplemented
         ring = self.ring
-        return ring.element(add_terms(dict(self.terms), o.terms.items(), ring.dom.add))
+        return ring.element(add_terms(dict(self.terms), o.terms.items(), ring.ctx.add))
 
     __radd__ = __add__
 
     def __neg__(self):
-        neg = self.ring.dom.neg
+        neg = self.ring.ctx.neg
         return self.ring.element({e: neg(c) for e, c in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        ring, dom = self.ring, self.ring.dom
-        return ring.element(add_terms(dict(self.terms), o.terms.items(), dom.sub, dom.neg))
+        ring, ctx = self.ring, self.ring.ctx
+        return ring.element(add_terms(dict(self.terms), o.terms.items(), ctx.sub, ctx.neg))
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -383,12 +340,12 @@ class TruncatedPoly:
         return power(self.ring.one, self, n)
 
     def scale(self, c) -> "TruncatedPoly":
-        """Product with a domain value, taken as given (over the field, raw)."""
+        """Product with a raw field value, taken as given."""
         ring = self.ring
         if not c:
             return ring.zero
         # a product of nonzero values of a field is nonzero
-        reduce = ring.dom.reduce
+        reduce = ring.ctx.reduce
         return ring.element({e: reduce(v * c) for e, v in self.terms.items()})
 
     def __eq__(self, other):
@@ -405,7 +362,7 @@ class TruncatedPoly:
         return not self.terms
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.dom.zero)
+        return self.terms.get(tuple(exps), 0)
 
     def constant_term(self):
         return self.coeff((0,) * len(self.ring.vars))
@@ -561,6 +518,7 @@ class RationalFunc:
             _same_ring(self.num, other.num)
             return other
         if isinstance(other, MultiPoly):
+            _same_ring(self.num, other)
             return RationalFunc.from_poly(other)
         if isinstance(other, (int, FqScalar)):
             return RationalFunc.from_poly(self.num.ring.const(other))
@@ -622,7 +580,10 @@ class RationalFunc:
         return power(RationalFunc.from_poly(self.num.ring.one), self, n)
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        try:
+            o = self._coerce(other)
+        except ContextMismatch:
+            return False
         if o is NotImplemented:
             return NotImplemented
         return self.num * o.den == o.num * self.den
@@ -640,27 +601,14 @@ class RationalFunc:
 
 
 class RatFuncDomain:
-    """Coefficient domain of rational functions in fixed variables (exact)."""
-
-    lazy = sys.maxsize
-    reduce = staticmethod(lambda c: c)
-    add, sub, neg = staticmethod(add), staticmethod(sub), staticmethod(neg)
-    consts = (int, FqScalar, RationalFunc, MultiPoly)
+    """The field K = F_q(vars) of rational functions: its polynomial ring,
+    its zero and one, and ``coerce``, which takes a rational function of K,
+    a polynomial of ``ring`` or a field element."""
 
     def __init__(self, ctx: FqContext, vars: tuple[str, ...]):
         self.ctx = ctx
         self.vars = tuple(vars)
         self.ring = poly_ring(ctx, self.vars)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RatFuncDomain)
-            and self.ctx == other.ctx
-            and self.vars == other.vars
-        )
-
-    def __hash__(self):
-        return hash(("RatFuncDomain", self.ctx, self.vars))
 
     @property
     def zero(self):
@@ -678,22 +626,3 @@ class RatFuncDomain:
         if isinstance(v, MultiPoly):
             return RationalFunc.from_poly(v)
         return RationalFunc.from_poly(self.ring.const(v))
-
-    def from_raw(self, x: int) -> "RationalFunc":
-        return RationalFunc.from_poly(self.ring.element({(0,) * len(self.vars): x} if x else {}))
-
-    @staticmethod
-    def is_one(c) -> bool:
-        """Whether c is one as held, 1/1: x/x is not, and a product by it
-        keeps its (num, den) pairs."""
-        return c.num._is_one() and c.den._is_one()
-
-    @staticmethod
-    def inverse(c):
-        return c.inverse()
-
-    @staticmethod
-    def poly_terms(c) -> int:
-        """Polynomial terms a coefficient holds: its numerator's and its
-        denominator's."""
-        return len(c.num.terms) + len(c.den.terms)

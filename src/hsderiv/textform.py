@@ -14,7 +14,7 @@ import re
 
 from .errors import ParseError, ResourceGuard, UnknownVariable
 from .gf import FqContext, FqScalar
-from .poly import FqDomain, MultiPoly, RationalFunc, poly_ring, power, sorted_terms
+from .poly import MultiPoly, RationalFunc, poly_ring, power, sorted_terms
 
 # term pairs (|f| * |g|) one untruncated product of the parser may take.
 # Over GF(65521) on a 2-vCPU Xeon host, (x1 + x2 + 1)^60 * (x1 + 2*x2 + 3)^60,
@@ -63,48 +63,27 @@ def _monomial_str(vars, exps) -> str:
     return "*".join(parts)
 
 
-def _format_terms(vars, terms, dom) -> str:
+def _format_terms(vars, terms, ctx) -> str:
     if not terms:
         return "0"
-    one = dom.one
     chunks = []
     for exps, c in sorted_terms(terms):
         mono = _monomial_str(vars, exps)
         if not mono:
-            chunks.append(_coeff_standalone(c, dom))
-        elif c == one:
+            chunks.append(format_scalar(FqScalar(ctx, c)))
+        elif c == 1:
             chunks.append(mono)
         else:
-            chunks.append(f"{_coeff_factor(c, dom)}*{mono}")
+            chunks.append(f"{_scalar_factor(FqScalar(ctx, c))}*{mono}")
     return " + ".join(chunks)
 
 
-def _coeff_standalone(c, dom) -> str:
-    if isinstance(dom, FqDomain):
-        return format_scalar(FqScalar(dom.ctx, c))
-    return format_ratfunc(c)
-
-
-def _coeff_factor(c, dom) -> str:
-    if isinstance(dom, FqDomain):
-        return _scalar_factor(FqScalar(dom.ctx, c))
-    if isinstance(c, RationalFunc) and len(c.num.terms) == 1 and c.den == 1:
-        (exps, raw), = c.num.terms.items()
-        mono = _monomial_str(c.num.vars, exps)
-        if not mono:
-            return _scalar_factor(FqScalar(c.ctx, raw))
-        if raw == 1:
-            return mono
-        return f"{_scalar_factor(FqScalar(c.ctx, raw))}*{mono}"
-    return f"({format_ratfunc(c)})"
-
-
 def format_poly(f: MultiPoly) -> str:
-    return _format_terms(f.ring.vars, f.terms, f.ring.dom)
+    return _format_terms(f.ring.vars, f.terms, f.ring.ctx)
 
 
 def format_trunc(f) -> str:
-    return _format_terms(f.ring.vars, f.terms, f.ring.dom)
+    return _format_terms(f.ring.vars, f.terms, f.ring.ctx)
 
 
 def format_ratfunc(f: RationalFunc) -> str:
@@ -281,11 +260,9 @@ def parse_scalar(ctx: FqContext, text) -> FqScalar:
 
 
 def parse_trunc(ring, text: str):
-    """Parse into a truncated ring with field coefficients, evaluating in
-    the ring so no value outgrows its box. Truncation is a ring map, so this
-    is parse_poly's polynomial truncated."""
-    if not isinstance(ring.dom, FqDomain):
-        raise ValueError("parse_trunc needs a field coefficient domain")
+    """Parse into a truncated ring, evaluating in the ring so no value
+    outgrows its box. Truncation is a ring map, so this is parse_poly's
+    polynomial truncated."""
     return _Parser(ring, text).parse()
 
 

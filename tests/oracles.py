@@ -22,7 +22,7 @@ from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, \
     product_law
 from hsderiv.linalg import Subspace, image_space, inv_matrix, kernel_space
 from hsderiv.poly import MultiPoly, RationalFunc, power, term_key
-from hsderiv.truncated import PowerLadder, TruncatedPoly, evaluate, invert_unit
+from hsderiv.truncated import TruncatedPoly
 
 
 def binom_mod_p(n: int, k: int, p: int) -> int:
@@ -392,35 +392,66 @@ def pfold_by_repeated_composition(D: HSDerivation) -> HSDerivation:
     return HSDerivation(model, D.law, imgs)
 
 
-def field_generator_images(fctx) -> tuple:
-    """Images of x_1..x_e in fctx.ring = K[v]/(v^(p^m)), the ring with
-    rational-function coefficients: law component t evaluated at (x, v)."""
-    ring, law = fctx.ring, fctx.law
-    xs = [ring.const(MultiPoly.var(fctx.ctx, fctx.xvars, x)) for x in fctx.xvars]
-    vs = [ring.var(v) for v in fctx.vvars]
-    lads = [PowerLadder(n, g) for n, g in zip(law.ring.vars, xs + vs)]
-    return tuple(evaluate(c.terms, lads, ring) for c in law.components)
+def field_flat_image(fctx, f: MultiPoly) -> TruncatedPoly:
+    """The image of a polynomial in x in the flat ring F_q[x, v]/(v^(p^m)),
+    term by term: each term is its coefficient times the images of the x_t,
+    one factor at a time, and the image of x_t is law component t with its
+    terms c * v^a * w^b read as c * x^a * v^b (the law ring's two blocks
+    and the flat ring's share positions)."""
+    flat = fctx.flat
+    images = [TruncatedPoly(flat, dict(c.terms)) for c in fctx.law.components]
+    out = flat.zero
+    for e, c in f.terms.items():
+        term = flat.const(FqScalar(fctx.ctx, c))
+        for img, k in zip(images, e):
+            for _ in range(k):
+                term = term * img
+        out = out + term
+    return out
 
 
-def nested_field_apply(fctx, f) -> TruncatedPoly:
-    """FieldDerivationContext.apply evaluated term by term in fctx.ring, with
-    rational-function coefficients throughout: the key order and the
-    (num, den) pairs the flat evaluation must reproduce."""
-    ladders = [PowerLadder(x, g) for x, g in zip(fctx.xvars, field_generator_images(fctx))]
-    g = fctx.dom.coerce(f)
-    num = evaluate(g.num.terms, ladders, fctx.ring)
-    if g.den == 1:
-        return num
-    return num * invert_unit(evaluate(g.den.terms, ladders, fctx.ring))
+def _by_v(fctx, f: TruncatedPoly) -> dict:
+    """{b: the v^b coefficient of f, a polynomial in x}."""
+    e = fctx.e
+    out: dict = {}
+    for k, c in f.terms.items():
+        out.setdefault(k[e:], {})[k[:e]] = c
+    return {b: MultiPoly(fctx.ctx, fctx.xvars, t) for b, t in out.items()}
 
 
-def field_kernel_vector(matrix) -> tuple[list, int]:
-    """One kernel vector of a rank-deficient matrix of rational functions,
-    by Gauss-Jordan elimination over K, and its free column: the first
-    non-pivot column, whose entry is one. It divides by each pivot as a
-    rational function, where ``fieldmodel`` clears rows to polynomials and
-    cross-multiplies."""
-    rows = [list(row) for row in matrix]
+def field_components(fctx, f, top: int) -> dict:
+    """D_b(f) for every b in [0, top)^e, by the quotient rule over K.
+
+    With g and h the flat images of f's numerator and denominator, and g_b,
+    h_b their v^b coefficients, f_b = (g_b - sum_{0 < a <= b} h_a f_(b-a)) / h_0,
+    b in graded order so that every f_(b-a) is known. f_b is held as
+    P_b / h_0^k_b so that no sum multiplies denominators."""
+    r = fctx.dom.coerce(f)
+    g, h = (_by_v(fctx, field_flat_image(fctx, q)) for q in (r.num, r.den))
+    h0, zero = h[(0,) * fctx.e], r.num.ring.zero
+    held: dict = {}
+    for b in sorted(itertools.product(range(top), repeat=fctx.e), key=term_key):
+        parts = [(g.get(b, zero), 0)]
+        for a, ha in h.items():
+            rest = tuple(x - y for x, y in zip(b, a))
+            if any(a) and min(rest) >= 0:
+                pb, kb = held[rest]
+                if pb:
+                    parts.append((-(ha * pb), kb))
+        k = max(kb for _, kb in parts)
+        held[b] = (sum((pb * h0 ** (k - kb) for pb, kb in parts), zero), k + 1)
+    return {b: RationalFunc(pb, h0 ** kb) for b, (pb, kb) in held.items()}
+
+
+def field_kernel_vector(fctx, family) -> tuple[list, int]:
+    """One kernel vector of a rank-deficient family's component matrix over
+    the [p)-box, taken from ``field_components``, by Gauss-Jordan
+    elimination over K, and its free column: the first non-pivot column,
+    whose entry is one. It divides by each pivot as a rational function,
+    where ``fieldmodel`` cross-multiplies numerator rows."""
+    p = fctx.ctx.p
+    cols = [field_components(fctx, f, p) for f in family]
+    rows = [[col[i] for col in cols] for i in itertools.product(range(p), repeat=fctx.e)]
     nrows, ncols = len(rows), len(rows[0])
     pivots: list[int] = []
     r = 0
@@ -438,8 +469,7 @@ def field_kernel_vector(matrix) -> tuple[list, int]:
         pivots.append(c)
         r += 1
     free = next(c for c in range(ncols) if c not in pivots)
-    ring = matrix[0][0].num.ring
-    one, zero = RationalFunc.from_poly(ring.one), RationalFunc.from_poly(ring.zero)
+    one, zero = fctx.dom.one, fctx.dom.zero
     w = [zero] * ncols
     w[free] = one
     for row_i, c in enumerate(pivots):

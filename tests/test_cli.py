@@ -116,7 +116,7 @@ GOLDEN_SHA256 = {
     "tower_product":
         "bdccaeba364623669c81c37719b3ef2ee8f457771870edfb2705a74b508ff72b",
     "wronskian_dependence":
-        "9064f0461db7b006eedee19a1599c0275b8ca2c52a7a96918fd6d395d0dab6ad",
+        "5acfe3c21b385e99f0fa2932f15410dc1484363eacfdcb3da3c0a29618fd3b3d",
     "wronskian_pindep":
         "5e15535dee92e62ad19b2027bdb8b6fcb7fb5d731d401a4d71eefdae2f9ef0da",
 }
@@ -364,25 +364,44 @@ def test_basis_admission_stays_at_the_table_size(job):
 
 
 def test_inverse_series_guard_exit_3(tmp_path):
-    # the denominator's geometric series over F_5(x1, x2) grows its rational
-    # coefficients term by term; past truncated.SERIES_BUDGET the job is
-    # refused before the fourth term, which alone takes seconds, and past
-    # SERIES_PRODUCT_BUDGET before a product that takes most of a second
+    # an inverse is held over one denominator h^(K+1), so the witt2 (p = 5)
+    # denominators whose series over rational coefficients outgrew its
+    # budgets now pass, as independent families
     job = {"command": "wronskian", "context": {"p": 5, "m": 1},
            "law": {"type": "witt2", "alphas": ["1"]}, "test": "dependence",
-           "elements": ["1 / (x1^2 + x2 + 1)", "x1"], "expect": "independent"}
+           "elements": [None, "x1"], "expect": "independent"}
+    for den in ("x1 + x2 + 1", "x1 + x2^2 + 1", "x1^2 + x2 + 1", "x1^2 + x1*x2 + x2^2 + 1"):
+        job["elements"][0] = f"1 / ({den})"
+        report, code = run(job)
+        assert code == 0 and report["checks"][0]["actual"] == "independent"
+    # 1 / (x1 + 1) has K = p - 1. Additive, the powers of x1 + 1 up to the
+    # K-th take about K^2 term pairs, the sum S and the product by it about
+    # as many again; multiplicative, each (-M)^k has k + 1 terms, so S takes
+    # about K^3 / 6. Additive p = 97 and multiplicative p = 67 (65,995
+    # pairs) fit; fieldmodel.INVERSE_BUDGET refuses the additive one at
+    # p = 251 (126,755 pairs) and at p = 65521 (about 8.6e9) while the
+    # powers are made
+    job = {"command": "wronskian", "context": {"p": 67, "m": 1},
+           "law": {"type": "multiplicative"}, "test": "dependence",
+           "elements": ["1 / (x1 + 1)", "x1"], "expect": "independent"}
+    report, code = run(job)
+    assert code == 0 and report["checks"][0]["actual"] == "independent"
+    job.update(context={"p": 97, "m": 1}, law={"type": "additive", "e": 1})
+    report, code = run(job)
+    assert code == 0 and report["checks"][0]["actual"] == "independent"
+    job["context"]["p"] = 251
     res = _invoke(job, "--quiet", tmp_path=tmp_path)
     assert res.returncode == 3 and not res.stderr
     error = json.loads(res.stdout)["errors"][0]
     assert error["kind"] == "resource-guard"
-    assert error["message"] == "inverse series holds 6796 terms, past the budget of 5000"
-    job["elements"][0] = "1 / (x1^2 + x1*x2 + x2^2 + 1)"
+    assert error["message"] == (
+        "inverting a denominator would take 80078 term pairs, past the budget of 80000")
+    job["context"]["p"] = 65521
+    start = time.perf_counter()
     report, code = run(job)
-    assert code == 3 and report["errors"][0]["message"] == (
-        "inverse series term would take 106330 products, past the budget of 50000")
-    # a denominator whose series stays under the budget still passes
-    job["elements"][0] = "1 / (x1 + x2^2 + 1)"
-    assert run(job)[1] == 0
+    assert time.perf_counter() - start < 1.0
+    assert code == 3 and report["errors"][0]["message"].startswith(
+        "inverting a denominator would take 80088 term pairs")
 
 
 def test_tower_admission_stays_at_the_table_size(tmp_path):
@@ -576,7 +595,7 @@ _POWER_FAMILIES = [
     (["(x1 + x2 + 1)^40", "x1 + x2^2", "x1*x2"],
      "71f276f61616fbd29b6b050c029b81a167d5affe2d2007c90d6a2a46ac53459d"),
     (["(x1 + x2 + 1)^40", "x2^3*(x1 + x2 + 1)^40", "x1"],
-     "15911d10e874999d34667b944351b507be08381772a63c1bcd25690937b4aa6c"),
+     "43150ef76c6fe210ed0c65b95da08964540f358fb53a8d3afff143a6d5e718a5"),
 ]
 
 

@@ -6,27 +6,27 @@ import functools
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hsderiv.artinian import ArtinianModel
 from hsderiv.basis import assemble_product_basis, verify_canonical_basis
-from hsderiv.cli import render_report, run
+from hsderiv.cli import _law_of, render_report, run
 from hsderiv.derivation import canonical_derivation, twist_by_automorphism
 from hsderiv.errors import NonNilpotentImage
 from hsderiv.fieldmodel import FieldDerivationContext
 from hsderiv.gf import FqContext, FqScalar
 from hsderiv.grouplaw import make_additive, make_multiplicative, make_witt2, product_law
-from hsderiv.poly import MultiPoly, RationalFunc
-from hsderiv.textform import format_ratfunc, format_trunc, parse_trunc
+from hsderiv.poly import MultiPoly, RationalFunc, term_key
+from hsderiv.textform import format_trunc, parse_ratfunc, parse_trunc
 from hsderiv.truncated import (
     PowerLadder,
     TruncatedRing,
     evaluate,
-    invert_unit,
     substitute,
 )
-from oracles import all_raw, field_generator_images, nested_field_apply, poly_of, trunc_of
+from oracles import (
+    all_raw, field_components, field_flat_image, field_kernel_vector, poly_of, trunc_of)
 
 
 def _reference(terms, images, target):
@@ -132,37 +132,6 @@ _LAWS = {
 }
 
 
-@st.composite
-def _multipoly(draw, ctx, vars, nonzero=False):
-    terms = {}
-    for _ in range(draw(st.integers(1 if nonzero else 0, 3))):
-        e = tuple(draw(st.integers(0, 2)) for _ in vars)
-        terms[e] = ctx.scalar(tuple(draw(st.integers(0, ctx.p - 1)) for _ in range(ctx.d)))
-    f = poly_of(ctx, vars, terms)
-    if nonzero and not f:
-        f = MultiPoly.one(ctx, vars)
-    return f
-
-
-@settings(max_examples=40)
-@given(st.data())
-def test_field_apply_matches_reference(data):
-    ctx = FqContext(*data.draw(FIELDS))
-    law = _LAWS[data.draw(st.sampled_from(sorted(_LAWS)))](ctx)
-    fctx = FieldDerivationContext(law)
-    num = data.draw(_multipoly(ctx, fctx.xvars))
-    den = data.draw(_multipoly(ctx, fctx.xvars, nonzero=True))
-    images = field_generator_images(fctx)
-    want = _reference({e: num.coeff(e) for e in num.terms}, images, fctx.ring)
-    if den != MultiPoly.one(ctx, fctx.xvars):
-        want = want * invert_unit(
-            _reference({e: den.coeff(e) for e in den.terms}, images, fctx.ring))
-    got = fctx.apply(RationalFunc(num, den))
-    assert list(got.terms) == list(want.terms)
-    assert [format_ratfunc(c) for c in got.terms.values()] == \
-        [format_ratfunc(c) for c in want.terms.values()]
-
-
 @functools.lru_cache(maxsize=None)
 def _apply_context(p, d, name, m):
     return FieldDerivationContext(_LAWS[name](FqContext(p, d), m))
@@ -177,47 +146,66 @@ def _raw_poly(draw, ctx, vars, max_terms, top):
     return poly_of(ctx, vars, terms)
 
 
+@st.composite
+def _fraction(draw, fctx, max_terms=4):
+    """A rational element whose denominator is not one."""
+    ctx, xvars = fctx.ctx, fctx.xvars
+    num = draw(_raw_poly(ctx, xvars, max_terms, 3))
+    den = draw(_raw_poly(ctx, xvars, 3, 2))
+    assume(den and not den._is_one())
+    return RationalFunc(num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_field_apply_matches_reference(data):
+    # every component D_i(f), i in [0, p^m)^e, of two elements with
+    # distinct denominators equals the quotient rule's over K, computed
+    # from the flat images of numerator and denominator alone. Each
+    # component is a whole application, so p = 3 keeps to m = 1
+    p, d = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    fctx = _apply_context(p, d, data.draw(st.sampled_from(sorted(_LAWS))),
+                          data.draw(st.integers(1, 2 if p == 2 else 1)))
+    f, g = data.draw(_fraction(fctx)), data.draw(_fraction(fctx))
+    assume(f.den != g.den)
+    for h in (f, g):
+        want = field_components(fctx, h, fctx.n)
+        assert len(want) == fctx.n**fctx.e
+        for i, c in want.items():
+            assert fctx.component(h, i) == c
+
+
 @settings(max_examples=80)
 @given(st.data())
 def test_field_apply_matches_nested_evaluation(data):
-    # the flat evaluation lifted into K[v] against the term-by-term
-    # evaluation with rational-function coefficients: the same v-keys in
-    # the same order, and the same (num, den) pair in every coefficient
+    # apply gives (N, delta) with N * H = G * delta in the flat ring, where
+    # G and H are the images of numerator and denominator evaluated term by
+    # term; delta is monic and a power of the denominator, one for a
+    # polynomial
     p, d = data.draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]))
     fctx = _apply_context(p, d, data.draw(st.sampled_from(sorted(_LAWS))),
                           data.draw(st.integers(1, 2)))
     ctx, xvars = fctx.ctx, fctx.xvars
     num = data.draw(_raw_poly(ctx, xvars, 8, data.draw(st.sampled_from([3, fctx.n + p]))))
     den = MultiPoly.one(ctx, xvars)
-    # the inverse of a denominator costs a geometric series in K[v]; keep
-    # denominators to rings of at most 9 v-monomials
+    # a denominator's inverse grows with the v-monomials of the ring; keep
+    # denominators to rings of at most 9 of them
     if fctx.n**fctx.e <= 9:
         den = den + data.draw(_raw_poly(ctx, xvars, 3, 2))
     if not den:
         den = MultiPoly.one(ctx, xvars)
     f = RationalFunc(num, den)
-    got, want = fctx.apply(f), nested_field_apply(fctx, f)
-    assert list(got.terms) == list(want.terms)
-    for k, c in want.terms.items():
-        assert got.terms[k].num.terms == c.num.terms
-        assert got.terms[k].den.terms == c.den.terms
-    assert all(all_raw(c.num) and all_raw(c.den) for c in got.terms.values())
-
-
-@pytest.mark.parametrize("terms", [
-    {(1, 0): 1, (2, 0): 1},
-    {(0, 1): 1, (1, 0): 1, (2, 0): 1},
-    {(1, 1): 1, (2, 1): 1, (3, 0): 1},
-])
-def test_field_apply_drops_a_v_exponent_whose_terms_cancel(terms):
-    # under the p = 2 Witt law of depth 2, a partial sum of these terms
-    # cancels a whole v-exponent, which must leave and re-enter the key order
-    # as it does in the term-by-term evaluation
-    fctx = _apply_context(2, 1, "witt2", 2)
-    f = RationalFunc.from_poly(MultiPoly(fctx.ctx, fctx.xvars, terms))
-    got, want = fctx.apply(f), nested_field_apply(fctx, f)
-    assert list(got.terms) == list(want.terms)
-    assert all(got.terms[k].num.terms == c.num.terms for k, c in want.terms.items())
+    got, delta = fctx.apply(f)
+    flat = fctx.flat
+    assert got.ring == flat and all_raw(got) and all_raw(delta)
+    lift = flat.element({k + (0,) * fctx.e: c for k, c in delta.terms.items()})
+    assert got * field_flat_image(fctx, f.den) == field_flat_image(fctx, f.num) * lift
+    assert delta.terms[max(delta.terms, key=term_key)] == 1
+    k = 0
+    while f.den ** k != delta:
+        k += 1
+        assert k <= fctx.n
+    assert (k == 0) == f.den._is_one()
 
 
 # -- golden pins: sha256 of every format_trunc(expected) row of
@@ -365,19 +353,20 @@ def test_found_report_matches_a_fresh_verification(name, kind):
 
 
 # -- golden pins: report bytes of dependent rational families, whose
-# witnesses print the fraction-free pairs -R[i][f] / R[i][c_i] with no gcd taken
+# witnesses print the fraction-free pairs -R[i][f] / R[i][c_i] of the
+# numerator rows, rescaled by the column denominators, with no gcd taken
 
 _WRONSKIAN = [
     ({"command": "wronskian", "context": {"p": 2, "m": 2},
       "law": {"type": "multiplicative"},
       "elements": ["x1 / (x1^2 + 1)", "x1^3 / (x1^2 + 1)", "1"],
       "test": "dependence"},
-     "79365a80f54c73bd946eccf32d3e43b84f1bd2aca1043c15298a9bdbc9449a9c"),
+     "eec8293615929415aef5e9f36f28322a97c3bafeafa8e14bff61c2e262ad6215"),
     ({"command": "wronskian", "context": {"p": 2, "m": 1},
       "law": {"type": "witt2", "alphas": [1]},
       "elements": ["x1 / (x2 + 1)", "x2^2 / (x2^2 + 1)", "1 / (x2^2 + 1)"],
       "test": "dependence"},
-     "b362d76ead626843abca725c2289253908c41cc6752caa8935c31ff46790476a"),
+     "a4f49b484c68a3a8529be09525f76e7c7af7ed63aabc320f7717be3e74e7706e"),
     ({"command": "wronskian", "context": {"p": 5, "d": 2, "m": 1},
       "law": {"type": "additive", "e": 1},
       "elements": ["1 / (x1^5 + x1)", "x1^5 / (x1^5 + x1)", "1 / (x1^4 + 1)"],
@@ -388,24 +377,24 @@ _WRONSKIAN = [
               "factors": [{"type": "additive"}, {"type": "multiplicative"}]},
       "elements": ["x1 / (x2 + 1)", "x1 * x2^4 / (x2 + 1)", "(x1 + x2) / (x2^4 + 1)"],
       "test": "dependence"},
-     "1c843298682ea8b7b75d43f3f260240a3a594a58183015914a103f4d7e7c5b8d"),
+     "bcebd4cbf31d71667b4e7c42d5a0b14e4743e545322a565942184b93b935e88c"),
     # extension fields: coefficients in g, so every product folds digits
     # through the modulus
     ({"command": "wronskian", "context": {"p": 2, "d": 2, "m": 1},
       "law": {"type": "additive", "e": 1},
       "elements": ["1 / (x1^2 + g*x1)", "g*x1^2 / (x1^2 + g*x1)", "1 / (x1^2 + 1)"],
       "test": "dependence"},
-     "73d2ad47e936cfb3b578b9a9c25b919d3d15854bf1ef194504c2827a5bf10564"),
+     "a3146cbd5397f3ebf7f235ee40394f35d202535248ca57b82572b3905cc8803b"),
     ({"command": "wronskian", "context": {"p": 2, "d": 3, "m": 1},
       "law": {"type": "multiplicative"},
       "elements": ["x1 / (x1^2 + g)", "(g^2 + 1)*x1^3 / (x1^2 + g)", "1 / (x1 + g)"],
       "test": "dependence"},
-     "e4bc34bcd5ce7725e64a14088026569fe3e579f617c7d7c197c4b7b1e996ad70"),
+     "d0452f222fcda48321773dae6c21e95df4ef83d099ad3f21803a5c925f84ea4f"),
     ({"command": "wronskian", "context": {"p": 3, "d": 2, "m": 1},
       "law": {"type": "additive", "e": 2},
       "elements": ["x1 / (x2 + g)", "x1 * x2^3 / (x2 + g)", "(x1 + g*x2) / (x2^3 + 1)"],
       "test": "dependence"},
-     "5d861348f4ff0d94a6c1411b315ee3670fb094ffc633cce29dfe6a44f14d243e"),
+     "300d13fdb0ec7efebb79aa00b7234c1e43cc3954521801570b2d429e5fe2d9dd"),
     ({"command": "wronskian", "context": {"p": 3, "d": 2, "m": 1},
       "law": {"type": "additive", "e": 2},
       "elements": ["x1 + g*x2^3", "x2 + (g + 1)*x1^3"],
@@ -433,10 +422,14 @@ def test_rational_witness_report_bytes(config, digest):
     report, code = run(config)
     assert code == 0
     if config["test"] == "dependence":
+        # the witness is the field-elimination kernel vector as values; an
+        # entry whose value is a polynomial may print as one
         witness = report["checks"][0]["detail"]["witness"]
-        if any("/" in f for f in config["elements"]):
-            assert any(" / " in w for w in witness)
-        else:
+        fctx = FieldDerivationContext(_law_of(config))
+        family = [parse_ratfunc(fctx.ctx, fctx.xvars, f) for f in config["elements"]]
+        assert [parse_ratfunc(fctx.ctx, fctx.xvars, w) for w in witness] == (
+            field_kernel_vector(fctx, family)[0])
+        if not any("/" in f for f in config["elements"]):
             # the content-stripped rows of (g*x1, x1) give a polynomial witness
             assert witness == ["g + 1", "1"]
     assert hashlib.sha256(render_report(report).encode()).hexdigest() == digest

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hsderiv import poly, textform
 from hsderiv.errors import ContextMismatch, DivisionByZero, ResourceGuard, UnknownVariable
 from hsderiv.gf import FqContext
-from hsderiv.poly import MultiPoly, RatFuncDomain, RationalFunc, term_key
+from hsderiv.poly import MultiPoly, RationalFunc, term_key
 from hsderiv.textform import (
     format_poly,
     format_ratfunc,
@@ -568,25 +568,6 @@ def test_product_gives_the_product_terms_in_order(case, bound):
         assert list((a * b).terms.items()) == list(want.items())
 
 
-def test_kv_product_by_an_unreduced_one_keeps_the_pairs():
-    # x/x is one in K = F_3(x) but not as held: a product by it in K[v]
-    # scales every (num, den) pair, as product_terms does
-    ctx = FqContext(3, 1)
-    dom = RatFuncDomain(ctx, ("x",))
-    ring = TruncatedRing(ctx, [(("v",), 3)], dom)
-    x, one = MultiPoly.var(ctx, ("x",), "x"), MultiPoly.one(ctx, ("x",))
-    f = ring.const(1 + x) + ring.var("v") * RationalFunc(one, x + 2)
-    u = ring.const(RationalFunc(x, x))
-    for a, b in ((u, f), (f, u)):
-        got = a * b
-        assert format_trunc(got) == "(x + x^2) / (x) + ((x) / (2*x + x^2))*v"
-        want = poly.product_terms(u.terms, f.terms, dom.reduce, dom.lazy, ring.bounds)
-        assert ([(e, _pair_of(c)) for e, c in got.terms.items()]
-                == [(e, _pair_of(c)) for e, c in want.items()])
-    # a one held as 1/1 returns the other factor
-    assert ring.one * f is f and f * ring.one is f
-
-
 def test_one_coercion_and_equality_rule():
     ctx, other = FqContext(5), FqContext(7)
     x = MultiPoly.var(ctx, ("x",), "x")
@@ -610,10 +591,21 @@ def test_one_coercion_and_equality_rule():
     with pytest.raises(ContextMismatch):
         x + v
     assert x != v and v != x
-    # a polynomial is a constant of K[v]: either side takes it
-    kv = TruncatedRing(ctx, [(("v",), 3)], RatFuncDomain(ctx, ("x",))).var("v")
-    assert x * kv == kv * x and x + kv == kv + x and x - kv == -(kv - x)
-    assert kv.ring.const(x) == x and x == kv.ring.const(x)
+    # a rational function follows the same rule: a scalar of another field,
+    # or a polynomial or rational function of another field or variable
+    # tuple, is unequal from either side, and arithmetic with it raises
+    y = MultiPoly.var(ctx, ("x", "y"), "y")
+    for bad in (other.scalar(1), MultiPoly.var(other, ("x",), "x"), y,
+                RationalFunc.from_poly(MultiPoly.var(other, ("x",), "x")),
+                RationalFunc.from_poly(y)):
+        assert (r == bad) is False and (bad == r) is False
+        assert r != bad and bad != r
+        with pytest.raises(ContextMismatch):
+            r + bad
+        with pytest.raises(ContextMismatch):
+            r * bad
+    assert (x == RationalFunc.from_poly(y)) is False and x != RationalFunc.from_poly(y)
+    assert r == ctx.scalar(0) + x and RationalFunc.from_poly(x.ring.one) == 1
     with pytest.raises(UnknownVariable):
         MultiPoly.var(ctx, ("x",), "y")
     with pytest.raises(UnknownVariable):

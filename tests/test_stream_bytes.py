@@ -17,7 +17,7 @@ import streams  # noqa: E402
 STREAM_SHA256 = {
     "coords": "f2fffebe6138860fd5c962642fde081a55f0a480f7f4460b292a45ed647289f3",
     "identities": "e142536adfb271e78a42ebb26f28c250bbf878fe058be4b18fc22fb5a3d06ec5",
-    "fields": "e4b87fe93ba78438054593878fba497cb80daee4215636f46fbc049fcbf71e67",
+    "fields": "b3ce8fcae9032f02fcb9dfacf2a8188de049ae1343bad5ff8b0e4f2c2a47bdef",
 }
 
 

@@ -4,16 +4,9 @@ import random
 
 import pytest
 
-from hsderiv import truncated
 from hsderiv.artinian import ArtinianModel
-from hsderiv.errors import (
-    NonNilpotentImage,
-    NotAUnit,
-    ResourceGuard,
-    UnknownVariable,
-)
+from hsderiv.errors import NonNilpotentImage, NotAUnit, UnknownVariable
 from hsderiv.gf import FqContext
-from hsderiv.poly import MultiPoly, RatFuncDomain
 from hsderiv.truncated import (
     TruncatedPoly,
     TruncatedRing,
@@ -132,34 +125,15 @@ def test_invert_unit_known_values():
         invert_unit(v3)
 
 
-def test_invert_unit_guards_its_series_over_rational_coefficients(monkeypatch):
-    # 1 / (1 + v/(x + 1)) in F_3(x)[v]/(v^3): the series is 1 + 2v/(1 + x)
-    # + v^2/(1 + 2x + x^2); with the partial sum it holds 5 polynomial terms
-    # before the v term is added and 9 before the v^2 term; the nilpotent
-    # part -v/(x + 1) holds 3, so the products that make the v^2 and v^3
-    # terms count 3*3 = 9 and 4*3 = 12
-    dom = RatFuncDomain(FqContext(3, 1), ("x",))
-    r = TruncatedRing(dom.ctx, [(("v",), 3)], dom)
-    x = dom.coerce(MultiPoly.var(dom.ctx, ("x",), "x"))
-    f = r.one + r.var("v").scale(dom.one / (x + dom.one))
-    assert f * invert_unit(f) == r.one
-    monkeypatch.setattr(truncated, "SERIES_BUDGET", 9)
-    assert f * invert_unit(f) == r.one
-    monkeypatch.setattr(truncated, "SERIES_BUDGET", 8)
-    with pytest.raises(ResourceGuard, match="inverse series holds 9 terms, past the budget of 8"):
-        invert_unit(f)
-    monkeypatch.setattr(truncated, "SERIES_BUDGET", 9)
-    monkeypatch.setattr(truncated, "SERIES_PRODUCT_BUDGET", 12)
-    assert f * invert_unit(f) == r.one
-    monkeypatch.setattr(truncated, "SERIES_PRODUCT_BUDGET", 11)
-    with pytest.raises(ResourceGuard,
-                       match="inverse series term would take 12 products, past the budget of 11"):
-        invert_unit(f)
-    # field values count nothing, whatever the budgets
-    monkeypatch.setattr(truncated, "SERIES_BUDGET", 0)
-    monkeypatch.setattr(truncated, "SERIES_PRODUCT_BUDGET", 0)
-    r3 = _ring(3, 1, [(("v",), 3)])
-    assert invert_unit(r3.one + r3.var("v")) == r3.one + 2 * r3.var("v") + r3.var("v") ** 2
+def test_invert_unit_over_the_field_has_no_budget():
+    # over F_q a partial sum holds at most the ring's own monomials, so the
+    # 251-term series of 1 / (1 + v) in F_251[v]/(v^251) runs to its end
+    r = _ring(251, 1, [(("v",), 251)])
+    v = r.var("v")
+    inv = invert_unit(r.one + v)
+    assert len(inv.terms) == 251
+    assert inv.coeff((250,)) == 1 and inv.coeff((1,)) == 250
+    assert (r.one + v) * inv == r.one
 
 
 def test_invert_unit_round_trip_random():
