@@ -18,7 +18,9 @@ nonzero,
 so an element g/h has N = (image of g) * S for that sum S, made from the
 powers of -M and of h, and delta = h^(K+1), monic because h is.  The
 products that make S and the product by it count their term pairs against
-INVERSE_BUDGET, each before it is taken.
+INVERSE_BUDGET, each before it is taken.  A family makes S once for each
+distinct denominator, and each element's product by it counts from the
+pairs that making S took.
 
 On top of the context sit the component matrix of a family over the
 [p)-box, its rank over K, and the dependence and p-independence tests.
@@ -98,8 +100,9 @@ class FieldDerivationContext:
         """The image of a polynomial in x, in the flat ring."""
         return evaluate(f.terms, self._ladders, self.flat)
 
-    def _quotient(self, num: TruncatedPoly, h: MultiPoly) -> tuple[TruncatedPoly, MultiPoly]:
-        """num / (image of h) over one denominator: (num * S, h^(K+1)).
+    def _inverse(self, h: MultiPoly) -> tuple[TruncatedPoly, MultiPoly, int]:
+        """The inverse of the image of h over one denominator: (S, h^(K+1))
+        and the term pairs spent making them.
 
         S = sum_{k <= K} (-M)^k * h^(K-k), where M is the image of h less h
         and K the largest k with M^k nonzero.  The powers of -M and of h are
@@ -118,19 +121,29 @@ class FieldDerivationContext:
         for k in range(top + 1):
             spent = _spend(spent, negs[k], hpows[top - k])
             add_terms(series, (negs[k] * hpows[top - k]).terms.items(), self.ctx.add)
-        series = self.flat.element(series)
-        _spend(spent, num, series)
         delta = self.dom.ring.element({k[:self.e]: c for k, c in hpows[-1].terms.items()})
-        return num * series, delta
+        return self.flat.element(series), delta, spent
 
-    def apply(self, f) -> tuple[TruncatedPoly, MultiPoly]:
+    def apply(self, f, inverses=None) -> tuple[TruncatedPoly, MultiPoly]:
         """Image of a field element over one denominator: (N, delta), N in
-        the flat ring and delta monic in F_q[x], the image being N / delta."""
+        the flat ring and delta monic in F_q[x], the image being N / delta.
+
+        inverses, a dict shared by the elements of one family, keeps each
+        denominator's ``_inverse`` for the next element over it; each
+        product by an inverse is budgeted on its own, from the pairs that
+        inverse's making spent."""
         g = self.dom.coerce(f)
         num = self._image(g.num)
         if g.den._is_one():
             return num, g.den
-        return self._quotient(num, g.den)
+        if inverses is None:
+            inverses = {}
+        key = frozenset(g.den.terms.items())
+        if key not in inverses:
+            inverses[key] = self._inverse(g.den)
+        series, delta, spent = inverses[key]
+        _spend(spent, num, series)
+        return num * series, delta
 
     def component(self, f, index) -> RationalFunc:
         """D_index(f) as a rational function: N's v^index coefficient over delta."""
@@ -149,9 +162,9 @@ def _numerator_rows(fctx: FieldDerivationContext, elements, indices=None):
     """The numerator rows N_ij of a family, i over indices (the [p)-box by
     default), and the column denominators delta_j: D_i(f_j) = N_ij / delta_j."""
     e, xring = fctx.e, fctx.dom.ring
-    cols, dens = [], []
+    cols, dens, inverses = [], [], {}
     for f in elements:
-        num, den = fctx.apply(f)
+        num, den = fctx.apply(f, inverses)
         by_v: dict = {}
         for k, c in num.terms.items():
             by_v.setdefault(k[e:], {})[k[:e]] = c

@@ -8,8 +8,6 @@ associativity check for deliberately lawless experiments.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .artinian import ArtinianModel
 from .errors import ContextMismatch, LawAxiomFailure, TruncationOrder
 from .gf import FqContext, FqScalar, lambda_coeffs
@@ -305,8 +303,9 @@ def structure_constants(law: FormalGroupLaw, i, j) -> dict:
     if any(t < 0 or t >= n for t in i + j):
         raise ValueError("index out of range")
     table, index = law._power_table()
-    col = table[:, index.rank[i], index.rank[j]]
+    ctx = law.ctx
+    col = table[:, index.rank[i], index.rank[j]].tolist()
     return {
-        index.monomials[int(r)]: FqScalar(law.ctx, law.ctx.pack(col[r]))
-        for r in np.flatnonzero(col.any(axis=1))
+        k: FqScalar(ctx, ctx.pack(row))
+        for k, row in zip(index.monomials, col) if any(row)
     }

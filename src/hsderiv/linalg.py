@@ -6,17 +6,23 @@ reduced echelon form of a row space is unique, so equal subspaces have
 equal basis arrays whichever rows were picked as pivots.
 
 ``rref`` is blocked, after FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS
-2008). It keeps a running reduced echelon basis of the rows seen so far and
-takes the rows in blocks as tall as the matrix is wide, and at least
-MIN_BLOCK_ROWS tall. A block x is first reduced against the basis with one
-product, x - x[:, pivots] @ basis, which clears the old pivot columns.
+2008). Its output, the input reduced mod p, is its workspace. It takes the
+rows in blocks as tall as the matrix is wide, and at least MIN_BLOCK_ROWS
+tall, and keeps a running reduced echelon basis of the rows seen so far in
+the output's top rows. The first block is eliminated in place and leaves
+that basis there. A later block x is first reduced against the basis with
+one product, x - x[:, pivots] @ basis, which clears the old pivot columns.
 Gauss-Jordan on the residual (``_eliminate``) gives its new pivots; it
 visits only the columns that are nonzero in the residual, so the old pivot
 columns and empty columns cost nothing. One more product clears the new
-pivot columns from the old basis, and the rows are merged in pivot order.
-Elimination stops once the rank equals the column count, so a tall stack
-costs a few block products instead of a rank-1 update of the whole stack
-per pivot. The block products
+pivot columns from the old basis, and the rows are merged into the top rows
+in pivot order. The rank is at most the column count, which is at most the
+block height, so the basis never reaches the second block; the later
+blocks are zeroed once at the end. A matrix of one block thus costs one
+reduction mod p and one elimination, and nothing else. Elimination stops
+once the rank equals the column count, so a tall stack costs a few block
+products instead of a rank-1 update of the whole stack per pivot. The
+block products
 go through ``FqContext.mat_mul``, which runs a large product on float64
 BLAS as FFLAS-FFPACK does: exact while every partial sum stays below 2^53,
 and cast to int64 before the reduction mod p, since reducing float64 costs
@@ -324,31 +330,37 @@ def _eliminate(ctx: FqContext, m: np.ndarray) -> list[int]:
 def rref(ctx: FqContext, mat: np.ndarray):
     """Reduced row echelon form; returns (matrix copy, pivot column list).
 
-    The rows go in blocks of max(cols, MIN_BLOCK_ROWS), each reduced against
-    the running basis and eliminated, as the module docstring describes.
+    The copy, mat mod p, is the workspace. The rows go in blocks of
+    max(cols, MIN_BLOCK_ROWS); the first is eliminated in place, and the
+    running basis stays in the top rows, where each later block's new rows
+    are merged in pivot order, as the module docstring describes. The rank
+    is at most cols, so the basis never reaches the second block, and a
+    matrix of one block costs one reduction and one elimination.
     """
     p = ctx.p
     rows, cols = mat.shape[0], mat.shape[1]
-    basis = mat[:0] % p
-    pivots: list[int] = []
+    m = mat % p
     height = max(cols, MIN_BLOCK_ROWS)
-    for start in range(0, rows, height):
+    pivots = _eliminate(ctx, m[:height])
+    for start in range(height, rows, height):
         if len(pivots) == cols:
             break
-        x = mat[start : start + height] % p
+        basis, x = m[: len(pivots)], m[start : start + height]
         if pivots:
-            x = (x - ctx.mat_mul(x[:, pivots], basis)) % p
+            x -= ctx.mat_mul(x[:, pivots], basis)
+            x %= p
         new = _eliminate(ctx, x)
         if not new:
             continue
         x = x[: len(new)]
         if pivots:
-            basis = (basis - ctx.mat_mul(basis[:, new], x)) % p
+            basis -= ctx.mat_mul(basis[:, new], x)
+            basis %= p
         merged = pivots + new
-        basis = np.concatenate([basis, x])[np.argsort(merged)]
+        m[: len(merged)] = np.concatenate([basis, x])[np.argsort(merged)]
         pivots = sorted(merged)
-    m = np.zeros_like(mat)
-    m[: len(pivots)] = basis
+    # the later blocks were consumed: their new rows are merged above
+    m[height:] = 0
     return m, pivots
 
 

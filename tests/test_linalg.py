@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsderiv import linalg as linalg_mod
 from hsderiv.errors import NoSolution, NotInvertible
 from hsderiv.gf import FqContext
 from hsderiv.linalg import (
@@ -266,6 +267,83 @@ def test_tall_stacks_match_reference(case):
     got = kernel_space(ctx, mat, within=V)
     assert got.pivots == want_pivots
     assert got.basis.tobytes() == want[: len(want_pivots)].tobytes()
+
+
+# -- one block, and the first row past it --------------------------------------
+
+
+@st.composite
+def _block_edge_cases(draw):
+    """(ctx, matrix): exactly one row block, max(cols, MIN_BLOCK_ROWS) rows,
+    or one row more, with columns below and past MIN_BLOCK_ROWS."""
+    ctx = _ctx(*draw(st.sampled_from(FIELDS)))
+    cols = draw(st.one_of(st.integers(0, 12), st.integers(MIN_BLOCK_ROWS - 2, MIN_BLOCK_ROWS + 6)))
+    rows = max(cols, MIN_BLOCK_ROWS) + draw(st.integers(0, 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ctx, _matrix(ctx, rng, rows, cols, draw(st.sampled_from(KINDS)))
+
+
+@settings(max_examples=60)
+@given(_block_edge_cases())
+def test_rref_at_the_block_edge_matches_reference(case):
+    ctx, mat = case
+    before = mat.copy()
+    m, pivots = rref(ctx, mat)
+    want, want_pivots = ref_rref(ctx, mat)
+    assert pivots == want_pivots
+    assert m.dtype == want.dtype and np.array_equal(m, want)
+    # the output is rref's own workspace: the input is read, never written
+    assert np.array_equal(mat, before)
+    assert not np.shares_memory(m, mat)
+
+
+def _count_rref_work(monkeypatch) -> dict:
+    """Counts of the _eliminate and FqContext.mat_mul calls made from now on."""
+    counts = {"eliminate": 0, "mat_mul": 0}
+    eliminate, mat_mul = linalg_mod._eliminate, FqContext.mat_mul
+
+    def counting_eliminate(ctx, m):
+        counts["eliminate"] += 1
+        return eliminate(ctx, m)
+
+    def counting_mat_mul(self, a, b):
+        counts["mat_mul"] += 1
+        return mat_mul(self, a, b)
+
+    monkeypatch.setattr(linalg_mod, "_eliminate", counting_eliminate)
+    monkeypatch.setattr(FqContext, "mat_mul", counting_mat_mul)
+    return counts
+
+
+@pytest.mark.parametrize("field", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 2)])
+def test_one_block_rref_is_one_elimination(monkeypatch, field):
+    ctx = _ctx(*field)
+    rng = np.random.default_rng(7)
+    mat = _matrix(ctx, rng, MIN_BLOCK_ROWS, 8, "low")
+    counts = _count_rref_work(monkeypatch)
+    m, pivots = rref(ctx, mat)
+    assert counts == {"eliminate": 1, "mat_mul": 0}
+    want, want_pivots = ref_rref(ctx, mat)
+    assert pivots == want_pivots and np.array_equal(m, want)
+
+
+@pytest.mark.parametrize("field", [(2, 1), (2, 2), (3, 1), (5, 1), (7, 2)])
+def test_two_block_rref_merges_the_second_block(monkeypatch, field):
+    # the first block is rank 4 with pivots 0..3, and the row past it is e_7:
+    # one product reduces that row against the basis, one clears column 7
+    # from the basis
+    ctx = _ctx(*field)
+    rng = np.random.default_rng(11)
+    basis = np.concatenate([ctx.mat_eye(4), rng.integers(0, ctx.p, (4, 4, ctx.d))], axis=1)
+    combos = rng.integers(0, ctx.p, (MIN_BLOCK_ROWS, 4, ctx.d))
+    combos[:4] = ctx.mat_eye(4)
+    mat = np.concatenate([ctx.mat_mul(combos, basis), ctx.mat_eye(8)[7:]])
+    counts = _count_rref_work(monkeypatch)
+    m, pivots = rref(ctx, mat)
+    assert counts == {"eliminate": 2, "mat_mul": 2}
+    want, want_pivots = ref_rref(ctx, mat)
+    assert pivots == want_pivots == [0, 1, 2, 3, 7]
+    assert np.array_equal(m, want)
 
 
 # -- kernels inside a subspace, and stacks of rows --------------------------

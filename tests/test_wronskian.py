@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from hsderiv import cli, fieldmodel
 from hsderiv.artinian import ArtinianModel
 from hsderiv.derivation import canonical_derivation
-from hsderiv.errors import HypothesisFailure, TooManyElements
+from hsderiv.errors import HypothesisFailure, ResourceGuard, TooManyElements
 from hsderiv.fieldmodel import (
     FieldDerivationContext,
     dependence_test,
@@ -424,17 +424,60 @@ def test_dependence_test_inverts_each_rational_element_once(monkeypatch):
     f = x1 * (x2 + fctx.dom.one).inverse()
     g = (x1 + x2) * (x1 * x1 + fctx.dom.one).inverse()
     family = [f, g, f + fctx.dom.coerce(2) * g, x1 * x2]
-    calls = []
-    quotient = FieldDerivationContext._quotient
-
-    def counting(self, num, h):
-        calls.append(h)
-        return quotient(self, num, h)
-
-    monkeypatch.setattr(FieldDerivationContext, "_quotient", counting)
+    calls = _count_inverses(monkeypatch)
     res = dependence_test(fctx, family)
     assert not res["independent"] and res["rank"] == 3
     assert calls == [e.den for e in family[:3]]
     calls.clear()
     assert dependence_test(fctx, family[:2])["independent"]
     assert len(calls) == 2
+
+
+def _count_inverses(monkeypatch) -> list:
+    """The denominators FieldDerivationContext._inverse inverts from now on."""
+    calls = []
+    inverse = FieldDerivationContext._inverse
+
+    def counting(self, h):
+        calls.append(h)
+        return inverse(self, h)
+
+    monkeypatch.setattr(FieldDerivationContext, "_inverse", counting)
+    return calls
+
+
+def _shared_denominator_family(fctx):
+    x1, x2 = _x(fctx, 0), _x(fctx, 1)
+    h = (x1 * x2 + x2 + fctx.dom.one).inverse()
+    return [x1 * h, x2 * x2 * h, (x1 + x2 * x2) * h]
+
+
+def test_a_shared_denominator_is_inverted_once_per_family(monkeypatch):
+    fctx = _fctx(make_additive(FqContext(3, 1), 2, 1))
+    family = _shared_denominator_family(fctx)
+    # each column as its element alone gives it, before any counting
+    alone = [wronskian_matrix(fctx, [f]) for f in family]
+    calls = _count_inverses(monkeypatch)
+    res = dependence_test(fctx, family)
+    assert not res["independent"] and res["rank"] == 2
+    assert calls == [family[0].den]
+    calls.clear()
+    rows = wronskian_matrix(fctx, family)
+    assert len(calls) == 1
+    assert rows == [[col[i][0] for col in alone] for i in range(len(rows))]
+
+
+def test_a_shared_inverse_budgets_each_product_on_its_own(monkeypatch):
+    # the third element's product by the shared inverse is refused exactly
+    # where it alone would be: its pairs count from the inverse's own, not
+    # from the earlier elements' products
+    fctx = _fctx(make_additive(FqContext(3, 1), 2, 1))
+    family = _shared_denominator_family(fctx)
+    series, _, spent = fctx._inverse(family[0].den)
+    need = [spent + len(fctx._image(f.num).terms) * len(series.terms) for f in family]
+    assert need[2] == max(need) > need[0]
+    monkeypatch.setattr(fieldmodel, "INVERSE_BUDGET", need[2])
+    assert not dependence_test(fctx, family)["independent"]
+    monkeypatch.setattr(fieldmodel, "INVERSE_BUDGET", need[2] - 1)
+    with pytest.raises(ResourceGuard, match=f"would take {need[2]} term pairs"):
+        dependence_test(fctx, family)

@@ -4,11 +4,11 @@ Run from the repository root:
 
     python3 tools/replay_eliminate.py --workload coords --seed 1 --repeat 7
 
-One pass over the workload's jobs (``bench/streams.py`` generates them,
-``bench/run.py``'s ``run_job`` runs them; both are imported, not changed)
-runs with ``linalg._eliminate`` wrapped to keep a copy of every input
-block, the timed jobs first and then those the benchmark runs once per
-run. Every recorded block is then eliminated again --repeat times back to
+After one warm-up pass, one pass over the workload's jobs
+(``bench/streams.py`` generates them, ``bench/run.py``'s ``run_job`` runs
+them; both are imported, not changed) runs with ``linalg._eliminate``
+wrapped to keep a copy of every input block, the timed jobs first and then
+those the benchmark runs once per run. Every recorded block is then eliminated again --repeat times back to
 back, each time on a fresh copy, and its best time kept. One table for the
 timed jobs and one for the once-run jobs give, for each field (p, d), the
 call count, the largest block and the sum of the best times. The GF(3)
@@ -18,6 +18,14 @@ that, or numpy. A sample of the outputs (--check blocks, evenly spaced,
 the largest of each field among them) is compared with
 ``oracles.digit_eliminate``, the one-pivot-at-a-time reference of the
 tests; a mismatch exits 1.
+
+The same pass also times every whole ``rref`` call as it runs, wrapped in
+each ``hsderiv`` module that binds it. A last pair of tables gives, per
+field, the count and summed time of the calls that fit in one row block
+and of those that take more, the part of that time spent in
+``_eliminate``, and the rest: the reduction mod p, the products against
+the running basis and the merging. These are single timings of the warm
+recorded pass, not best times, and leave out the copying of the blocks.
 
 ``--against DIR`` loads another checkout's ``src/hsderiv/linalg.py`` beside
 this package and times both eliminations on each block, alternating which
@@ -30,7 +38,7 @@ Calls repeat back to back so that the best time is the call's own cost.
 Timed in rounds over the whole list, a call also pays for re-warming the
 processor's caches after its predecessors: the first numpy elimination
 after a run of packed ones read about 3x its own time. Garbage collection
-is off while timing.
+is off while timing, and in the recorded pass.
 """
 
 from __future__ import annotations
@@ -57,27 +65,59 @@ from oracles import digit_eliminate  # noqa: E402
 SLOWER = 1.10
 
 
-def record(workload: str, seed: int) -> list:
-    """(ctx, block copy, timed) for every _eliminate call of one pass over
-    the workload's jobs, timed jobs first."""
-    calls = []
-    inner = linalg._eliminate
+def record(workload: str, seed: int) -> tuple[list, list]:
+    """One pass over the workload's jobs after a warm-up pass, timed jobs
+    first: (ctx, block copy, timed) for every _eliminate call, and (ctx,
+    one block, timed, seconds, seconds in _eliminate) for every rref call.
+    An rref's time leaves out the copying of its blocks."""
+    calls, rrefs = [], []
+    inner, inner_rref = linalg._eliminate, linalg.rref
     timed = True
+    # seconds spent in _eliminate, and copying blocks, since the pass began
+    spent = {"eliminate": 0.0, "copy": 0.0}
+    clock = time.perf_counter
 
     def wrapped(ctx, m):
+        t0 = clock()
         calls.append((ctx, m.copy(), timed))
-        return inner(ctx, m)
+        t1 = clock()
+        try:
+            return inner(ctx, m)
+        finally:
+            spent["copy"] += t1 - t0
+            spent["eliminate"] += clock() - t1
 
+    def wrapped_rref(ctx, mat):
+        before = dict(spent)
+        t0 = clock()
+        try:
+            return inner_rref(ctx, mat)
+        finally:
+            t = clock() - t0 - (spent["copy"] - before["copy"])
+            one = mat.shape[0] <= max(mat.shape[1], linalg.MIN_BLOCK_ROWS)
+            rrefs.append((ctx, one, timed, t, spent["eliminate"] - before["eliminate"]))
+
+    # every hsderiv namespace that binds rref: basis and lattice import it by name
+    bound = [mod for name, mod in sys.modules.items()
+             if name.startswith("hsderiv") and getattr(mod, "rref", None) is inner_rref]
     jobs = streams.generate(workload, seed)
+    for job in jobs:  # warm-up: caches filled, as in every benchmark pass but the first
+        bench_run.run_job(job)
     linalg._eliminate = wrapped
+    for mod in bound:
+        mod.rref = wrapped_rref
+    gc.disable()
     try:
         for timed in (True, False):
             for job in jobs:
                 if job["timed"] == timed:
                     bench_run.run_job(job)
     finally:
+        gc.enable()
         linalg._eliminate = inner
-    return calls
+        for mod in bound:
+            mod.rref = inner_rref
+    return calls, rrefs
 
 
 def gf3_path(block: np.ndarray) -> str:
@@ -175,6 +215,33 @@ def table(calls: list, best: list, against: bool) -> None:
     print(line + (f" {total[2] * 1e3:>11.2f}" if against else ""))
 
 
+def report_rref(rrefs: list) -> None:
+    """Whole rref calls of the recorded pass per field, one-block and
+    multi-block, with the time spent in _eliminate and outside it."""
+    for timed in (True, False):
+        fields = defaultdict(lambda: [0, 0.0, 0, 0.0, 0.0])
+        for ctx, one, t, seconds, inside in rrefs:
+            if t == timed:
+                f = fields[(ctx.p, ctx.d)]
+                f[0 if one else 2] += 1
+                f[1 if one else 3] += seconds
+                f[4] += inside
+        print(f"rref calls of the recorded pass, {'timed' if timed else 'once-run'} jobs:")
+        print(f"{'p':>11} {'d':>2} {'one':>6} {'one ms':>9} {'multi':>6} {'multi ms':>9} "
+              f"{'elim ms':>9} {'other ms':>9}")
+        total = [0, 0.0, 0, 0.0, 0.0]
+        for (p, d), f in sorted(fields.items()):
+            total = [a + b for a, b in zip(total, f)]
+            print(rref_line(f"{p:>11} {d:>2}", f))
+        print(rref_line(f"{'all':>14}", total))
+
+
+def rref_line(head: str, f: list) -> str:
+    n1, t1, n2, t2, inside = f
+    return (f"{head} {n1:>6} {t1 * 1e3:>9.2f} {n2:>6} {t2 * 1e3:>9.2f} "
+            f"{inside * 1e3:>9.2f} {(t1 + t2 - inside) * 1e3:>9.2f}")
+
+
 def report_gf3(calls: list) -> None:
     """GF(3) blocks by the path _eliminate gives them, timed and once-run."""
     paths = defaultdict(lambda: [0, 0])
@@ -206,12 +273,13 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     other = load_linalg(args.against)._eliminate if args.against else None
-    calls = record(args.workload, args.seed)
+    calls, rrefs = record(args.workload, args.seed)
     best = best_times(calls, args.repeat, other)
     print(f"{args.workload} seed {args.seed}: {len(calls)} _eliminate calls, "
           f"best of {args.repeat}")
     report(calls, best, other is not None)
     report_gf3(calls)
+    report_rref(rrefs)
     if other is not None:
         report_slower(calls, best)
     return 1 if check(calls, args.check) else 0
